@@ -12,7 +12,6 @@ import (
 	"repro/internal/diskfault"
 	"repro/internal/grn"
 	"repro/internal/mpi"
-	"repro/internal/perm"
 	"repro/internal/tile"
 )
 
@@ -52,23 +51,27 @@ type clusterRecorder struct {
 	msgsTotal, bytesTotal int64
 }
 
-// threshold returns the committed threshold state.
-func (r *clusterRecorder) threshold() (th float64, nullSize int, done bool) {
+// known returns the committed phase-3 outcome, or nil before phase 3
+// has completed once.
+func (r *clusterRecorder) known() *PooledNull {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state.Threshold, r.state.NullSize, r.thresholdDone
+	if !r.thresholdDone {
+		return nil
+	}
+	return &PooledNull{Threshold: r.state.Threshold, Size: r.state.NullSize}
 }
 
 // setThreshold commits the phase-3 result once; every rank computes the
 // identical value from the seed, so first-wins is not a race.
-func (r *clusterRecorder) setThreshold(th float64, nullSize int) {
+func (r *clusterRecorder) setThreshold(null PooledNull) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.thresholdDone {
 		return
 	}
-	r.state.Threshold = th
-	r.state.NullSize = nullSize
+	r.state.Threshold = null.Threshold
+	r.state.NullSize = null.Size
 	r.thresholdDone = true
 }
 
@@ -204,38 +207,32 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 			k := newPairKernel(wm, cfg)
 			ws := k.newWorkspace()
 
-			// Phase 3 (distributed): cyclic partition of the null sample.
-			// Skipped when a prior attempt or a resumed checkpoint already
-			// committed the threshold — it depends only on the seed, never
+			// Phase 3 (distributed): each rank evaluates its block of the
+			// null sample and the blocks are all-gathered. Skipped when a
+			// prior attempt, a resumed checkpoint, or the caller already
+			// supplied the threshold — it depends only on the seed, never
 			// on the world size, so recovery cannot change it.
 			c.Phase("null-pool")
-			threshold, nullSize, thresholdDone := rec.threshold()
-			if !thresholdDone && cfg.Permutations > 0 {
-				count := cfg.NullSamplePairs
-				if max := tile.TotalPairs(n); count > max {
-					count = max
-				}
-				pairs := sampleNullPairs(cfg.Seed, n, count)
-				var local perm.Null
-				for idx := c.Rank(); idx < len(pairs); idx += c.Size() {
+			known := rec.known()
+			if known == nil {
+				known = cfg.KnownNull
+			}
+			null, err := estimateThreshold(ctx, cfg, n, known, nullPhase{
+				evals: []func(i, j int, out []float64) error{func(i, j int, out []float64) error {
 					if err := c.Err(); err != nil {
 						return err
 					}
-					for p := 0; p < k.pool.Q(); p++ {
-						local.Add(k.miPermuted(pairs[idx][0], pairs[idx][1], p, ws))
-					}
-				}
-				gathered := c.Allgatherv(local.Values())
-				pooled := &perm.Null{}
-				for _, vals := range gathered {
-					pooled.AddAll(vals)
-				}
-				nullSize = pooled.Len()
-				if nullSize > 0 {
-					threshold = pooled.Threshold(cfg.Alpha)
-				}
-				rec.setThreshold(threshold, nullSize)
+					k.null(i, j, out, ws)
+					return nil
+				}},
+				rank: c.Rank(), ranks: c.Size(),
+				allgather: c.Allgatherv,
+			})
+			if err != nil {
+				return err
 			}
+			rec.setThreshold(null)
+			threshold := null.Threshold
 			k.thresh = threshold
 
 			// Phase 4: cyclic partition of the pending tiles, sequential
@@ -358,7 +355,8 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		return err
 	}
 
-	res.Threshold, res.NullSize, _ = rec.threshold()
+	null := rec.known()
+	res.Threshold, res.NullSize = null.Threshold, null.Size
 	res.Timer.Add("threshold+mi(cluster)", scanSpan)
 
 	busy := make([]float64, len(out))

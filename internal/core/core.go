@@ -319,6 +319,18 @@ type Config struct {
 	ChunkStart int
 	ChunkTiles int
 
+	// KnownNull, when non-nil, is this scan's phase-3 outcome, already
+	// computed by a run over the same matrix with the same Order, Bins,
+	// Permutations, NullSamplePairs, Alpha, Seed, Kernel and Precision.
+	// Phase 3 is then skipped: no null pair is evaluated and no
+	// "threshold" timer phase is recorded. The caller vouches for the
+	// value — a wrong one silently yields a wrong network. A resumed
+	// checkpoint's own threshold takes precedence. In-process only: the
+	// server fills it from a finished job of the same scan so sibling
+	// fleet chunks share one null. Ensemble runs, which estimate one
+	// threshold per bootstrap, reject it.
+	KnownNull *PooledNull
+
 	// Ensemble, when Ensemble.Bootstraps > 0, runs the whole pipeline
 	// as a bootstrap consensus workload (see EnsembleConfig). All five
 	// engines support it; tile chunking (ChunkTiles) does not compose
@@ -398,7 +410,7 @@ func (c *Config) Validate() error {
 	if c.Alpha == 0 {
 		c.Alpha = 0.01
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
+	if !(c.Alpha > 0 && c.Alpha < 1) { // written so NaN fails too
 		return fmt.Errorf("core: alpha %v out of (0,1)", c.Alpha)
 	}
 	if c.NullSamplePairs == 0 {
@@ -410,13 +422,13 @@ func (c *Config) Validate() error {
 	if c.DPITolerance < 0 {
 		c.DPITolerance = DefaultDPITolerance
 	}
-	if c.DPITolerance >= 1 {
+	if !(c.DPITolerance < 1) {
 		return fmt.Errorf("core: DPI tolerance %v out of [0,1)", c.DPITolerance)
 	}
 	if c.CMIRatio == 0 {
 		c.CMIRatio = DefaultCMIRatio
 	}
-	if c.CMIRatio < 0 || c.CMIRatio > 1 {
+	if !(c.CMIRatio > 0 && c.CMIRatio <= 1) {
 		return fmt.Errorf("core: CMI ratio %v out of (0,1]", c.CMIRatio)
 	}
 	if c.Workers == 0 {
@@ -459,13 +471,13 @@ func (c *Config) Validate() error {
 		if e.SubsampleFrac == 0 {
 			e.SubsampleFrac = DefaultSubsampleFrac
 		}
-		if e.SubsampleFrac < 0 || e.SubsampleFrac > 1 {
+		if !(e.SubsampleFrac > 0 && e.SubsampleFrac <= 1) {
 			return fmt.Errorf("core: subsample fraction %v out of (0,1]", e.SubsampleFrac)
 		}
 		if e.SupportCutoff == 0 {
 			e.SupportCutoff = DefaultSupportCutoff
 		}
-		if e.SupportCutoff < 0 || e.SupportCutoff > 1 {
+		if !(e.SupportCutoff > 0 && e.SupportCutoff <= 1) {
 			return fmt.Errorf("core: support cutoff %v out of (0,1]", e.SupportCutoff)
 		}
 		if e.Start < 0 || e.Count < 0 {
@@ -482,6 +494,9 @@ func (c *Config) Validate() error {
 		}
 		if e.Count > 0 && c.CheckpointPath != "" {
 			return fmt.Errorf("core: partial ensemble runs do not compose with a checkpoint")
+		}
+		if c.KnownNull != nil {
+			return fmt.Errorf("core: a known threshold does not compose with ensemble runs (one threshold per bootstrap)")
 		}
 	}
 	if c.Engine == Phi || c.Engine == Hybrid {
@@ -516,11 +531,11 @@ func (c *Config) Validate() error {
 		if c.Ranks < 1 {
 			return fmt.Errorf("core: non-positive ranks %d", c.Ranks)
 		}
+		// Negative values disable recovery and are kept as is, so a
+		// second Validate (the server validates at submit, Infer again)
+		// cannot turn the 0 they once became back into the default.
 		if c.MaxRecoveries == 0 {
 			c.MaxRecoveries = c.Ranks - 1
-		}
-		if c.MaxRecoveries < 0 {
-			c.MaxRecoveries = 0 // -1 and below: recovery disabled
 		}
 	}
 	switch c.Engine {

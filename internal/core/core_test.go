@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"sync/atomic"
@@ -68,6 +69,12 @@ func TestConfigValidateErrors(t *testing.T) {
 		{Engine: Phi, ThreadsPerCore: 9},
 		{Engine: Cluster, Ranks: -1},
 		{Engine: EngineKind(42)},
+		{Alpha: math.NaN()},
+		{DPITolerance: math.NaN()},
+		{CMIRatio: math.NaN()},
+		{Ensemble: EnsembleConfig{Bootstraps: 2, SubsampleFrac: math.NaN()}},
+		{Ensemble: EnsembleConfig{Bootstraps: 2, SupportCutoff: math.NaN()}},
+		{KnownNull: &PooledNull{Threshold: 0.1, Size: 10}, Ensemble: EnsembleConfig{Bootstraps: 2}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -600,6 +607,47 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	if !sameEdges(res2.Network, ref.Network) {
 		t.Fatal("re-run over finished checkpoint differs")
+	}
+}
+
+// errAfter is a context whose Err reports cancellation from its
+// limit-th poll on: a deterministic way to cancel a scan part-way
+// through a phase.
+type errAfter struct {
+	context.Context
+	polls atomic.Int64
+	limit int64
+}
+
+func (c *errAfter) Err() error {
+	if c.polls.Add(1) >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPhase3CancelCheckpointsNoThreshold: a scan canceled during phase 3
+// must not persist a threshold drawn from the part of the null computed
+// so far — a resumed run would adopt it and emit a different network.
+// Host and out-of-core scans alike resume to the uninterrupted network.
+func TestPhase3CancelCheckpointsNoThreshold(t *testing.T) {
+	d := testDataset(t, 30, 60, 2)
+	for _, eng := range []EngineKind{Host, OutOfCore} {
+		cfg := Config{Engine: eng, Seed: 3, Permutations: 10, Workers: 2, TileSize: 8}
+		want, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+		// The first polls are null pairs: cancel ~20 pairs into phase 3.
+		if _, err := InferContext(&errAfter{Context: context.Background(), limit: 20}, d.Expr, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: canceled run returned %v", eng, err)
+		}
+		got, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalNetworks(t, eng.String()+" resumed after a phase-3 cancel", got, want)
 	}
 }
 

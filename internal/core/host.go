@@ -13,7 +13,6 @@ import (
 	"repro/internal/diskfault"
 	"repro/internal/grn"
 	"repro/internal/mi"
-	"repro/internal/perm"
 	"repro/internal/tile"
 )
 
@@ -157,61 +156,24 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 		ck = &ckptManager{fsys: cfg.FS, path: cfg.CheckpointPath, every: cfg.CheckpointEvery, state: state}
 	}
 
-	// Phase 3: pooled-null threshold, parallel over sampled pairs.
-	if resumed {
-		res.Threshold = ck.state.Threshold
-		res.NullSize = ck.state.NullSize
-	} else {
-		res.Timer.Time("threshold", func() {
-			if cfg.Permutations == 0 {
-				res.Threshold = 0
-				return
-			}
-			count := cfg.NullSamplePairs
-			if max := tile.TotalPairs(n); count > max {
-				count = max
-			}
-			pairs := sampleNullPairs(cfg.Seed, n, count)
-			workers := cfg.Workers
-			if workers > len(pairs) && len(pairs) > 0 {
-				workers = len(pairs)
-			}
-			nulls := make([]perm.Null, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var ws *mi.Workspace
-					if kit != nil {
-						ws = kit.ws[w]
-					} else {
-						ws = k.newWorkspace()
-					}
-					lo := w * len(pairs) / workers
-					hi := (w + 1) * len(pairs) / workers
-					for _, pr := range pairs[lo:hi] {
-						if ctx.Err() != nil {
-							return
-						}
-						k.nullForPairs([][2]int{pr}, ws, &nulls[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			pooled := &perm.Null{}
-			for w := range nulls {
-				pooled.Merge(&nulls[w])
-			}
-			res.NullSize = pooled.Len()
-			if pooled.Len() > 0 {
-				res.Threshold = pooled.Threshold(cfg.Alpha)
-			}
-		})
-		if ck != nil {
-			ck.state.Threshold = res.Threshold
-			ck.state.NullSize = res.NullSize
+	// Phase 3: pooled-null threshold, parallel over sampled pairs. One
+	// workspace per worker serves both phases.
+	wss := make([]*mi.Workspace, cfg.Workers)
+	evals := make([]func(i, j int, out []float64) error, cfg.Workers)
+	for w := range wss {
+		if kit != nil {
+			wss[w] = kit.ws[w]
+		} else {
+			wss[w] = k.newWorkspace()
 		}
+		ws := wss[w]
+		evals[w] = func(i, j int, out []float64) error {
+			k.null(i, j, out, ws)
+			return nil
+		}
+	}
+	if err := scanThreshold(ctx, cfg, n, res, ck, resumed, evals); err != nil {
+		return nil, nil, err
 	}
 	k.thresh = res.Threshold
 
@@ -246,12 +208,11 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var ws *mi.Workspace
+				ws := wss[w]
 				var pc *mi.PermCache
 				if kit != nil {
-					ws, pc = kit.ws[w], kit.pc[w]
+					pc = kit.pc[w]
 				} else {
-					ws = k.newWorkspace()
 					pc = k.newPermCache(cfg)
 				}
 				tileBytes[w] = int64(ws.Bytes())

@@ -111,7 +111,8 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 	}
 }
 
-// miPermuted computes MI of (i, j) under pool permutation p.
+// miPermuted computes MI of (i, j) under pool permutation p — one
+// evaluation of the legacy per-permutation decide loop.
 func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
 	if k.prec == Float32 {
 		switch k.kind {
@@ -258,12 +259,28 @@ func sampleNullPairs(seed uint64, n, count int) [][2]int {
 	return pairs
 }
 
-// nullForPairs computes the permuted MI values of the given pairs
-// (q values per pair) into a Null accumulator.
-func (k *pairKernel) nullForPairs(pairs [][2]int, ws *mi.Workspace, null *perm.Null) {
-	for _, pr := range pairs {
-		for p := 0; p < k.pool.Q(); p++ {
-			null.Add(k.miPermuted(pr[0], pr[1], p, ws))
+// null computes the q permuted MIs of pair (i, j) into out — one
+// pooled-null pair's whole contribution, from a single sweep with no
+// early exit. Each value is bit-identical to miPermuted(i, j, p, ws).
+func (k *pairKernel) null(i, j int, out []float64, ws *mi.Workspace) {
+	perms := k.pool.Perms()
+	if k.prec == Float32 {
+		switch k.kind {
+		case KernelScalar:
+			k.est.NullScalar32(i, j, perms, out, ws)
+		case KernelVec:
+			k.est.NullVec32(i, j, perms, out, ws)
+		default:
+			k.est.NullBucketed32(i, j, perms, out, ws)
 		}
+		return
+	}
+	switch k.kind {
+	case KernelScalar:
+		k.est.NullScalar(i, j, perms, out, ws)
+	case KernelVec:
+		k.est.NullVec(i, j, perms, out, ws)
+	default:
+		k.est.NullBucketed(i, j, perms, out, ws)
 	}
 }

@@ -331,10 +331,28 @@ func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Resu
 func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *Result, workers []*oocWorker, tiles []tile.Tile, ck *ckptManager, resumed bool) error {
 	n := store.Rows()
 
-	// Phase 3: pooled-null threshold over sampled pairs. Each permuted
-	// MI value is bit-identical to the resident computation and the
-	// pooled Null is order-independent, so the threshold matches the
-	// resident engines exactly.
+	// Phase 3: pooled-null threshold over sampled pairs. Each worker
+	// stages a pair's two rows as local genes (0, 1); every permuted MI is
+	// bit-identical to the resident computation, so the threshold matches
+	// the resident engines exactly.
+	evals := make([]func(i, j int, out []float64) error, len(workers))
+	for w, wk := range workers {
+		evals[w] = func(i, j int, out []float64) error {
+			if err := wk.loadPair(store, i, j); err != nil {
+				return err
+			}
+			wk.pk.null(0, 1, out, wk.ws)
+			return nil
+		}
+	}
+	if err := scanThreshold(ctx, cfg, n, res, ck, resumed, evals); err != nil {
+		return err
+	}
+	for _, wk := range workers {
+		wk.pk.thresh = res.Threshold
+	}
+
+	// Phase 4: tile scan over the pending tiles.
 	var errMu sync.Mutex
 	var scanErr error
 	fail := func(err error) {
@@ -352,68 +370,6 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 		defer errMu.Unlock()
 		return scanErr
 	}
-	if resumed {
-		res.Threshold = ck.state.Threshold
-		res.NullSize = ck.state.NullSize
-	} else {
-		res.Timer.Time("threshold", func() {
-			if cfg.Permutations == 0 {
-				res.Threshold = 0
-				return
-			}
-			count := cfg.NullSamplePairs
-			if max := tile.TotalPairs(n); count > max {
-				count = max
-			}
-			pairs := sampleNullPairs(cfg.Seed, n, count)
-			nw := cfg.Workers
-			if nw > len(pairs) && len(pairs) > 0 {
-				nw = len(pairs)
-			}
-			nulls := make([]perm.Null, nw)
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					wk := workers[w]
-					lo := w * len(pairs) / nw
-					hi := (w + 1) * len(pairs) / nw
-					for _, pr := range pairs[lo:hi] {
-						if ctx.Err() != nil {
-							return
-						}
-						if err := wk.loadPair(store, pr[0], pr[1]); err != nil {
-							fail(err)
-							return
-						}
-						wk.pk.nullForPairs([][2]int{{0, 1}}, wk.ws, &nulls[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			pooled := &perm.Null{}
-			for w := range nulls {
-				pooled.Merge(&nulls[w])
-			}
-			res.NullSize = pooled.Len()
-			if pooled.Len() > 0 {
-				res.Threshold = pooled.Threshold(cfg.Alpha)
-			}
-		})
-		if err := firstErr(); err != nil {
-			return err
-		}
-		if ck != nil {
-			ck.state.Threshold = res.Threshold
-			ck.state.NullSize = res.NullSize
-		}
-	}
-	for _, wk := range workers {
-		wk.pk.thresh = res.Threshold
-	}
-
-	// Phase 4: tile scan over the pending tiles.
 	pending := make([]int, 0, len(tiles))
 	for i := range tiles {
 		if ck == nil || !ck.state.Done[i] {

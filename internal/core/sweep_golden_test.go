@@ -7,6 +7,7 @@ import (
 	"repro/internal/bspline"
 	"repro/internal/mat"
 	"repro/internal/mi"
+	"repro/internal/perm"
 	"repro/internal/tile"
 )
 
@@ -46,43 +47,107 @@ func identicalNetworks(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// referenceNull is phase 3 by its definition: every sampled null pair's
+// q permuted MIs, one per-permutation kernel call each (miPermuted),
+// pooled and cut at the (1-alpha) quantile. It is the oracle the shared
+// single-sweep phase 3 must match bit for bit.
+func referenceNull(t *testing.T, exprMat *mat.Dense, cfg Config) PooledNull {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	norm := exprMat.Clone()
+	norm.RankNormalize()
+	k := newPairKernel(precomputeWeights(t, cfg, norm), cfg)
+	ws := k.newWorkspace()
+	var null perm.Null
+	for _, pr := range sampleNullPairs(cfg.Seed, exprMat.Rows(), cfg.NullSamplePairs) {
+		for p := 0; p < cfg.Permutations; p++ {
+			null.Add(k.miPermuted(pr[0], pr[1], p, ws))
+		}
+	}
+	return PooledNull{Threshold: null.Threshold(cfg.Alpha), Size: null.Len()}
+}
+
 // TestSweepGoldenEquivalence is the golden equivalence suite: for fixed
 // seeds the amortized sweep path must emit networks byte-identical to
 // the seed per-permutation path — same edges in the same order, bitwise
 // equal weights, equal threshold, and equal PairsEvaluated (both paths
 // count 1 observed evaluation plus the permutations actually computed
 // before early exit; skipped permutations are never counted) — across
-// seeds {1,2,3}, orders {1,3}, all four engines, and all three kernels.
+// seeds {1,2,3}, orders {1,3}, all five engines, all three kernels, and
+// both precisions. Both paths share phase 3, so each run's Threshold
+// and NullSize are also pinned to the per-permutation reference null.
 func TestSweepGoldenEquivalence(t *testing.T) {
-	engines := []EngineKind{Host, Phi, Cluster, Hybrid}
+	engines := []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore}
 	kernels := []KernelKind{KernelBucketed, KernelScalar, KernelVec}
 	for _, seed := range []uint64{1, 2, 3} {
 		d := testDataset(t, 20, 60, seed)
 		for _, order := range []int{1, 3} {
-			for _, eng := range engines {
+			for _, prec := range []Precision{Float64, Float32} {
 				for _, kern := range kernels {
 					cfg := Config{
-						Engine: eng, Kernel: kern, Order: order,
+						Kernel: kern, Order: order, Precision: prec,
 						Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
 					}
-					legacyCfg := cfg
-					legacyCfg.LegacyPermutation = true
-					want, err := Infer(d.Expr, legacyCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Infer(d.Expr, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := eng.String() + "/" + kern.String()
-					identicalNetworks(t, label, got, want)
-					if want.PermCacheHits != 0 || want.PermCacheMisses != 0 {
-						t.Fatalf("%s: legacy path touched the perm cache (%d/%d)",
-							label, want.PermCacheHits, want.PermCacheMisses)
+					ref := referenceNull(t, d.Expr, cfg)
+					for _, eng := range engines {
+						cfg.Engine = eng
+						legacyCfg := cfg
+						legacyCfg.LegacyPermutation = true
+						want, err := Infer(d.Expr, legacyCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := Infer(d.Expr, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := eng.String() + "/" + kern.String() + "/" + prec.String()
+						identicalNetworks(t, label, got, want)
+						if want.PermCacheHits != 0 || want.PermCacheMisses != 0 {
+							t.Fatalf("%s: legacy path touched the perm cache (%d/%d)",
+								label, want.PermCacheHits, want.PermCacheMisses)
+						}
+						if got.Threshold != ref.Threshold || got.NullSize != ref.Size {
+							t.Fatalf("%s: phase 3 gave threshold %v over %d values, per-permutation reference %v over %d",
+								label, got.Threshold, got.NullSize, ref.Threshold, ref.Size)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestKnownNullSkipsPhase3 pins Config.KnownNull: a scan handed its own
+// phase-3 outcome emits the identical network — threshold, null size,
+// edges, and evaluation counts — on every engine, and records no
+// "threshold" phase because no null pair is evaluated.
+func TestKnownNullSkipsPhase3(t *testing.T) {
+	d := testDataset(t, 24, 60, 4)
+	for _, eng := range []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore} {
+		cfg := Config{Engine: eng, Seed: 5, Permutations: 10, Workers: 3, TileSize: 8, Ranks: 3}
+		want, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.KnownNull = &PooledNull{Threshold: want.Threshold, Size: want.NullSize}
+		got, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalNetworks(t, eng.String(), got, want)
+		if got.NullSize != want.NullSize {
+			t.Fatalf("%v: null size %d != %d", eng, got.NullSize, want.NullSize)
+		}
+		for _, ph := range got.Timer.Phases() {
+			if ph == "threshold" {
+				t.Fatalf("%v: a known threshold still ran phase 3 (%v)", eng, got.Timer.Get(ph))
+			}
+		}
+		if eng == Host && want.Timer.Get("threshold") == 0 {
+			t.Fatal("host run without a known threshold recorded no threshold phase")
 		}
 	}
 }

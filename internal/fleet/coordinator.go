@@ -142,6 +142,9 @@ type scan struct {
 	result   *core.Result
 	resumed  int // chunks skipped via the persisted ledger
 	ledger   *checkpoint.State
+	// chunksDone is the ledger's completed-chunk count, kept for status
+	// once finishScan has released the ledger.
+	chunksDone int
 	// Ensemble fan-out state (cfg.Ensemble.Enabled()): each chunk is one
 	// bootstrap. SupportEdge.WeightSum accumulates in ascending bootstrap
 	// order, so out-of-order worker results wait in bootEdges until the
@@ -419,23 +422,29 @@ func (c *Coordinator) prepare(s *scan) error {
 	}
 	s.genes = data.Genes
 	s.n = data.Expr.Rows()
+	// The fields status reads (chunks, ledger, resumed) are built in
+	// locals and published under s.mu at the end: a status poll can
+	// arrive while the scan is still being prepared.
+	var chunks []Chunk
+	var ledger *checkpoint.State
+	resumed := 0
 	if s.cfg.Ensemble.Enabled() {
 		// Ensemble fan-out: one chunk per bootstrap, each a worker job
 		// with bstart=b, bcount=1 over the full pair triangle. The worker
 		// runs its bootstrap's filters itself (they are per-bootstrap
 		// passes), so the merge only folds and thresholds.
 		b := s.cfg.Ensemble.Bootstraps
-		s.chunks = make([]Chunk, b)
-		for i := range s.chunks {
-			s.chunks[i] = Chunk{Index: i}
+		chunks = make([]Chunk, b)
+		for i := range chunks {
+			chunks[i] = Chunk{Index: i}
 		}
 		s.ens = grn.NewEnsemble(s.n)
 		s.bootEdges = make([][]grn.Edge, b)
 		s.bootThresh = make([]float64, b)
 		s.bootDone = make([]bool, b)
 	} else {
-		s.chunks = PlanChunks(s.n, s.cfg.TileSize, c.ChunksPerScan)
-		if len(s.chunks) == 0 {
+		chunks = PlanChunks(s.n, s.cfg.TileSize, c.ChunksPerScan)
+		if len(chunks) == 0 {
 			return fmt.Errorf("empty chunk plan for %d genes", s.n)
 		}
 		// The CMI merge filter needs rank-normalized rows; prepare them up
@@ -468,14 +477,14 @@ func (c *Coordinator) prepare(s *scan) error {
 		SubsampleFrac: s.cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:  s.cfg.Ensemble.Seed,
 	}
-	s.ledger = checkpoint.NewState(fp, len(s.chunks))
+	ledger = checkpoint.NewState(fp, len(chunks))
 	if s.cfg.Ensemble.Enabled() {
-		s.ledger.EnsembleThresholds = make([]float64, len(s.chunks))
+		ledger.EnsembleThresholds = make([]float64, len(chunks))
 	}
 	if c.CheckpointDir != "" {
 		saved, err := checkpoint.LoadFile(c.ledgerPath(s.key))
-		if err == nil && saved != nil && saved.Validate(fp, len(s.chunks)) == nil {
-			s.ledger = saved
+		if err == nil && saved != nil && saved.Validate(fp, len(chunks)) == nil {
+			ledger = saved
 			if s.cfg.Ensemble.Enabled() {
 				// Only the contiguous ascending-fold prefix is trustworthy
 				// (WeightSum order); anything past it is redispatched.
@@ -493,7 +502,7 @@ func (c *Coordinator) prepare(s *scan) error {
 					s.bootThresh[i] = saved.EnsembleThresholds[i]
 				}
 			}
-			s.resumed = len(s.chunks) - saved.Remaining()
+			resumed = len(chunks) - saved.Remaining()
 			// Fold the resumed chunks' evaluation counters into the merge
 			// sums — they were committed by a previous coordinator life.
 			// (Cache-level counters like PermCacheHits are not in the
@@ -510,11 +519,14 @@ func (c *Coordinator) prepare(s *scan) error {
 		// Corrupt or mismatched ledgers start fresh: the ledger is an
 		// optimization, never worth failing a scan over.
 	}
-	s.attempts = make([]int, len(s.chunks))
-	s.lastWorker = make([]int, len(s.chunks))
+	s.attempts = make([]int, len(chunks))
+	s.lastWorker = make([]int, len(chunks))
 	for i := range s.lastWorker {
 		s.lastWorker[i] = -1
 	}
+	s.mu.Lock()
+	s.chunks, s.ledger, s.resumed = chunks, ledger, resumed
+	s.mu.Unlock()
 	return nil
 }
 
@@ -886,6 +898,7 @@ func (c *Coordinator) merge(s *scan) {
 		c.finishScan(s, StateFailed, err.Error())
 		return
 	}
+	res.Network.Compact()
 	s.mu.Lock()
 	s.result = res
 	s.mu.Unlock()
@@ -937,6 +950,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 		c.finishScan(s, StateFailed, buildErr.Error())
 		return
 	}
+	res.Network.Compact()
 	s.mu.Lock()
 	s.result = res
 	s.mu.Unlock()
@@ -947,8 +961,9 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 }
 
 // finishScan records a scan's terminal state and releases its bulk
-// buffers (the cached entry keeps the result and gene names, not the
-// raw matrix).
+// buffers: the cached entry keeps the result and gene names, not the
+// raw matrix, the chunk ledger with its raw pre-filter edges, the tile
+// index, or the bootstrap edge buffers.
 func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 	s.mu.Lock()
 	s.state = st
@@ -961,6 +976,12 @@ func (c *Coordinator) finishScan(s *scan, st ScanState, errMsg string) {
 	s.finished = c.now()
 	s.body = nil
 	s.norm = nil
+	if s.ledger != nil {
+		s.chunksDone = len(s.chunks) - s.ledger.Remaining()
+	}
+	s.ledger = nil
+	s.tileIdx = nil
+	s.bootEdges = nil
 	wall := 0.0
 	if !s.started.IsZero() {
 		wall = s.finished.Sub(s.started).Seconds()

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/grn"
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -163,6 +164,54 @@ func TestFleetBitIdentity(t *testing.T) {
 				t.Fatalf("only %v chunk dispatches — no real fan-out", v)
 			}
 		})
+	}
+}
+
+// TestFleetThresholdOncePerWorker: with single-slot workers (the
+// production default), a scan fanned out as more chunks than workers
+// computes its pooled null at most once per worker — every later chunk
+// on a worker borrows it from the worker's finished sibling — and the
+// merge is still bit-identical to a single-process scan.
+func TestFleetThresholdOncePerWorker(t *testing.T) {
+	body := fleetBody(t, 24, 16, 4)
+	cfg := scanConfig(t)
+	want := reference(t, body, cfg)
+
+	srvs := make([]*server.Server, 2)
+	urls := make([]string, len(srvs))
+	for i := range srvs {
+		srvs[i] = server.New()
+		srvs[i].MaxQueued = 64
+		ts := httptest.NewServer(srvs[i].Handler())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	c := New(urls)
+	c.ChunksPerScan = 6
+	c.PollInterval = 5 * time.Millisecond
+	t.Cleanup(func() { c.Shutdown(context.Background()) })
+
+	id, _, err := c.Submit(body, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, want)
+
+	chunks := 0.0
+	for i, srv := range srvs {
+		done := srv.Metrics.Counter("tinge_jobs_finished_total", "", metrics.Labels{"state": "done"}).Value()
+		reused := srv.Metrics.Counter("tinge_thresholds_reused_total", "", nil).Value()
+		if computed := done - reused; computed > 1 {
+			t.Fatalf("worker %d computed the threshold %v times over %v chunks", i, computed, done)
+		}
+		chunks += done
+	}
+	if chunks < 4 {
+		t.Fatalf("only %v chunks ran — the scan did not fan out", chunks)
 	}
 }
 

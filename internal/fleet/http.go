@@ -51,6 +51,7 @@ func (j *fleetJob) status() Status {
 	if canceled && !s.state.Terminal() {
 		resp.State = StateCanceled
 	}
+	resp.ChunksDone = s.chunksDone
 	if s.ledger != nil {
 		resp.ChunksDone = len(s.chunks) - s.ledger.Remaining()
 	}

@@ -30,6 +30,7 @@ func (g *Network) Communities(maxIter int, seed uint64) []int {
 	order := make([]int32, g.n)
 	rng := perm.NewRNG(seed)
 	votes := map[int]float64{}
+	adj := g.index()
 	for iter := 0; iter < maxIter; iter++ {
 		perm.FisherYates(rng, order)
 		changed := false
@@ -41,7 +42,7 @@ func (g *Network) Communities(maxIter int, seed uint64) []int {
 			for k := range votes {
 				delete(votes, k)
 			}
-			for j, w := range g.adj[i] {
+			for j, w := range adj[i] {
 				votes[labels[j]] += w
 			}
 			best, bestW := labels[i], votes[labels[i]]

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Edge is an undirected weighted edge between genes I < J.
@@ -24,16 +25,20 @@ type Edge struct {
 // Network is an undirected MI network over a fixed gene universe.
 // Construction (AddEdge) is single-goroutine; once built, all read
 // methods — including Edges, which sorts lazily under an internal
-// lock — are safe for concurrent use.
+// lock, and the adjacency readers, which rebuild a compacted index
+// under the same lock — are safe for concurrent use.
 type Network struct {
 	n     int
 	edges []Edge
-	// adj[i] maps neighbor j -> weight for quick lookup.
-	adj []map[int]float64
-	// sortMu guards the lazy sort in Edges; sorted records whether
-	// g.edges is already in (I, J) order, so concurrent readers never
-	// mutate the slice.
-	sortMu sync.Mutex
+	// adj[i] maps neighbor j -> weight for quick lookup. Compact drops
+	// it and index rebuilds it from edges on first use; adjReady
+	// publishes a rebuild to lock-free readers.
+	adj      []map[int]float64
+	adjReady atomic.Bool
+	// mu guards the lazy sort in Edges and the lazy rebuild in index;
+	// sorted records whether g.edges is already in (I, J) order, so
+	// concurrent readers never mutate the slice.
+	mu     sync.Mutex
 	sorted bool
 }
 
@@ -42,7 +47,50 @@ func New(n int) *Network {
 	if n < 0 {
 		panic(fmt.Sprintf("grn: negative gene count %d", n))
 	}
-	return &Network{n: n, adj: make([]map[int]float64, n), sorted: true}
+	g := &Network{n: n, adj: make([]map[int]float64, n), sorted: true}
+	g.adjReady.Store(true)
+	return g
+}
+
+// Compact sorts the edge list, trims its spare capacity, and releases
+// the per-gene adjacency index, which is about two thirds of a
+// network's memory. It is the form a server retains finished results
+// in: serving them reads only Edges and Len. Readers that need the
+// adjacency (Weight, Neighbors, Degree, DPI, Communities, ...) rebuild
+// it on first use. Compact itself must not race with other methods —
+// call it before sharing the network.
+func (g *Network) Compact() {
+	g.Edges()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.edges = append(make([]Edge, 0, len(g.edges)), g.edges...)
+	g.adj = nil
+	g.adjReady.Store(false)
+}
+
+// index returns the adjacency index, rebuilding it after Compact.
+func (g *Network) index() []map[int]float64 {
+	if g.adjReady.Load() {
+		return g.adj
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.adjReady.Load() {
+		adj := make([]map[int]float64, g.n)
+		for _, e := range g.edges {
+			if adj[e.I] == nil {
+				adj[e.I] = make(map[int]float64)
+			}
+			if adj[e.J] == nil {
+				adj[e.J] = make(map[int]float64)
+			}
+			adj[e.I][e.J] = e.Weight
+			adj[e.J][e.I] = e.Weight
+		}
+		g.adj = adj
+		g.adjReady.Store(true)
+	}
+	return g.adj
 }
 
 // N returns the gene-universe size.
@@ -64,8 +112,9 @@ func (g *Network) AddEdge(i, j int, w float64) {
 	if i < 0 || j >= g.n {
 		panic(fmt.Sprintf("grn: edge (%d,%d) out of range %d", i, j, g.n))
 	}
-	if g.adj[i] != nil {
-		if _, dup := g.adj[i][j]; dup {
+	adj := g.index()
+	if adj[i] != nil {
+		if _, dup := adj[i][j]; dup {
 			panic(fmt.Sprintf("grn: duplicate edge (%d,%d)", i, j))
 		}
 	}
@@ -79,22 +128,22 @@ func (g *Network) AddEdge(i, j int, w float64) {
 			g.sorted = false
 		}
 	}
-	if g.adj[i] == nil {
-		g.adj[i] = make(map[int]float64)
+	if adj[i] == nil {
+		adj[i] = make(map[int]float64)
 	}
-	if g.adj[j] == nil {
-		g.adj[j] = make(map[int]float64)
+	if adj[j] == nil {
+		adj[j] = make(map[int]float64)
 	}
-	g.adj[i][j] = w
-	g.adj[j][i] = w
+	adj[i][j] = w
+	adj[j][i] = w
 }
 
 // Weight returns the weight of edge (i, j) and whether it exists.
 func (g *Network) Weight(i, j int) (float64, bool) {
-	if i < 0 || i >= g.n || g.adj[i] == nil {
+	if i < 0 || i >= g.n {
 		return 0, false
 	}
-	w, ok := g.adj[i][j]
+	w, ok := g.index()[i][j]
 	return w, ok
 }
 
@@ -104,8 +153,8 @@ func (g *Network) Weight(i, j int) (float64, bool) {
 // job's network served to parallel HTTP handlers, scored while being
 // written, ...); only AddEdge may not race with it.
 func (g *Network) Edges() []Edge {
-	g.sortMu.Lock()
-	defer g.sortMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if !g.sorted {
 		sort.Slice(g.edges, func(a, b int) bool {
 			if g.edges[a].I != g.edges[b].I {
@@ -120,11 +169,15 @@ func (g *Network) Edges() []Edge {
 
 // Neighbors returns gene i's neighbors in ascending order.
 func (g *Network) Neighbors(i int) []int {
-	if i < 0 || i >= g.n || g.adj[i] == nil {
+	if i < 0 || i >= g.n {
 		return nil
 	}
-	out := make([]int, 0, len(g.adj[i]))
-	for j := range g.adj[i] {
+	row := g.index()[i]
+	if row == nil {
+		return nil
+	}
+	out := make([]int, 0, len(row))
+	for j := range row {
 		out = append(out, j)
 	}
 	sort.Ints(out)
@@ -133,10 +186,10 @@ func (g *Network) Neighbors(i int) []int {
 
 // Degree returns the degree of gene i.
 func (g *Network) Degree(i int) int {
-	if i < 0 || i >= g.n || g.adj[i] == nil {
+	if i < 0 || i >= g.n {
 		return 0
 	}
-	return len(g.adj[i])
+	return len(g.index()[i])
 }
 
 // MaxDegree returns the largest degree in the network (0 when empty).
@@ -166,8 +219,9 @@ func (g *Network) DPI(tol float64) *Network {
 	}
 	remove := make(map[[2]int]bool)
 	scale := 1 - tol
+	adj := g.index()
 	for i := 0; i < g.n; i++ {
-		if g.adj[i] == nil {
+		if adj[i] == nil {
 			continue
 		}
 		neigh := g.Neighbors(i)
@@ -184,8 +238,8 @@ func (g *Network) DPI(tol float64) *Network {
 				if !ok {
 					continue
 				}
-				wij := g.adj[i][j]
-				wik := g.adj[i][k]
+				wij := adj[i][j]
+				wik := adj[i][k]
 				// Weakest edge of the triangle loses (with tolerance).
 				switch {
 				case wij < wik*scale && wij < wjk*scale:

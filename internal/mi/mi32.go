@@ -232,43 +232,23 @@ func (e *Estimator) pairBlocked32(i, j int, perm, poffs []int32, pw []float32, w
 // pool order, early exit on the first permuted MI >= obs, j-side rows
 // streamed from the PermCache when provided.
 func (e *Estimator) SweepBucketed32(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
-	m := e.wm.Samples
-	k := e.wm.Basis.Order()
-	e.prepareRowKeys(i, ws)
-	cached := poffs != nil && pw != nil
-	for p := range perms {
-		evals++
-		var v float64
-		if cached {
-			v = e.pairBlocked32(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		} else {
-			v = e.pairBlocked32(i, j, perms[p], nil, nil, ws)
-		}
-		if v >= obs {
-			return evals, false
-		}
-	}
-	return evals, true
+	return e.sweepBlocked(i, j, obs, perms, poffs, pw, nil, Float32, ws)
+}
+
+// NullBucketed32 is NullBucketed on the float32 path; each value is
+// bit-identical to PairPermutedBlocked32.
+func (e *Estimator) NullBucketed32(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepBlocked(i, j, 0, perms, nil, nil, out, Float32, ws)
 }
 
 // SweepScalar32 is SweepScalar on the float32 path.
 func (e *Estimator) SweepScalar32(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
-	m := e.wm.Samples
-	k := e.wm.Basis.Order()
-	cached := poffs != nil && pw != nil
-	for p := range perms {
-		evals++
-		var v float64
-		if cached {
-			v = e.pairScalarCached32(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		} else {
-			v = e.PairPermutedScalar32(i, j, perms[p], ws)
-		}
-		if v >= obs {
-			return evals, false
-		}
-	}
-	return evals, true
+	return e.sweepScalar(i, j, obs, perms, poffs, pw, nil, Float32, ws)
+}
+
+// NullScalar32 is NullScalar on the float32 path.
+func (e *Estimator) NullScalar32(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepScalar(i, j, 0, perms, nil, nil, out, Float32, ws)
 }
 
 // pairScalarCached32 is PairPermutedScalar32 with the j side streamed
@@ -299,32 +279,10 @@ func (e *Estimator) pairScalarCached32(i, j int, poffs []int32, pw []float32, ws
 // resolved once per sweep, per-permutation gather + dot products into
 // the float32 joint, early exit on the first permuted MI >= obs.
 func (e *Estimator) SweepVec32(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
-	bins := ws.bins
-	m := e.wm.Samples
-	rowsI := e.wm.GeneDenseRows(i)
-	rowsJ := e.wm.GeneDenseRows(j)
-	for p := range perms {
-		evals++
-		perm := perms[p]
-		for u := range rowsJ {
-			src := rowsJ[u]
-			dst := ws.permuted[u]
-			for s, idx := range perm {
-				dst[s] = src[idx]
-			}
-		}
-		for u := 0; u < bins; u++ {
-			ru := rowsI[u]
-			out := ws.joint32[u*bins:]
-			for v := 0; v < bins; v++ {
-				out[v] = simd.FusedWeightedCount(ru, ws.permuted[v])
-			}
-		}
-		ws.jointClean = false
-		v := e.miFromJoint32(i, j, ws.joint32, float32(m))
-		if v >= obs {
-			return evals, false
-		}
-	}
-	return evals, true
+	return e.sweepVec(i, j, obs, perms, nil, Float32, ws)
+}
+
+// NullVec32 is NullVec on the float32 path.
+func (e *Estimator) NullVec32(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepVec(i, j, 0, perms, out, Float32, ws)
 }

@@ -256,19 +256,43 @@ func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, 
 // It returns the number of permutations evaluated and whether the pair
 // survived (obs strictly exceeded every permuted value).
 func (e *Estimator) SweepBucketed(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
+	return e.sweepBlocked(i, j, obs, perms, poffs, pw, nil, Float64, ws)
+}
+
+// NullBucketed is SweepBucketed without the early exit: out[p] receives
+// the MI of (i, j) under perms[p] for every p — one pooled-null pair in
+// a single sweep, with gene i's row keys prepared once and gene j
+// gathered through each permutation. Each value is bit-identical to
+// PairPermutedBucketed(i, j, perms[p], ws). out must hold len(perms)
+// values.
+func (e *Estimator) NullBucketed(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepBlocked(i, j, 0, perms, nil, nil, out, Float64, ws)
+}
+
+// sweepBlocked is the block-scatter sweep loop behind SweepBucketed,
+// NullBucketed, and their float32 counterparts. With out == nil it is
+// the early-exit permutation test; with out != nil it records every
+// permuted MI and never exits early (obs is then ignored).
+func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
 	m := e.wm.Samples
 	k := e.wm.Basis.Order()
 	e.prepareRowKeys(i, ws)
 	cached := poffs != nil && pw != nil
 	for p := range perms {
 		evals++
-		var v float64
+		perm, po, pwp := perms[p], []int32(nil), []float32(nil)
 		if cached {
-			v = e.pairBlocked(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		} else {
-			v = e.pairBlocked(i, j, perms[p], nil, nil, ws)
+			perm, po, pwp = nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k]
 		}
-		if v >= obs {
+		var v float64
+		if prec == Float32 {
+			v = e.pairBlocked32(i, j, perm, po, pwp, ws)
+		} else {
+			v = e.pairBlocked(i, j, perm, po, pwp, ws)
+		}
+		if out != nil {
+			out[p] = v
+		} else if v >= obs {
 			return evals, false
 		}
 	}
@@ -280,18 +304,37 @@ func (e *Estimator) SweepBucketed(i, j int, obs float64, perms [][]int32, poffs 
 // stencils streamed from the cached permuted rows when available, and
 // early exit on the first permuted MI >= obs.
 func (e *Estimator) SweepScalar(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
+	return e.sweepScalar(i, j, obs, perms, poffs, pw, nil, Float64, ws)
+}
+
+// NullScalar is SweepScalar without the early exit (see NullBucketed);
+// each value is bit-identical to PairPermutedScalar.
+func (e *Estimator) NullScalar(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepScalar(i, j, 0, perms, nil, nil, out, Float64, ws)
+}
+
+// sweepScalar is the scalar sweep loop of both precisions; out has
+// sweepBlocked's meaning.
+func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
 	m := e.wm.Samples
 	k := e.wm.Basis.Order()
 	cached := poffs != nil && pw != nil
 	for p := range perms {
 		evals++
 		var v float64
-		if cached {
+		switch {
+		case cached && prec == Float32:
+			v = e.pairScalarCached32(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
+		case cached:
 			v = e.pairScalarCached(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		} else {
+		case prec == Float32:
+			v = e.PairPermutedScalar32(i, j, perms[p], ws)
+		default:
 			v = e.PairPermutedScalar(i, j, perms[p], ws)
 		}
-		if v >= obs {
+		if out != nil {
+			out[p] = v
+		} else if v >= obs {
 			return evals, false
 		}
 	}
@@ -331,6 +374,18 @@ func (e *Estimator) pairScalarCached(i, j int, poffs []int32, pw []float32, ws *
 // early exit on the first permuted MI >= obs. Values are bit-identical
 // to PairPermutedVec.
 func (e *Estimator) SweepVec(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
+	return e.sweepVec(i, j, obs, perms, nil, Float64, ws)
+}
+
+// NullVec is SweepVec without the early exit (see NullBucketed); each
+// value is bit-identical to PairPermutedVec.
+func (e *Estimator) NullVec(i, j int, perms [][]int32, out []float64, ws *Workspace) {
+	e.sweepVec(i, j, 0, perms, out, Float64, ws)
+}
+
+// sweepVec is the vectorized sweep loop of both precisions; out has
+// sweepBlocked's meaning.
+func (e *Estimator) sweepVec(i, j int, obs float64, perms [][]int32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
 	bins := ws.bins
 	m := e.wm.Samples
 	rowsI := e.wm.GeneDenseRows(i)
@@ -345,16 +400,30 @@ func (e *Estimator) SweepVec(i, j int, obs float64, perms [][]int32, ws *Workspa
 				dst[s] = src[idx]
 			}
 		}
-		for u := 0; u < bins; u++ {
-			ru := rowsI[u]
-			out := ws.joint[u*bins:]
-			for v := 0; v < bins; v++ {
-				out[v] = float64(simd.FusedWeightedCount(ru, ws.permuted[v]))
-			}
-		}
 		ws.jointClean = false
-		v := e.miFromJoint(i, j, ws.joint, float64(m))
-		if v >= obs {
+		var v float64
+		if prec == Float32 {
+			for u := 0; u < bins; u++ {
+				ru := rowsI[u]
+				row := ws.joint32[u*bins:]
+				for x := 0; x < bins; x++ {
+					row[x] = simd.FusedWeightedCount(ru, ws.permuted[x])
+				}
+			}
+			v = e.miFromJoint32(i, j, ws.joint32, float32(m))
+		} else {
+			for u := 0; u < bins; u++ {
+				ru := rowsI[u]
+				row := ws.joint[u*bins:]
+				for x := 0; x < bins; x++ {
+					row[x] = float64(simd.FusedWeightedCount(ru, ws.permuted[x]))
+				}
+			}
+			v = e.miFromJoint(i, j, ws.joint, float64(m))
+		}
+		if out != nil {
+			out[p] = v
+		} else if v >= obs {
 			return evals, false
 		}
 	}

@@ -230,3 +230,57 @@ func TestNewEstimatorParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestNullSweepsMatchPerPermutation pins the no-early-exit entry points
+// the pooled-null phase runs on: every value a Null* sweep records is
+// bit-identical to the per-permutation kernel of the same formulation
+// and precision, across orders, even when the workspace's cached row
+// keys belong to another gene.
+func TestNullSweepsMatchPerPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	rows := randomGenes(rng, 8, 151)
+	for _, order := range []int{1, 3, 4} {
+		e, ws64 := buildEstimator(t, rows, order, 10)
+		ws32 := NewWorkspacePrec(e, Float32)
+		perms := perm.MustNewPool(3, 151, 9).Perms()
+		out := make([]float64, len(perms))
+		type kernel struct {
+			name string
+			null func(i, j int)
+			ref  func(i, j int, p []int32) float64
+		}
+		kernels := []kernel{
+			{"bucketed", func(i, j int) { e.NullBucketed(i, j, perms, out, ws64) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedBucketed(i, j, p, ws64) }},
+			{"scalar", func(i, j int) { e.NullScalar(i, j, perms, out, ws64) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedScalar(i, j, p, ws64) }},
+			{"vec", func(i, j int) { e.NullVec(i, j, perms, out, ws64) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedVec(i, j, p, ws64) }},
+			{"bucketed32", func(i, j int) { e.NullBucketed32(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedBlocked32(i, j, p, ws32) }},
+			{"scalar32", func(i, j int) { e.NullScalar32(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedScalar32(i, j, p, ws32) }},
+			{"vec32", func(i, j int) { e.NullVec32(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedVec32(i, j, p, ws32) }},
+		}
+		for _, k := range kernels {
+			// Visit pairs with i descending so consecutive sweeps change
+			// the row gene.
+			for i := 7; i >= 0; i-- {
+				for j := 0; j < 8; j++ {
+					if i == j {
+						continue
+					}
+					k.null(i, j)
+					got := append([]float64(nil), out...)
+					for p := range perms {
+						if want := k.ref(i, j, perms[p]); got[p] != want {
+							t.Fatalf("order %d %s (%d,%d) perm %d: null sweep %v != per-permutation %v",
+								order, k.name, i, j, p, got[p], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

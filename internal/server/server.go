@@ -92,6 +92,12 @@ type job struct {
 	// ckptPath is the job's checkpoint file ("" when checkpointing is
 	// off or the engine does not support it).
 	ckptPath string
+	// scanKey is the content address of the whole scan the job belongs
+	// to — key with the chunk range cleared, shared by every chunk of
+	// one fleet scan — under which finished jobs lend their pooled-null
+	// threshold to queued siblings. Empty for ensemble jobs, which have
+	// one threshold per bootstrap.
+	scanKey string
 
 	mu        sync.Mutex
 	state     JobState
@@ -171,6 +177,7 @@ type Server struct {
 	mDPIRemoved, mCMIRemoved         *metrics.Counter
 	mEnsBootstraps, mEnsStencils     *metrics.Counter
 	mEnsSupportEdges                 *metrics.Counter
+	mThresholdsReused                *metrics.Counter
 	mTerminal                        map[JobState]*metrics.Counter
 	hJobSeconds                      *metrics.Histogram
 }
@@ -237,6 +244,7 @@ func (s *Server) init() {
 		s.mEnsBootstraps = r.Counter("tinge_ensemble_bootstraps_total", "Bootstrap networks inferred by ensemble jobs.", nil)
 		s.mEnsStencils = r.Counter("tinge_ensemble_stencils_reused_total", "B-spline stencils reused from the shared precompute instead of recomputed.", nil)
 		s.mEnsSupportEdges = r.Counter("tinge_ensemble_support_edges_total", "Support-matrix cells produced by completed ensemble jobs.", nil)
+		s.mThresholdsReused = r.Counter("tinge_thresholds_reused_total", "Jobs that took their pooled-null threshold from a finished job of the same scan instead of computing it.", nil)
 		s.hJobSeconds = r.Histogram("tinge_job_seconds", "Job wall time from start to terminal state.",
 			nil, []float64{0.1, 0.5, 1, 5, 15, 60, 300, 1800, 7200})
 		for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
@@ -546,8 +554,22 @@ func JobKey(body []byte, cfg core.Config) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// scanKey is JobKey with the chunk range cleared: the content address
+// every chunk of one fleet scan shares.
+func scanKey(body []byte, cfg core.Config) string {
+	cfg.ChunkStart, cfg.ChunkTiles = 0, 0
+	return JobKey(body, cfg)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Validate before keying, as the coordinator does: an invalid config
+	// is a 400 now rather than a failed job later, and defaults are
+	// filled in, so omitting a parameter and spelling out its default
+	// give the same key (and resume the same checkpoint).
 	cfg, err := ParseConfig(r)
+	if err == nil {
+		err = cfg.Validate()
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -578,6 +600,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		ctx: ctx, cancel: cancel, key: key, ckptPath: cfg.CheckpointPath,
 		state: StateQueued, geneNames: data.Genes,
+	}
+	if !cfg.Ensemble.Enabled() {
+		j.scanKey = scanKey(body, cfg)
 	}
 
 	s.mu.Lock()
@@ -644,7 +669,13 @@ func (s *Server) run(j *job, data *expr.Dataset, cfg core.Config) {
 	j.state = StateRunning
 	j.started = s.now()
 	j.mu.Unlock()
-	s.Logger.Info("job running", "job", j.id)
+	// Looked up now, not at submit: a chunk queued behind a sibling of
+	// the same scan sees the sibling's threshold.
+	if known := s.knownNull(j); known != nil {
+		cfg.KnownNull = known
+		s.mThresholdsReused.Inc()
+	}
+	s.Logger.Info("job running", "job", j.id, "known_threshold", cfg.KnownNull != nil)
 
 	// Progress is monotonic: concurrent tile completions may report
 	// out of order, and a resumed run restarts the fraction — never
@@ -672,9 +703,44 @@ func (s *Server) run(j *job, data *expr.Dataset, cfg core.Config) {
 	}
 }
 
+// knownNull returns the pooled-null outcome of a finished job of j's
+// scan, or nil. Only successful jobs lend one, and ensemble jobs (no
+// scanKey) neither lend nor borrow; the registry's TTL and MaxJobs
+// bound how long one is remembered. Every chunk of a scan computes the
+// identical threshold, so any finished sibling's value is the value j
+// would compute.
+func (s *Server) knownNull(j *job) *core.PooledNull {
+	if j.scanKey == "" {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range s.order {
+		o := s.jobs[id]
+		if o == j || o.scanKey != j.scanKey {
+			continue
+		}
+		o.mu.Lock()
+		st, res := o.state, o.result
+		o.mu.Unlock()
+		if st == StateDone && res != nil {
+			return &core.PooledNull{Threshold: res.Threshold, Size: res.NullSize}
+		}
+	}
+	return nil
+}
+
 // finish records a job's terminal state, exports its metrics, and
 // cleans up its checkpoint when the result is final.
 func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
+	if res != nil {
+		// Serving a finished job reads only edge lists; drop the
+		// adjacency indexes before the result is retained.
+		res.Network.Compact()
+		for _, net := range res.EnsembleNetworks {
+			net.Compact()
+		}
+	}
 	now := s.now()
 	j.mu.Lock()
 	j.state = st

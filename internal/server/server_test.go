@@ -187,6 +187,9 @@ func TestUnknownJob404(t *testing.T) {
 func TestBadSubmissions(t *testing.T) {
 	ts := httptest.NewServer(New().Handler())
 	defer ts.Close()
+	// Well-formed values that fail Validate are refused at submit too,
+	// with a matrix the job could otherwise run on.
+	valid := tsvBody(t, 6, 8).String()
 	cases := []struct {
 		params string
 		body   string
@@ -196,6 +199,11 @@ func TestBadSubmissions(t *testing.T) {
 		{"alpha=zzz", "gene\tE0\nG0\t1\n"},
 		{"engine=quantum", "gene\tE0\nG0\t1\n"},
 		{"seed=-1", "gene\tE0\nG0\t1\n"},
+		{"alpha=2", valid},
+		{"alpha=NaN", valid},
+		{"bins=2&order=3", valid},
+		{"nullpairs=-1", valid},
+		{"dpitolerance=NaN", valid},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs?"+c.params, "text/plain", strings.NewReader(c.body))
