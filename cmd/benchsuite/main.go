@@ -692,6 +692,7 @@ type psRow struct {
 	PermCacheHits   int64   `json:"perm_cache_hits"`
 	PermCacheMisses int64   `json:"perm_cache_misses"`
 	PermSkipped     int64   `json:"permutations_skipped"`
+	PermCertified   int64   `json:"perm_certified"`
 }
 
 // PS: the amortized permutation-sweep engine against the seed
@@ -715,8 +716,8 @@ func (s *suite) ps() {
 	if s.quick {
 		reps = 3
 	}
-	fmt.Printf("%7s %12s %11s %9s %7s %10s %10s %10s\n",
-		"genes", "legacyMi(s)", "sweepMi(s)", "speedup", "edges", "cacheHits", "cacheMiss", "permSkip")
+	fmt.Printf("%7s %12s %11s %9s %7s %10s %10s %10s %10s\n",
+		"genes", "legacyMi(s)", "sweepMi(s)", "speedup", "edges", "cacheHits", "cacheMiss", "permSkip", "certified")
 	var rows []psRow
 	for _, n := range sizes {
 		d := s.dataset(n, m)
@@ -740,11 +741,11 @@ func (s *suite) ps() {
 			LegacyMISeconds: lmi, SweepMISeconds: smi, Speedup: lmi / smi,
 			Edges:         sres.Network.Len(),
 			PermCacheHits: sres.PermCacheHits, PermCacheMisses: sres.PermCacheMisses,
-			PermSkipped: sres.PermutationsSkipped,
+			PermSkipped: sres.PermutationsSkipped, PermCertified: sres.PermutationsCertified,
 		}
 		rows = append(rows, r)
-		fmt.Printf("%7d %12.3f %11.3f %8.2fx %7d %10d %10d %10d\n",
-			n, lmi, smi, r.Speedup, r.Edges, r.PermCacheHits, r.PermCacheMisses, r.PermSkipped)
+		fmt.Printf("%7d %12.3f %11.3f %8.2fx %7d %10d %10d %10d %10d\n",
+			n, lmi, smi, r.Speedup, r.Edges, r.PermCacheHits, r.PermCacheMisses, r.PermSkipped, r.PermCertified)
 	}
 	// Load the baseline before writing the fresh file: a full-size run
 	// gated against the checked-in BENCH_permsweep.json overwrites that

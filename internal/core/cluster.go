@@ -31,9 +31,10 @@ var corruptGatherForTest func(rank int, flat []float64) []float64
 type clusterRecorder struct {
 	mu    sync.Mutex
 	state *checkpoint.State
-	// skipped is the per-tile early-exit skip count (in-memory only —
-	// observability, not resume state).
-	skipped []int64
+	// skipped and certified are the per-tile early-exit skip and
+	// certificate counts (in-memory only — observability, not resume
+	// state).
+	skipped, certified []int64
 
 	thresholdDone bool
 
@@ -79,7 +80,7 @@ func (r *clusterRecorder) setThreshold(null PooledNull) {
 // The pair/permutation split and the screened-out count live in the
 // checkpoint state so a resumed run reports the full-history counters
 // exactly (the resume test pins this).
-func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, screened, skipped int64, edges []grn.Edge) {
+func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, screened, skipped, certified int64, edges []grn.Edge) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state.Done[ti] {
@@ -90,6 +91,7 @@ func (r *clusterRecorder) tileDone(ti int, pairEvals, permEvals, screened, skipp
 	r.state.PairEvalsPerTile[ti] = pairEvals
 	r.state.ScreenedPerTile[ti] = screened
 	r.skipped[ti] = skipped
+	r.certified[ti] = certified
 	r.state.Edges = append(r.state.Edges, edges...)
 	if r.path == "" {
 		return
@@ -177,8 +179,9 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		resumed = res2
 	}
 	rec := &clusterRecorder{
-		state:   state,
-		skipped: make([]int64, len(tiles)),
+		state:     state,
+		skipped:   make([]int64, len(tiles)),
+		certified: make([]int64, len(tiles)),
 		// A resumed checkpoint was saved after phase 3 completed, so its
 		// threshold is authoritative.
 		thresholdDone: resumed,
@@ -257,6 +260,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 				}
 				var tilePairEvals, tilePermEvals, tileSkipped int64
 				var tileEdges []grn.Edge
+				cert0 := ws.Certified()
 				pairIdx := 0
 				tiles[ti].ForEachPair(func(i, j int) {
 					if k.screen != nil && mask[pairIdx] {
@@ -272,7 +276,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 						tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
 					}
 				})
-				rec.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileSkipped, tileEdges)
+				rec.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileSkipped, ws.Certified()-cert0, tileEdges)
 				edges = append(edges, tileEdges...)
 				m, b := c.Traffic()
 				rec.sampleTraffic(m, b)
@@ -384,6 +388,7 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		res.PermEvaluations += state.EvalsPerTile[ti] - state.PairEvalsPerTile[ti]
 		res.PairsScreenedOut += state.ScreenedPerTile[ti]
 		res.PermutationsSkipped += rec.skipped[ti]
+		res.PermutationsCertified += rec.certified[ti]
 	}
 	res.Messages, res.TrafficBytes = rec.traffic()
 	if cfg.Fault != nil {

@@ -641,6 +641,11 @@ type Result struct {
 	// early exit during phase 4 (summed over pairs that entered the
 	// permutation test).
 	PermutationsSkipped int64
+	// PermutationsCertified counts the phase-4 permutation evaluations
+	// (a subset of PermEvaluations) the Jensen certificate decided
+	// without an entropy pass. Like PermutationsSkipped it covers this
+	// session only: a resumed run's committed tiles are not re-counted.
+	PermutationsCertified int64
 	// PeakTileBytes is the largest per-worker tile working set of
 	// phase 4: workspace scratch plus the permuted-row cache arena. It
 	// is the number the per-tile memory budget must bound — the quantity

@@ -147,6 +147,7 @@ func foldBootstrapResult(res, bres *Result) {
 	res.PairsScreenedOut += bres.PairsScreenedOut
 	res.ScreenPhaseSeconds += bres.ScreenPhaseSeconds
 	res.PermutationsSkipped += bres.PermutationsSkipped
+	res.PermutationsCertified += bres.PermutationsCertified
 	res.PermCacheHits += bres.PermCacheHits
 	res.PermCacheMisses += bres.PermCacheMisses
 	res.SimSeconds += bres.SimSeconds

@@ -197,7 +197,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 	tileBytes := make([]int64, cfg.Workers)
 	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
 	var totalEvals, totalPermEvals, totalScreened int64
-	var totalSkipped int64
+	var totalSkipped, totalCertified int64
 	var totalScreenNanos int64
 	var cacheHits, cacheMisses int64
 	var tilesDone int64
@@ -216,6 +216,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 					pc = k.newPermCache(cfg)
 				}
 				tileBytes[w] = int64(ws.Bytes())
+				cert0 := ws.Certified()
 				var hits0, misses0 int64
 				if pc != nil {
 					tileBytes[w] += int64(pc.Bytes())
@@ -287,6 +288,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 						// out, and permuted-row cache hits, sampled at every
 						// tile boundary.
 						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
+						cfg.Trace.Counter(w, "perm_certified", float64(ws.Certified()-cert0))
 						if k.screen != nil {
 							cfg.Trace.Counter(w, "pairs_screened", float64(screened))
 						}
@@ -304,6 +306,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 				atomic.AddInt64(&totalPermEvals, permEvals)
 				atomic.AddInt64(&totalScreened, screened)
 				atomic.AddInt64(&totalSkipped, skipped)
+				atomic.AddInt64(&totalCertified, ws.Certified()-cert0)
 				atomic.AddInt64(&totalScreenNanos, screenNanos)
 				if pc != nil {
 					atomic.AddInt64(&cacheHits, pc.Hits()-hits0)
@@ -326,6 +329,7 @@ func hostScanKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res 
 	res.PermEvaluations = totalPermEvals
 	res.PairsScreenedOut = totalScreened
 	res.PermutationsSkipped = totalSkipped
+	res.PermutationsCertified = totalCertified
 	res.PermCacheHits = cacheHits
 	res.PermCacheMisses = cacheMisses
 	if k.screen != nil {

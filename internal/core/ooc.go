@@ -135,7 +135,9 @@ func (w *oocWorker) bytes(basis *bspline.Basis, cfg Config) int64 {
 	}
 	b += int64(len(w.normBuf)) * 4
 	b += int64(len(w.fullBuf)) * 4
-	b += int64(2*cfg.TileSize) * 12 // estimator marginal-entropy slices
+	// Estimator marginal entropies (8+4 bytes) and certificate
+	// reciprocals (8 per bin) per gene.
+	b += int64(2*cfg.TileSize) * int64(12+8*basis.Bins())
 	return b
 }
 
@@ -379,7 +381,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 	evalsPerTile := make([]int64, len(tiles))
 	busy := make([]float64, cfg.Workers)
 	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalScreened, totalSkipped int64
+	var totalEvals, totalPermEvals, totalScreened, totalSkipped, totalCertified int64
 	var totalScreenNanos int64
 	var cacheHits, cacheMisses int64
 	var tilesDone int64
@@ -391,6 +393,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 			go func(w int) {
 				defer wg.Done()
 				wk := workers[w]
+				cert0 := wk.ws.Certified()
 				var hits0, misses0 int64
 				if wk.pc != nil {
 					hits0, misses0 = wk.pc.Hits(), wk.pc.Misses()
@@ -458,6 +461,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 					}
 					if cfg.Trace != nil {
 						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
+						cfg.Trace.Counter(w, "perm_certified", float64(wk.ws.Certified()-cert0))
 						if wk.pk.screen != nil {
 							cfg.Trace.Counter(w, "pairs_screened", float64(screened))
 						}
@@ -475,6 +479,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 				atomic.AddInt64(&totalPermEvals, permEvals)
 				atomic.AddInt64(&totalScreened, screened)
 				atomic.AddInt64(&totalSkipped, skipped)
+				atomic.AddInt64(&totalCertified, wk.ws.Certified()-cert0)
 				atomic.AddInt64(&totalScreenNanos, screenNanos)
 				if wk.pc != nil {
 					atomic.AddInt64(&cacheHits, wk.pc.Hits()-hits0)
@@ -499,6 +504,7 @@ func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *
 	res.PermEvaluations = totalPermEvals
 	res.PairsScreenedOut = totalScreened
 	res.PermutationsSkipped = totalSkipped
+	res.PermutationsCertified = totalCertified
 	res.PermCacheHits = cacheHits
 	res.PermCacheMisses = cacheMisses
 	if cfg.Prescreen {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -180,6 +181,40 @@ func TestSweepAmortizationCounters(t *testing.T) {
 	}
 	if vres.PermCacheHits != 0 || vres.PermCacheMisses != 0 {
 		t.Fatalf("vec kernel touched the perm cache (%d/%d)", vres.PermCacheHits, vres.PermCacheMisses)
+	}
+}
+
+// TestPermutationsCertifiedCount pins the Jensen-certificate counter:
+// positive on a genexpr fixture, never above the permutation
+// evaluations, and identical across engines and worker (or rank)
+// counts — a pair's certified evaluations depend only on the pair, not
+// on which worker decided it.
+func TestPermutationsCertifiedCount(t *testing.T) {
+	d := testDataset(t, 40, 100, 6)
+	for _, prec := range []Precision{Float64, Float32} {
+		want := int64(-1)
+		for _, eng := range []EngineKind{Host, OutOfCore, Cluster, Phi, Hybrid} {
+			for _, workers := range []int{1, 2, 4} {
+				cfg := Config{
+					Engine: eng, Precision: prec, Seed: 3, Permutations: 16,
+					Workers: workers, Ranks: workers, TileSize: 8,
+				}
+				res, err := Infer(d.Expr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v/%v/%d workers", eng, prec, workers)
+				got := res.PermutationsCertified
+				if got <= 0 || got > res.PermEvaluations {
+					t.Fatalf("%s: %d certified of %d permutation evaluations", label, got, res.PermEvaluations)
+				}
+				if want < 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s: %d certified, first run %d", label, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -708,6 +709,7 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 	s.sums.PermEvaluations += res.PermEvaluations
 	s.sums.PairsScreenedOut += res.PairsScreenedOut
 	s.sums.PermutationsSkipped += res.PermutationsSkipped
+	s.sums.PermutationsCertified += res.PermutationsCertified
 	s.sums.PermCacheHits += res.PermCacheHits
 	s.sums.PermCacheMisses += res.PermCacheMisses
 	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
@@ -779,6 +781,7 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	s.sums.PermEvaluations += res.PermEvaluations
 	s.sums.PairsScreenedOut += res.PairsScreenedOut
 	s.sums.PermutationsSkipped += res.PermutationsSkipped
+	s.sums.PermutationsCertified += res.PermutationsCertified
 	s.sums.PermCacheHits += res.PermCacheHits
 	s.sums.PermCacheMisses += res.PermCacheMisses
 	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
@@ -876,18 +879,19 @@ func (c *Coordinator) merge(s *scan) {
 		return
 	}
 	res := &core.Result{
-		Network:              net,
-		Threshold:            s.ledger.Threshold,
-		NullSize:             s.ledger.NullSize,
-		Timer:                timer,
-		PairsEvaluated:       s.sums.PairsEvaluated,
-		PermEvaluations:      s.sums.PermEvaluations,
-		PairsScreenedOut:     s.sums.PairsScreenedOut,
-		PermutationsSkipped:  s.sums.PermutationsSkipped,
-		PermCacheHits:        s.sums.PermCacheHits,
-		PermCacheMisses:      s.sums.PermCacheMisses,
-		CheckpointRecoveries: s.sums.CheckpointRecoveries,
-		SpillReadRetries:     s.sums.SpillReadRetries,
+		Network:               net,
+		Threshold:             s.ledger.Threshold,
+		NullSize:              s.ledger.NullSize,
+		Timer:                 timer,
+		PairsEvaluated:        s.sums.PairsEvaluated,
+		PermEvaluations:       s.sums.PermEvaluations,
+		PairsScreenedOut:      s.sums.PairsScreenedOut,
+		PermutationsSkipped:   s.sums.PermutationsSkipped,
+		PermutationsCertified: s.sums.PermutationsCertified,
+		PermCacheHits:         s.sums.PermCacheHits,
+		PermCacheMisses:       s.sums.PermCacheMisses,
+		CheckpointRecoveries:  s.sums.CheckpointRecoveries,
+		SpillReadRetries:      s.sums.SpillReadRetries,
 	}
 	var rows grn.RowFunc
 	if s.cfg.CMIFilter {
@@ -939,6 +943,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 			PermEvaluations:       s.sums.PermEvaluations,
 			PairsScreenedOut:      s.sums.PairsScreenedOut,
 			PermutationsSkipped:   s.sums.PermutationsSkipped,
+			PermutationsCertified: s.sums.PermutationsCertified,
 			PermCacheHits:         s.sums.PermCacheHits,
 			PermCacheMisses:       s.sums.PermCacheMisses,
 			CheckpointRecoveries:  s.sums.CheckpointRecoveries,
@@ -1039,8 +1044,9 @@ func (c *Coordinator) cancelJob(j *fleetJob) {
 }
 
 // evictLocked drops terminal fleet jobs past TTL (recording 410
-// tombstones), caps the registry, and expires cached scans past
-// CacheTTL. Callers hold c.mu.
+// tombstones), caps the registry, expires cached scans past CacheTTL,
+// and caps the cache at MaxJobs scans by dropping the oldest finished
+// ones (a running scan is never evicted). Callers hold c.mu.
 func (c *Coordinator) evictLocked() {
 	now := c.now()
 	kept := c.order[:0]
@@ -1068,12 +1074,26 @@ func (c *Coordinator) evictLocked() {
 		}
 		c.order = kept
 	}
+	type finished struct {
+		key string
+		at  time.Time
+	}
+	var done []finished
 	for key, sc := range c.scans {
 		sc.mu.Lock()
-		expired := sc.state.Terminal() && now.Sub(sc.finished) > c.CacheTTL
+		terminal, at := sc.state.Terminal(), sc.finished
 		sc.mu.Unlock()
-		if expired {
+		switch {
+		case terminal && now.Sub(at) > c.CacheTTL:
 			delete(c.scans, key)
+		case terminal:
+			done = append(done, finished{key, at})
+		}
+	}
+	if over := len(c.scans) - c.MaxJobs; over > 0 {
+		sort.Slice(done, func(a, b int) bool { return done[a].at.Before(done[b].at) })
+		for _, f := range done[:min(over, len(done))] {
+			delete(c.scans, f.key)
 		}
 	}
 }

@@ -160,6 +160,9 @@ func TestFleetBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, got, want)
+			if got.PermutationsCertified != want.PermutationsCertified {
+				t.Fatalf("certified permutations %d != single-process %d", got.PermutationsCertified, want.PermutationsCertified)
+			}
 			if v := c.mDispatched.Value(); v < 2 {
 				t.Fatalf("only %v chunk dispatches — no real fan-out", v)
 			}
@@ -271,6 +274,45 @@ func TestFleetWorkerKillMidScan(t *testing.T) {
 // TestFleetCacheDedupe submits 10 identical scans concurrently over
 // HTTP and requires at least 9 to collapse onto the single-flight /
 // cache path, all returning the identical network.
+// TestFleetCacheBounded pins the result cache's count cap: with
+// MaxJobs = 2, a third finished scan evicts the oldest, so resubmitting
+// that one recomputes while resubmitting the newest still hits.
+func TestFleetCacheBounded(t *testing.T) {
+	body := fleetBody(t, 12, 16, 4)
+	c, _ := newFleet(t, 1)
+	c.MaxJobs = 2
+	submit := func(seed uint64) bool {
+		t.Helper()
+		cfg := scanConfig(t)
+		cfg.Seed = seed
+		id, hit, err := c.Submit(body, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		if submit(seed) {
+			t.Fatalf("first submission of seed %d hit the cache", seed)
+		}
+	}
+	if submit(1) {
+		t.Fatal("the oldest of 3 finished scans survived a cache capped at 2")
+	}
+	if !submit(3) {
+		t.Fatal("the newest finished scan was evicted")
+	}
+	c.mu.Lock()
+	cached := len(c.scans)
+	c.mu.Unlock()
+	if cached > c.MaxJobs {
+		t.Fatalf("%d scans cached, cap %d", cached, c.MaxJobs)
+	}
+}
+
 func TestFleetCacheDedupe(t *testing.T) {
 	body := fleetBody(t, 24, 16, 4)
 	c, _ := newFleet(t, 3)

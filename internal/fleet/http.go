@@ -247,20 +247,21 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := server.ResultResponse{
-		ID:                   j.id,
-		Key:                  s.key,
-		Threshold:            res.Threshold,
-		NullSize:             res.NullSize,
-		RawEdges:             res.RawEdges,
-		Edges:                make([][3]float64, 0, res.Network.Len()),
-		PairsEvaluated:       res.PairsEvaluated,
-		PermEvaluations:      res.PermEvaluations,
-		PairsScreenedOut:     res.PairsScreenedOut,
-		PermutationsSkipped:  res.PermutationsSkipped,
-		PermCacheHits:        res.PermCacheHits,
-		PermCacheMisses:      res.PermCacheMisses,
-		CheckpointRecoveries: res.CheckpointRecoveries,
-		SpillReadRetries:     res.SpillReadRetries,
+		ID:                    j.id,
+		Key:                   s.key,
+		Threshold:             res.Threshold,
+		NullSize:              res.NullSize,
+		RawEdges:              res.RawEdges,
+		Edges:                 make([][3]float64, 0, res.Network.Len()),
+		PairsEvaluated:        res.PairsEvaluated,
+		PermEvaluations:       res.PermEvaluations,
+		PairsScreenedOut:      res.PairsScreenedOut,
+		PermutationsSkipped:   res.PermutationsSkipped,
+		PermutationsCertified: res.PermutationsCertified,
+		PermCacheHits:         res.PermCacheHits,
+		PermCacheMisses:       res.PermCacheMisses,
+		CheckpointRecoveries:  res.CheckpointRecoveries,
+		SpillReadRetries:      res.SpillReadRetries,
 	}
 	for _, e := range res.Network.Edges() {
 		out.Edges = append(out.Edges, [3]float64{float64(e.I), float64(e.J), e.Weight})

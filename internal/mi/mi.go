@@ -66,6 +66,12 @@ type Estimator struct {
 	// hMarginal32[g] is the same entropy accumulated in float32 with the
 	// single-precision log — the marginal term of the float32 path.
 	hMarginal32 []float32
+	// rinv[g·bins+a] is 1/p_g(a) for the float64 marginal p_g (0 where
+	// p_g(a) is 0): the reciprocal marginals of the Jensen certificate
+	// (certificate.go).
+	rinv []float64
+	// slack[prec] is the certificate slack in bits at each precision.
+	slack [2]float64
 }
 
 // NewEstimator precomputes marginal entropies for every gene.
@@ -82,19 +88,15 @@ func NewEstimatorParallel(wm *bspline.WeightMatrix, workers int) *Estimator {
 		wm:          wm,
 		hMarginal:   make([]float64, wm.Genes),
 		hMarginal32: make([]float32, wm.Genes),
+		rinv:        make([]float64, wm.Genes*wm.Basis.Bins()),
 	}
+	e.setSlack()
 	n := wm.Genes
 	if workers > n {
 		workers = n
 	}
-	marginalRange := func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			e.hMarginal[g] = Entropy(wm.Marginal(g))
-			e.hMarginal32[g] = Entropy32(wm.Marginal32(g))
-		}
-	}
 	if workers <= 1 {
-		marginalRange(0, n)
+		e.marginalRange(0, n)
 		return e
 	}
 	var wg sync.WaitGroup
@@ -104,23 +106,43 @@ func NewEstimatorParallel(wm *bspline.WeightMatrix, workers int) *Estimator {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			marginalRange(lo, hi)
+			e.marginalRange(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return e
 }
 
+// marginalRange fills the marginal entropies and certificate
+// reciprocals of genes [lo, hi).
+func (e *Estimator) marginalRange(lo, hi int) {
+	for g := lo; g < hi; g++ {
+		p := e.wm.Marginal(g)
+		e.hMarginal[g] = Entropy(p)
+		e.hMarginal32[g] = Entropy32(e.wm.Marginal32(g))
+		e.setReciprocals(g, p)
+	}
+}
+
+// setSlack derives the certificate slack of both precisions from the
+// weight matrix's sample count, bins, and order.
+func (e *Estimator) setSlack() {
+	m, b, k := e.wm.Samples, e.wm.Basis.Bins(), e.wm.Basis.Order()
+	e.slack[Float64] = certSlack(m, b, k, Float64)
+	e.slack[Float32] = certSlack(m, b, k, Float32)
+}
+
 // WM returns the underlying weight matrix.
 func (e *Estimator) WM() *bspline.WeightMatrix { return e.wm }
 
 // Reset re-points the estimator at a (re-filled) weight matrix and
-// recomputes the marginal entropies in place, reusing the entropy
-// slices when capacity allows. The out-of-core scan calls it once per
-// tile after bspline.WeightMatrix.FillPanel: the marginal of a gene
-// depends only on that gene's own weights, so the values match the
-// whole-genome construction bit for bit. The new matrix must share the
-// old one's basis and sample count (worker scratch is sized to both).
+// recomputes the marginal entropies and certificate reciprocals in
+// place, reusing the slices when capacity allows. The out-of-core scan
+// calls it once per tile after bspline.WeightMatrix.FillPanel: the
+// marginal of a gene depends only on that gene's own weights, so the
+// values match the whole-genome construction bit for bit. The new
+// matrix must share the old one's basis and sample count (worker
+// scratch is sized to both).
 func (e *Estimator) Reset(wm *bspline.WeightMatrix) {
 	if e.wm != nil && (wm.Samples != e.wm.Samples || wm.Basis.Bins() != e.wm.Basis.Bins() || wm.Basis.Order() != e.wm.Basis.Order()) {
 		panic("mi: Reset with incompatible weight matrix")
@@ -131,12 +153,14 @@ func (e *Estimator) Reset(wm *bspline.WeightMatrix) {
 		e.hMarginal = make([]float64, n)
 		e.hMarginal32 = make([]float32, n)
 	}
+	if nb := n * wm.Basis.Bins(); cap(e.rinv) < nb {
+		e.rinv = make([]float64, nb)
+	}
 	e.hMarginal = e.hMarginal[:n]
 	e.hMarginal32 = e.hMarginal32[:n]
-	for g := 0; g < n; g++ {
-		e.hMarginal[g] = Entropy(wm.Marginal(g))
-		e.hMarginal32[g] = Entropy32(wm.Marginal32(g))
-	}
+	e.rinv = e.rinv[:n*wm.Basis.Bins()]
+	e.setSlack()
+	e.marginalRange(0, n)
 }
 
 // MarginalEntropy returns the precomputed H(X_g) in bits.
@@ -179,7 +203,15 @@ type Workspace struct {
 	screenJoint    []float64
 	screenJoint32  []float32
 	screenJoint32b []float32
+
+	certified int64 // see Certified
 }
+
+// Certified returns the number of permutation evaluations this
+// workspace's early-exit sweeps decided by the Jensen certificate
+// (certificate.go), without an entropy pass. The count only grows;
+// scans read it as a per-scan delta, like PermCache hits.
+func (ws *Workspace) Certified() int64 { return ws.certified }
 
 // InvalidateRowKeys drops the cached row-key gene so the next sweep
 // call re-derives ws.keyI. The out-of-core scan must call it whenever

@@ -177,9 +177,16 @@ func (e *Estimator) PairPermutedBlocked32(i, j int, perm []int32, ws *Workspace)
 // joint — no float32→float64 widening per cell — and the entropy pass
 // running in single precision.
 func (e *Estimator) pairBlocked32(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) float64 {
+	e.fillBlocked32(i, j, perm, poffs, pw, ws)
+	return e.finishBlocked32(i, j, ws)
+}
+
+// fillBlocked32 is the fill half of pairBlocked32: the shared scatter
+// pass and the merge into ws.joint32, left filled for finishBlocked32
+// or the certificate.
+func (e *Estimator) fillBlocked32(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
 	k := e.wm.Basis.Order()
 	bins := ws.bins
-	m := e.wm.Samples
 	nOff := bins - k + 1
 	acc := ws.blockAcc
 
@@ -221,8 +228,14 @@ func (e *Estimator) pairBlocked32(i, j int, perm, poffs []int32, pw []float32, w
 		}
 	}
 	clear(acc)
+	ws.jointClean = false
+}
 
-	v := e.miFromJoint32(i, j, ws.joint32, float32(m))
+// finishBlocked32 is the entropy half of pairBlocked32: the
+// single-precision MI of the filled joint, which it then returns to
+// all-zero.
+func (e *Estimator) finishBlocked32(i, j int, ws *Workspace) float64 {
+	v := e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
 	ws.resetJoint32()
 	ws.jointClean = true
 	return v

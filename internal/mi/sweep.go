@@ -81,9 +81,16 @@ func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 // unconditionally — straight-line streaming code with no per-sample
 // bookkeeping — and the cleanup is a single memclr.
 func (e *Estimator) pairBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) float64 {
+	e.fillBlocked(i, j, perm, poffs, pw, ws)
+	return e.finishBlocked(i, j, ws)
+}
+
+// fillBlocked is the fill half of pairBlocked: the scatter pass, then
+// the merge of every bucket block into ws.joint. It leaves the joint
+// filled for finishBlocked or the certificate.
+func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
 	k := e.wm.Basis.Order()
 	bins := ws.bins
-	m := e.wm.Samples
 	nOff := bins - k + 1
 	acc := ws.blockAcc
 
@@ -129,8 +136,13 @@ func (e *Estimator) pairBlocked(i, j int, perm, poffs []int32, pw []float32, ws 
 		}
 	}
 	clear(acc)
+	ws.jointClean = false
+}
 
-	v := e.miFromJoint(i, j, ws.joint, float64(m))
+// finishBlocked is the entropy half of pairBlocked: the MI of the
+// filled joint, which it then returns to all-zero.
+func (e *Estimator) finishBlocked(i, j int, ws *Workspace) float64 {
+	v := e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
 	ws.resetJoint()
 	ws.jointClean = true
 	return v
@@ -251,7 +263,10 @@ func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, 
 // when non-nil, are gene j's cached permuted offset and stencil-weight
 // rows from a PermCache (q rows of m and m·k respectively); otherwise
 // each evaluation gathers through perms[p] directly. Every permuted MI
-// is bit-identical to PairPermutedBucketed(i, j, perms[p], ws).
+// it computes is bit-identical to PairPermutedBucketed(i, j, perms[p],
+// ws); a permutation the Jensen certificate proves below obs is decided
+// without its entropy pass (certificate.go), so the result equals the
+// per-permutation loop's.
 //
 // It returns the number of permutations evaluated and whether the pair
 // survived (obs strictly exceeded every permuted value).
@@ -273,11 +288,21 @@ func (e *Estimator) NullBucketed(i, j int, perms [][]int32, out []float64, ws *W
 // NullBucketed, and their float32 counterparts. With out == nil it is
 // the early-exit permutation test; with out != nil it records every
 // permuted MI and never exits early (obs is then ignored).
+//
+// In early-exit mode each permutation's joint is filled, and the Jensen
+// certificate (certificate.go) decides it when the bound proves the
+// permuted MI < obs; the entropy pass runs only for the rest. The
+// verdicts are those of the exact values, so evals and survived are
+// unchanged; ws.certified counts the certified evaluations.
 func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
 	m := e.wm.Samples
 	k := e.wm.Basis.Order()
 	e.prepareRowKeys(i, ws)
 	cached := poffs != nil && pw != nil
+	var cut float64 // 0 certifies nothing: the null mode needs every value
+	if out == nil {
+		cut = e.certCut(obs, prec)
+	}
 	for p := range perms {
 		evals++
 		perm, po, pwp := perms[p], []int32(nil), []float32(nil)
@@ -286,9 +311,23 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 		}
 		var v float64
 		if prec == Float32 {
-			v = e.pairBlocked32(i, j, perm, po, pwp, ws)
+			e.fillBlocked32(i, j, perm, po, pwp, ws)
+			if cut > 0 && e.jensenSum32(i, j, ws.joint32, ws.bins) < cut {
+				ws.resetJoint32()
+				ws.jointClean = true
+				ws.certified++
+				continue
+			}
+			v = e.finishBlocked32(i, j, ws)
 		} else {
-			v = e.pairBlocked(i, j, perm, po, pwp, ws)
+			e.fillBlocked(i, j, perm, po, pwp, ws)
+			if cut > 0 && e.jensenSum(i, j, ws.joint, ws.bins) < cut {
+				ws.resetJoint()
+				ws.jointClean = true
+				ws.certified++
+				continue
+			}
+			v = e.finishBlocked(i, j, ws)
 		}
 		if out != nil {
 			out[p] = v

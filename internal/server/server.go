@@ -169,6 +169,7 @@ type Server struct {
 	// Pre-registered instruments (hot-path safe: no registry lookups).
 	mSubmitted, mRejected, mEvicted  *metrics.Counter
 	mPairs, mSkipped, mHits, mMisses *metrics.Counter
+	mCertified                       *metrics.Counter
 	mPermEvals, mScreened            *metrics.Counter
 	mRankFailures, mRecoveryRuns     *metrics.Counter
 	mRecoveredTiles                  *metrics.Counter
@@ -230,6 +231,7 @@ func (s *Server) init() {
 		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Permutation MI evaluations actually computed.", nil)
 		s.mScreened = r.Counter("tinge_pairs_screened_out_total", "Pairs skipped by the conservative prescreening bound.", nil)
 		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit.", nil)
+		s.mCertified = r.Counter("tinge_permutations_certified_total", "Permutation evaluations decided by the Jensen certificate without an entropy pass.", nil)
 		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits.", nil)
 		s.mMisses = r.Counter("tinge_permcache_misses_total", "Permuted-row cache misses.", nil)
 		s.mRankFailures = r.Counter("tinge_rank_failures_total", "Cluster ranks lost to faults across jobs.", nil)
@@ -740,6 +742,13 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 		for _, net := range res.EnsembleNetworks {
 			net.Compact()
 		}
+		// A finished network supersedes its checkpoint (and the
+		// rotated last-good copy beside it). Remove both before the
+		// done state is published, so no client sees a done job whose
+		// checkpoint is still on disk.
+		if j.ckptPath != "" {
+			checkpoint.Remove(j.ckptPath)
+		}
 	}
 	now := s.now()
 	j.mu.Lock()
@@ -767,6 +776,7 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 		s.mPermEvals.Add(float64(res.PermEvaluations))
 		s.mScreened.Add(float64(res.PairsScreenedOut))
 		s.mSkipped.Add(float64(res.PermutationsSkipped))
+		s.mCertified.Add(float64(res.PermutationsCertified))
 		s.mHits.Add(float64(res.PermCacheHits))
 		s.mMisses.Add(float64(res.PermCacheMisses))
 		s.mRankFailures.Add(float64(res.RankFailures))
@@ -787,11 +797,6 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 			s.Metrics.Counter("tinge_phase_seconds_total",
 				"Pipeline wall seconds by phase, summed over jobs.",
 				metrics.Labels{"phase": phase}).Add(secs)
-		}
-		// A finished network supersedes its checkpoint (and the
-		// rotated last-good copy beside it).
-		if j.ckptPath != "" {
-			checkpoint.Remove(j.ckptPath)
 		}
 	}
 	attrs := []any{"job", j.id, "state", string(st), "wall_s", wall}
@@ -1072,20 +1077,21 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 // exactly (Go emits the shortest representation that parses back to
 // the same bits). Edges are [i, j, weight] triples in sorted order.
 type ResultResponse struct {
-	ID                   string       `json:"id"`
-	Key                  string       `json:"key"`
-	Threshold            float64      `json:"threshold"`
-	NullSize             int          `json:"nullSize"`
-	RawEdges             int          `json:"rawEdges"`
-	Edges                [][3]float64 `json:"edges"`
-	PairsEvaluated       int64        `json:"pairsEvaluated"`
-	PermEvaluations      int64        `json:"permEvaluations"`
-	PairsScreenedOut     int64        `json:"pairsScreenedOut"`
-	PermutationsSkipped  int64        `json:"permutationsSkipped"`
-	PermCacheHits        int64        `json:"permCacheHits"`
-	PermCacheMisses      int64        `json:"permCacheMisses"`
-	CheckpointRecoveries int64        `json:"checkpointRecoveries"`
-	SpillReadRetries     int64        `json:"spillReadRetries"`
+	ID                    string       `json:"id"`
+	Key                   string       `json:"key"`
+	Threshold             float64      `json:"threshold"`
+	NullSize              int          `json:"nullSize"`
+	RawEdges              int          `json:"rawEdges"`
+	Edges                 [][3]float64 `json:"edges"`
+	PairsEvaluated        int64        `json:"pairsEvaluated"`
+	PermEvaluations       int64        `json:"permEvaluations"`
+	PairsScreenedOut      int64        `json:"pairsScreenedOut"`
+	PermutationsSkipped   int64        `json:"permutationsSkipped"`
+	PermutationsCertified int64        `json:"permutationsCertified"`
+	PermCacheHits         int64        `json:"permCacheHits"`
+	PermCacheMisses       int64        `json:"permCacheMisses"`
+	CheckpointRecoveries  int64        `json:"checkpointRecoveries"`
+	SpillReadRetries      int64        `json:"spillReadRetries"`
 
 	// Ensemble extensions. Full ensemble runs serve the support table as
 	// [i, j, support, weightSum] rows (weightSum, not the rounded mean:
@@ -1113,20 +1119,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := ResultResponse{
-		ID:                   j.id,
-		Key:                  j.key,
-		Threshold:            res.Threshold,
-		NullSize:             res.NullSize,
-		RawEdges:             res.RawEdges,
-		Edges:                make([][3]float64, 0, res.Network.Len()),
-		PairsEvaluated:       res.PairsEvaluated,
-		PermEvaluations:      res.PermEvaluations,
-		PairsScreenedOut:     res.PairsScreenedOut,
-		PermutationsSkipped:  res.PermutationsSkipped,
-		PermCacheHits:        res.PermCacheHits,
-		PermCacheMisses:      res.PermCacheMisses,
-		CheckpointRecoveries: res.CheckpointRecoveries,
-		SpillReadRetries:     res.SpillReadRetries,
+		ID:                    j.id,
+		Key:                   j.key,
+		Threshold:             res.Threshold,
+		NullSize:              res.NullSize,
+		RawEdges:              res.RawEdges,
+		Edges:                 make([][3]float64, 0, res.Network.Len()),
+		PairsEvaluated:        res.PairsEvaluated,
+		PermEvaluations:       res.PermEvaluations,
+		PairsScreenedOut:      res.PairsScreenedOut,
+		PermutationsSkipped:   res.PermutationsSkipped,
+		PermutationsCertified: res.PermutationsCertified,
+		PermCacheHits:         res.PermCacheHits,
+		PermCacheMisses:       res.PermCacheMisses,
+		CheckpointRecoveries:  res.CheckpointRecoveries,
+		SpillReadRetries:      res.SpillReadRetries,
 	}
 	for _, e := range res.Network.Edges() {
 		out.Edges = append(out.Edges, [3]float64{float64(e.I), float64(e.J), e.Weight})

@@ -471,6 +471,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	metricValue(t, scrape, "tinge_permcache_hits_total")
 	metricValue(t, scrape, "tinge_permcache_misses_total")
 	metricValue(t, scrape, "tinge_permutations_skipped_total")
+	metricValue(t, scrape, "tinge_permutations_certified_total")
 	// Fault-tolerance counters are pre-registered (zero on a healthy
 	// run — their absence would hide a recovery from the dashboards).
 	if v := metricValue(t, scrape, "tinge_rank_failures_total"); v != 0 {
@@ -492,6 +493,15 @@ func TestShutdownDrainsRunningJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	id := startJob(t, ts, tsvBody(t, 30, 60), "permutations=5&seed=1")
+	// Shutdown cancels jobs that are still queued; this test is about a
+	// running one, so let the job take its run slot first.
+	deadline := time.Now().Add(120 * time.Second)
+	for getStatus(t, ts, id).State == StateQueued {
+		if time.Now().After(deadline) {
+			t.Fatal("job never left the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
