@@ -90,6 +90,23 @@ func compareDP(baseline, fresh []dpRow, maxRegress float64) (regressions []strin
 	return regressions, matched
 }
 
+// identicalNetwork reports whether two networks are bit-identical —
+// same edges in the same order with bitwise-equal MI weights. The
+// parallel filter's claim is exactness, not closeness, so unlike
+// sameEdgeSet the weights must match too.
+func identicalNetwork(a, b *tinge.Network) bool {
+	ae, be := a.Edges(), b.Edges()
+	if len(ae) != len(be) {
+		return false
+	}
+	for k := range ae {
+		if ae[k].I != be[k].I || ae[k].J != be[k].J || ae[k].Weight != be[k].Weight {
+			return false
+		}
+	}
+	return true
+}
+
 // dpNetwork builds the experiment's deterministic random network: each
 // pair becomes an edge with probability density, weight uniform.
 func dpNetwork(n int, density float64, seed uint64) *tinge.Network {

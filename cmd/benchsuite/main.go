@@ -15,16 +15,11 @@
 //	F8  Xeon vs Xeon Phi (simulated single-chip comparison)
 //	T3  accuracy: estimator vs analytic MI; network recovery vs
 //	    baselines
-//	PS  amortized permutation sweep vs the seed per-permutation loop
-//	    (writes BENCH_permsweep.json)
 //	FS  float32 vs float64 compute precision: mi-phase time, peak tile
 //	    working set, and heap allocation (writes BENCH_f32.json)
 //	OOC out-of-core panel-store engine at its minimum memory budget vs
 //	    the resident host engine: end-to-end overhead, honored memory
 //	    ceiling, spill traffic (writes BENCH_ooc.json)
-//	SC  conservative pair prescreening on vs off: mi-phase speedup,
-//	    screened-out fraction, bit-identical network check (writes
-//	    BENCH_prescreen.json)
 //	DP  parallel tiled DPI filter: worker and memory-budget scaling on
 //	    a >=1e5-edge network, bit-identity vs the sequential reference
 //	    enforced (writes BENCH_dpi.json)
@@ -39,36 +34,33 @@
 //
 //	benchsuite -exp all            # everything, moderate sizes
 //	benchsuite -exp F1,F2 -quick   # fast subset
-//	benchsuite -exp PS -quick -compare baseline.json   # regression gate
+//	benchsuite -exp OOC -quick -compare-ooc baseline.json   # regression gate
 //
-// With -quick, the PS, FS and OOC measurement files get a _quick
-// suffix (BENCH_permsweep_quick.json, BENCH_f32_quick.json,
-// BENCH_ooc_quick.json) so a fast CI pass never clobbers the
-// checked-in full-size baselines.
+// With -quick, the measurement files get a _quick suffix
+// (BENCH_f32_quick.json, BENCH_ooc_quick.json, ...) so a fast CI pass
+// never clobbers the checked-in full-size baselines.
 //
-// -compare FILE reruns the gate after the PS experiment: every row of
-// FILE (a previous BENCH_permsweep*.json) is matched by
-// (genes, samples, permutations) against the fresh rows, and the
-// process exits non-zero if any matched row's sweep speedup regressed
-// by more than 15%. -compare-ooc FILE is the same gate for the OOC
-// experiment: a matched row fails if its out-of-core overhead ratio
-// grew by more than 25% over the baseline's. -compare-sc FILE gates the
-// SC experiment: a matched row fails if its prescreen speedup dropped
-// by more than 15%. -compare-dp FILE gates the DP experiment the same
-// way on the parallel-DPI speedup. -compare-en FILE gates the EN
-// experiment on the ensemble-vs-naive speedup.
+// -compare-ooc FILE reruns the gate after the OOC experiment: every row
+// of FILE (a previous BENCH_ooc*.json) is matched against the fresh
+// rows by shape, and the process exits non-zero if any matched row's
+// out-of-core overhead ratio grew by more than 25% over the baseline's.
+// -compare-dp FILE gates the DP experiment the same way on the
+// parallel-DPI speedup (15%), and -compare-en FILE gates the EN
+// experiment on the ensemble-vs-naive speedup (15%).
+//
+// BENCH_permsweep.json and BENCH_prescreen.json are the frozen records
+// of two retired experiments (PS and SC, whose code paths no longer
+// exist); EXPERIMENTS.md cites them.
 //
 // Results are deterministic for a fixed -seed except for wall-clock
 // columns.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -88,9 +80,7 @@ import (
 type suite struct {
 	seed       uint64
 	quick      bool
-	compare    string
 	compareOOC string
-	compareSC  string
 	compareDP  string
 	compareEN  string
 }
@@ -99,19 +89,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchsuite: ")
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,PS,FS,OOC,SC,DP,FL,EN) or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,FS,OOC,DP,FL,EN) or 'all'")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		quick      = flag.Bool("quick", false, "smaller sizes for a fast pass")
-		compare    = flag.String("compare", "", "baseline BENCH_permsweep*.json: after PS, fail if any matched row's speedup regressed >15%")
 		compareOOC = flag.String("compare-ooc", "", "baseline BENCH_ooc*.json: after OOC, fail if any matched row's overhead grew >25%")
-		compareSC  = flag.String("compare-sc", "", "baseline BENCH_prescreen*.json: after SC, fail if any matched row's speedup regressed >15%")
 		compareDP  = flag.String("compare-dp", "", "baseline BENCH_dpi*.json: after DP, fail if any matched row's speedup regressed >15%")
 		compareEN  = flag.String("compare-en", "", "baseline BENCH_ensemble*.json: after EN, fail if any matched row's speedup regressed >15%")
 	)
 	flag.Parse()
 
-	s := &suite{seed: *seed, quick: *quick, compare: *compare, compareOOC: *compareOOC, compareSC: *compareSC, compareDP: *compareDP, compareEN: *compareEN}
-	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "PS", "FS", "OOC", "SC", "DP", "FL", "EN"}
+	s := &suite{seed: *seed, quick: *quick, compareOOC: *compareOOC, compareDP: *compareDP, compareEN: *compareEN}
+	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "FS", "OOC", "DP", "FL", "EN"}
 	var ids []string
 	if *expFlag == "all" {
 		ids = all
@@ -123,9 +111,8 @@ func main() {
 	runners := map[string]func(){
 		"T1": s.t1, "T2": s.t2, "F1": s.f1, "F2": s.f2, "F3": s.f3,
 		"F4": s.f4, "F5": s.f5, "F6": s.f6, "F7": s.f7, "F8": s.f8,
-		"T3": s.t3, "A1": s.a1, "A2": s.a2, "F9": s.f9, "PS": s.ps,
-		"FS": s.fs, "OOC": s.ooc, "SC": s.sc, "DP": s.dp, "FL": s.fl,
-		"EN": s.en,
+		"T3": s.t3, "A1": s.a1, "A2": s.a2, "F9": s.f9,
+		"FS": s.fs, "OOC": s.ooc, "DP": s.dp, "FL": s.fl, "EN": s.en,
 	}
 	for _, id := range ids {
 		run, ok := runners[id]
@@ -676,108 +663,6 @@ func (s *suite) f9() {
 		fmt.Printf("%9d %8d %12.2f %14.2f %14.1f %9.1f%%\n",
 			n, plan.Panels, weights, float64(plan.TotalTransferBytes)/1e9,
 			computeSec/60, 100*xferSec/(xferSec+computeSec))
-	}
-}
-
-// psRow is one measured configuration of the PS experiment, serialized
-// into BENCH_permsweep.json.
-type psRow struct {
-	Genes           int     `json:"genes"`
-	Samples         int     `json:"samples"`
-	Permutations    int     `json:"permutations"`
-	LegacyMISeconds float64 `json:"legacy_mi_seconds"`
-	SweepMISeconds  float64 `json:"sweep_mi_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Edges           int     `json:"edges"`
-	PermCacheHits   int64   `json:"perm_cache_hits"`
-	PermCacheMisses int64   `json:"perm_cache_misses"`
-	PermSkipped     int64   `json:"permutations_skipped"`
-	PermCertified   int64   `json:"perm_certified"`
-}
-
-// PS: the amortized permutation-sweep engine against the seed
-// per-permutation decide loop, on the T2 host configuration. Both runs
-// must emit identical networks (the sweep is bit-identical); only the
-// mi-phase time moves. Measurements are written to BENCH_permsweep.json
-// alongside the printed table.
-func (s *suite) ps() {
-	header("PS", "amortized permutation sweep vs per-permutation loop (host engine)")
-	sizes := []int{250, 500, 1000}
-	m, perms := 337, 30
-	if s.quick {
-		sizes = []int{100, 200}
-		m, perms = 128, 10
-	}
-	// Quick rows are short enough that scheduler noise can swing a
-	// single measurement by double-digit percent — enough to trip the
-	// 15% -compare gate spuriously. Best-of-3 stabilizes them; the
-	// full-size rows run long enough that one pass suffices.
-	reps := 1
-	if s.quick {
-		reps = 3
-	}
-	fmt.Printf("%7s %12s %11s %9s %7s %10s %10s %10s %10s\n",
-		"genes", "legacyMi(s)", "sweepMi(s)", "speedup", "edges", "cacheHits", "cacheMiss", "permSkip", "certified")
-	var rows []psRow
-	for _, n := range sizes {
-		d := s.dataset(n, m)
-		cfg := tinge.Config{Seed: s.seed, Permutations: perms, DPI: true, DPITolerance: 0.1}
-		legacyCfg := cfg
-		legacyCfg.LegacyPermutation = true
-		lres, lmiBest, _ := s.fsRun(d, legacyCfg, reps)
-		sres, smiBest, _ := s.fsRun(d, cfg, reps)
-		if lres.Network.Len() != sres.Network.Len() ||
-			lres.Threshold != sres.Threshold ||
-			lres.PairsEvaluated != sres.PairsEvaluated {
-			log.Fatalf("PS n=%d: sweep diverged from legacy (edges %d/%d, thresh %v/%v, evals %d/%d)",
-				n, sres.Network.Len(), lres.Network.Len(),
-				sres.Threshold, lres.Threshold,
-				sres.PairsEvaluated, lres.PairsEvaluated)
-		}
-		lmi := lmiBest
-		smi := smiBest
-		r := psRow{
-			Genes: n, Samples: m, Permutations: perms,
-			LegacyMISeconds: lmi, SweepMISeconds: smi, Speedup: lmi / smi,
-			Edges:         sres.Network.Len(),
-			PermCacheHits: sres.PermCacheHits, PermCacheMisses: sres.PermCacheMisses,
-			PermSkipped: sres.PermutationsSkipped, PermCertified: sres.PermutationsCertified,
-		}
-		rows = append(rows, r)
-		fmt.Printf("%7d %12.3f %11.3f %8.2fx %7d %10d %10d %10d %10d\n",
-			n, lmi, smi, r.Speedup, r.Edges, r.PermCacheHits, r.PermCacheMisses, r.PermSkipped, r.PermCertified)
-	}
-	// Load the baseline before writing the fresh file: a full-size run
-	// gated against the checked-in BENCH_permsweep.json overwrites that
-	// very path.
-	var old *psDoc
-	if s.compare != "" {
-		var err error
-		if old, err = loadPSDoc(s.compare); err != nil {
-			log.Fatal(err)
-		}
-	}
-	out := psDoc{Experiment: "PS", Engine: "host", Seed: s.seed, Rows: rows}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	path := s.benchPath("BENCH_permsweep")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("wrote " + path)
-
-	if old != nil {
-		regressions, matched := comparePS(old.Rows, rows, psMaxRegression)
-		fmt.Printf("compare vs %s: %d row(s) matched, %d regression(s)\n",
-			s.compare, matched, len(regressions))
-		for _, r := range regressions {
-			fmt.Println("  REGRESSION: " + r)
-		}
-		if len(regressions) > 0 {
-			log.Fatalf("permutation-sweep speedup regressed vs %s", s.compare)
-		}
 	}
 }
 

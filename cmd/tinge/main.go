@@ -35,7 +35,6 @@ func main() {
 		alpha    = flag.Float64("alpha", 0.01, "significance level for the pooled-null threshold")
 		nullPair = flag.Int("null-pairs", 500, "pairs sampled for the pooled null")
 		dpi      = flag.Bool("dpi", false, "apply data-processing-inequality pruning")
-		prescrn  = flag.Bool("prescreen", false, "skip pairs whose conservative MI bound falls below the threshold (bit-identical network)")
 		dpiTol   = flag.Float64("dpi-tolerance", 0.1, "DPI near-tie tolerance (0 = strict: every triangle's weakest edge is pruned)")
 		cmi      = flag.Bool("cmi", false, "apply the conditional-MI successor filter after DPI")
 		cmiRatio = flag.Float64("cmi-ratio", 0.3, "CMI filter removal threshold: prune (i,j) when min_k I(i;j|k) < ratio*I(i;j)")
@@ -145,7 +144,6 @@ func main() {
 		DPITolerance:    *dpiTol,
 		CMIFilter:       *cmi,
 		CMIRatio:        *cmiRatio,
-		Prescreen:       *prescrn,
 		Workers:         *workers,
 		TileSize:        *tileSize,
 		Seed:            *seed,
@@ -316,15 +314,6 @@ func main() {
 			res.Ensemble.Len(), res.Network.Len(), cut)
 		fmt.Fprintf(os.Stderr, "tinge: ensemble sharing: %d stencils reused, %d perm-cache hits\n",
 			res.EnsembleStencilsReused, res.PermCacheHits)
-	}
-	if *prescrn {
-		pairs := res.PairsEvaluated + res.PairsScreenedOut
-		frac := 0.0
-		if pairs > 0 {
-			frac = float64(res.PairsScreenedOut) / float64(pairs)
-		}
-		fmt.Fprintf(os.Stderr, "tinge: prescreen: %d of %d pairs skipped (%.1f%%), screen CPU %.3fs\n",
-			res.PairsScreenedOut, pairs, 100*frac, res.ScreenPhaseSeconds)
 	}
 	if *dpi {
 		fmt.Fprintf(os.Stderr, "tinge: dpi(tol=%g): removed %d edge(s)\n", cfg.DPITolerance, res.DPIEdgesRemoved)

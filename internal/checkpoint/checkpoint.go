@@ -39,7 +39,10 @@ import (
 )
 
 // Fingerprint identifies the run a checkpoint belongs to. Every field
-// that changes the scan's output is included.
+// that changes the scan's output is included. Checkpoints written while
+// scans had a pair prescreening pass also carry its prescreen flag,
+// which never changed the network; gob skips fields the type no longer
+// has, so they still load, validate, and resume.
 type Fingerprint struct {
 	Genes        int
 	Samples      int
@@ -59,11 +62,6 @@ type Fingerprint struct {
 	// checkpoints decode to 0 (float64), matching the path that wrote
 	// them.
 	Precision uint8
-	// Prescreen distinguishes prescreened scans: the emitted network is
-	// identical either way, but the per-tile evaluation accounting is
-	// not, so mixing sessions would corrupt the counters (and the Phi
-	// time model built on them). Old checkpoints decode to false.
-	Prescreen bool
 	// Bootstraps, SubsampleFrac, and EnsembleSeed identify an ensemble
 	// run (all zero for single-network scans, which is what old
 	// checkpoints decode to). They fix the bootstrap count and the
@@ -93,12 +91,9 @@ type State struct {
 	// PairEvalsPerTile records just the exact-kernel pair evaluations,
 	// so resumed runs can report the pair/permutation split exactly.
 	// Files written before the split decode nil and are normalized to
-	// zeros by Load.
+	// zeros by Load. (Files from the prescreening era also carry a
+	// per-tile screened-pair array, which gob skips.)
 	PairEvalsPerTile []int64
-	// ScreenedPerTile records pairs removed by prescreening (all zero
-	// with prescreening off). Same nil-normalization as
-	// PairEvalsPerTile.
-	ScreenedPerTile []int64
 	// EnsembleEdges snapshots the bootstrap support aggregate of an
 	// ensemble run. For ensemble checkpoints the unit of work is a whole
 	// bootstrap, not a tile: Done is the per-bootstrap bitmap (length
@@ -119,7 +114,6 @@ func NewState(fp Fingerprint, nTiles int) *State {
 		Done:             make([]bool, nTiles),
 		EvalsPerTile:     make([]int64, nTiles),
 		PairEvalsPerTile: make([]int64, nTiles),
-		ScreenedPerTile:  make([]int64, nTiles),
 	}
 }
 
@@ -159,9 +153,9 @@ func (s *State) Validate(fp Fingerprint, nTiles int) error {
 	if len(s.EvalsPerTile) != nTiles {
 		return fmt.Errorf("checkpoint: evals length mismatch: saved %d, run %d", len(s.EvalsPerTile), nTiles)
 	}
-	if len(s.PairEvalsPerTile) != nTiles || len(s.ScreenedPerTile) != nTiles {
-		return fmt.Errorf("checkpoint: split-counter length mismatch: saved %d/%d, run %d",
-			len(s.PairEvalsPerTile), len(s.ScreenedPerTile), nTiles)
+	if len(s.PairEvalsPerTile) != nTiles {
+		return fmt.Errorf("checkpoint: split-counter length mismatch: saved %d, run %d",
+			len(s.PairEvalsPerTile), nTiles)
 	}
 	if fp.Bootstraps > 0 && len(s.EnsembleThresholds) != nTiles {
 		return fmt.Errorf("checkpoint: ensemble threshold length mismatch: saved %d, run %d",
@@ -259,12 +253,9 @@ func Decode(data []byte) (*State, error) {
 	if s.PairEvalsPerTile == nil {
 		s.PairEvalsPerTile = make([]int64, len(s.Done))
 	}
-	if s.ScreenedPerTile == nil {
-		s.ScreenedPerTile = make([]int64, len(s.Done))
-	}
-	if len(s.PairEvalsPerTile) != len(s.Done) || len(s.ScreenedPerTile) != len(s.Done) {
-		return nil, fmt.Errorf("%w: inconsistent state: %d done flags, %d/%d split counts",
-			diskfault.ErrCorrupt, len(s.Done), len(s.PairEvalsPerTile), len(s.ScreenedPerTile))
+	if len(s.PairEvalsPerTile) != len(s.Done) {
+		return nil, fmt.Errorf("%w: inconsistent state: %d done flags, %d split counts",
+			diskfault.ErrCorrupt, len(s.Done), len(s.PairEvalsPerTile))
 	}
 	// Ensemble snapshots carry one threshold slot per bootstrap; a
 	// mismatched length means the file does not describe its own Done

@@ -54,9 +54,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 		// Whatever decoded must be internally consistent: Load's callers
 		// index these slices in lockstep.
 		n := len(got.Done)
-		if len(got.EvalsPerTile) != n || len(got.PairEvalsPerTile) != n || len(got.ScreenedPerTile) != n {
-			t.Fatalf("inconsistent state escaped Decode: %d/%d/%d/%d",
-				n, len(got.EvalsPerTile), len(got.PairEvalsPerTile), len(got.ScreenedPerTile))
+		if len(got.EvalsPerTile) != n || len(got.PairEvalsPerTile) != n {
+			t.Fatalf("inconsistent state escaped Decode: %d/%d/%d",
+				n, len(got.EvalsPerTile), len(got.PairEvalsPerTile))
 		}
 		// A framed input that decodes must be byte-identical to the known
 		// frame modulo its own payload: any accepted v2 frame re-encodes

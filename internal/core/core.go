@@ -16,17 +16,24 @@
 //  5. dpi: optional data-processing-inequality pruning of the
 //     resulting network.
 //
-// Three engines execute phase 4 (and share the others):
+// Five engines map phases 3 and 4 onto hardware. They share one tile
+// scan (every pair of a tile through one decide call) and one commit
+// log (threshold, committed tiles, checkpoint), and differ only in
+// scheduling and in where a tile's weight rows come from:
 //
-//   - HostEngine: a goroutine pool over pair tiles (the paper's Xeon
-//     solution).
-//   - PhiEngine: the same computation, plus a simulated-time account on
-//     the phi.Device model including PCIe offload (the paper's Xeon Phi
+//   - Host: a goroutine pool over pair tiles of the resident weight
+//     matrix (the paper's Xeon solution).
+//   - Phi: the same computation, plus a simulated-time account on the
+//     phi.Device model including PCIe offload (the paper's Xeon Phi
 //     solution — we lack the hardware, so time is modeled, results are
 //     exact).
-//   - ClusterEngine: ranks over the mpi runtime with a static block
-//     partition and an allreduced threshold (the original TINGe
-//     cluster baseline).
+//   - Hybrid: the same computation, with simulated time for a host and
+//     coprocessor splitting the tiles by throughput.
+//   - Cluster: ranks over the mpi runtime with a cyclic tile partition
+//     and an all-gathered pooled null (the original TINGe cluster
+//     baseline).
+//   - OutOfCore: the goroutine pool over rows staged per tile from a
+//     disk-backed panel store under a memory budget.
 package core
 
 import (
@@ -270,29 +277,17 @@ type Config struct {
 	Kernel KernelKind
 	// Precision selects the MI compute precision (default Float64).
 	Precision Precision
-	// LegacyPermutation disables the amortized permutation-sweep engine
-	// and runs the original per-permutation decide loop (a fresh kernel
-	// setup and permutation gather per evaluation). The two paths emit
-	// bit-identical networks for equal seeds; the flag exists for
-	// before/after benchmarking and equivalence testing.
-	LegacyPermutation bool
-	// Prescreen enables the conservative-bound pair prescreening pass:
-	// before a tile's exact scan, every pair gets a cheap MI upper
-	// bound (coarse-histogram grouping bound with a rank-correlation
-	// fast path), and pairs whose bound falls below I_alpha skip the
-	// exact kernel and all q permutations. The bound is provably
-	// conservative, so the emitted network is bit-identical to a
-	// non-prescreened run — only the work (and wall time) changes.
-	Prescreen bool
-	// Progress, when non-nil, is invoked after every completed pair
-	// tile with (tilesDone, tilesTotal). It is called concurrently from
+	// Progress, when non-nil, is invoked once per tile committed in this
+	// session with (tilesDone, tilesTotal), where tilesTotal counts the
+	// tiles pending when the scan began. It is called concurrently from
 	// worker goroutines and must be safe for concurrent use; keep it
-	// cheap — it sits on the scan's critical path. Host and Phi engines
-	// only.
+	// cheap — it sits on the scan's critical path. Every engine calls
+	// it; an ensemble run scales it over the whole run.
 	Progress func(done, total int)
-	// Trace, when non-nil, records a per-worker span for every pair
-	// tile (plus the threshold phase), exportable as a Chrome trace.
-	// Host and Phi engines only.
+	// Trace, when non-nil, records a span per pair tile on the row of
+	// the worker (or cluster rank) that scanned it, plus per-worker
+	// counter tracks, exportable as a Chrome trace. Every engine
+	// records it.
 	Trace *trace.Recorder
 	// CheckpointPath enables resumable scans: when the file exists, the
 	// run resumes from it (a parameter mismatch is an error); progress
@@ -597,23 +592,14 @@ type Result struct {
 	// Threshold is the pooled-null I_alpha actually used.
 	Threshold float64
 	// PairsEvaluated counts exact-kernel MI computations of observed
-	// pairs — one per pair that was not screened out. Permutation
-	// evaluations are counted separately in PermEvaluations (the two
-	// were conflated before the prescreening work made the distinction
-	// measurable).
+	// pairs actually computed in this session (one per pair of every
+	// tile scanned); a resumed run's committed tiles are not re-counted.
+	// Permutation evaluations are counted separately in PermEvaluations.
 	PairsEvaluated int64
 	// PermEvaluations counts permuted-MI kernel evaluations actually
-	// computed during phase 4 (the per-pair permutation checks; the
-	// pooled-null phase is not included).
+	// computed during phase 4 in this session (the per-pair permutation
+	// checks; the pooled-null phase is not included).
 	PermEvaluations int64
-	// PairsScreenedOut counts pairs the prescreening bound removed
-	// before the exact kernel (0 with Prescreen off).
-	PairsScreenedOut int64
-	// ScreenPhaseSeconds is the CPU time the workers spent in the
-	// prescreening pass, summed across workers. It is nested inside the
-	// "mi" timer phase (which stays inclusive wall time), not additive
-	// with it.
-	ScreenPhaseSeconds float64
 	// NullSize is the pooled null distribution size.
 	NullSize int
 	// Timer breaks down host wall time by phase.
@@ -632,14 +618,14 @@ type Result struct {
 	// Imbalance is max/mean per-worker busy time for phase 4.
 	Imbalance float64
 	// PermCacheHits and PermCacheMisses count lookups of the worker
-	// permuted-row caches during phase 4 (0 on the legacy path and for
-	// the vectorized kernel, which does not use the cache). A miss
+	// permuted-row caches during phase 4 (0 for the vectorized kernel,
+	// which does not use the cache). A miss
 	// materializes a gene's q permuted offset+weight rows; a hit reuses
 	// them — the tile-level amortization at work.
 	PermCacheHits, PermCacheMisses int64
 	// PermutationsSkipped counts permutation evaluations avoided by the
-	// early exit during phase 4 (summed over pairs that entered the
-	// permutation test).
+	// early exit during phase 4 in this session (summed over pairs that
+	// entered the permutation test).
 	PermutationsSkipped int64
 	// PermutationsCertified counts the phase-4 permutation evaluations
 	// (a subset of PermEvaluations) the Jensen certificate decided
@@ -812,13 +798,13 @@ func InferContext(ctx context.Context, exprMat *mat.Dense, cfg Config) (*Result,
 	}
 	switch cfg.Engine {
 	case Host:
-		err = runHost(ctx, wm, cfg, res)
+		_, _, err = hostScan(ctx, wm, cfg, res, nil)
 	case Phi:
-		err = runPhi(ctx, wm, cfg, res)
+		err = runPhi(ctx, wm, cfg, res, nil)
 	case Cluster:
 		err = runCluster(ctx, wm, cfg, res)
 	case Hybrid:
-		err = runHybrid(ctx, wm, cfg, res)
+		err = runHybrid(ctx, wm, cfg, res, nil)
 	}
 	if err != nil {
 		return nil, err

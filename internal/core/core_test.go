@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -511,39 +512,49 @@ func TestInferNilContext(t *testing.T) {
 	}
 }
 
+// TestProgressAndTraceHooks: every engine reports Progress once per
+// committed tile against the scan's tile total, and records one
+// tile-<i> span per tile on the rows of the workers (or ranks) that
+// scanned them.
 func TestProgressAndTraceHooks(t *testing.T) {
 	d := testDataset(t, 20, 60, 40)
-	var calls int64
-	var lastDone, total int64
-	rec := trace.NewRecorder()
-	res, err := Infer(d.Expr, Config{
-		Seed: 1, Permutations: 5, Workers: 2, TileSize: 4,
-		Progress: func(done, tot int) {
-			atomic.AddInt64(&calls, 1)
-			atomic.StoreInt64(&lastDone, int64(done))
-			atomic.StoreInt64(&total, int64(tot))
-		},
-		Trace: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	nTiles := int64(len(tile.Decompose(20, 4)))
-	if calls != nTiles {
-		t.Fatalf("progress calls = %d, want %d", calls, nTiles)
+	for _, eng := range []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore} {
+		var calls int64
+		var lastDone, total int64
+		rec := trace.NewRecorder()
+		_, err := Infer(d.Expr, Config{
+			Engine: eng, Seed: 1, Permutations: 5, Workers: 2, Ranks: 2, TileSize: 4,
+			Progress: func(done, tot int) {
+				atomic.AddInt64(&calls, 1)
+				atomic.StoreInt64(&lastDone, int64(done))
+				atomic.StoreInt64(&total, int64(tot))
+			},
+			Trace: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != nTiles {
+			t.Fatalf("%v: progress calls = %d, want %d", eng, calls, nTiles)
+		}
+		if total != nTiles {
+			t.Fatalf("%v: total = %d, want %d", eng, total, nTiles)
+		}
+		// Trace: one span per tile, all workers covered by utilization.
+		if int64(rec.Len()) != nTiles {
+			t.Fatalf("%v: trace spans = %d, want %d", eng, rec.Len(), nTiles)
+		}
+		for _, ev := range rec.Events() {
+			if !strings.HasPrefix(ev.Name, "tile-") {
+				t.Fatalf("%v: unexpected span %q", eng, ev.Name)
+			}
+		}
+		util := rec.Utilization(2)
+		if len(util) != 2 {
+			t.Fatalf("%v: utilization = %v", eng, util)
+		}
 	}
-	if total != nTiles {
-		t.Fatalf("total = %d, want %d", total, nTiles)
-	}
-	// Trace: one span per tile, all workers covered by utilization.
-	if int64(rec.Len()) != nTiles {
-		t.Fatalf("trace spans = %d, want %d", rec.Len(), nTiles)
-	}
-	util := rec.Utilization(2)
-	if len(util) != 2 {
-		t.Fatalf("utilization = %v", util)
-	}
-	_ = res
 }
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
@@ -629,11 +640,12 @@ func (c *errAfter) Err() error {
 // TestPhase3CancelCheckpointsNoThreshold: a scan canceled during phase 3
 // must not persist a threshold drawn from the part of the null computed
 // so far — a resumed run would adopt it and emit a different network.
-// Host and out-of-core scans alike resume to the uninterrupted network.
+// Host, cluster and out-of-core scans alike resume to the uninterrupted
+// network.
 func TestPhase3CancelCheckpointsNoThreshold(t *testing.T) {
 	d := testDataset(t, 30, 60, 2)
-	for _, eng := range []EngineKind{Host, OutOfCore} {
-		cfg := Config{Engine: eng, Seed: 3, Permutations: 10, Workers: 2, TileSize: 8}
+	for _, eng := range []EngineKind{Host, Cluster, OutOfCore} {
+		cfg := Config{Engine: eng, Seed: 3, Permutations: 10, Workers: 2, Ranks: 2, TileSize: 8}
 		want, err := Infer(d.Expr, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -700,8 +712,8 @@ func TestCheckpointClusterResume(t *testing.T) {
 	if !sameEdges(first.Network, second.Network) {
 		t.Fatal("resumed cluster network differs")
 	}
-	if second.PairsEvaluated != first.PairsEvaluated {
-		t.Fatalf("resume lost eval history: %d vs %d", second.PairsEvaluated, first.PairsEvaluated)
+	if second.PairsEvaluated != 0 {
+		t.Fatalf("completed checkpoint re-evaluated %d pairs", second.PairsEvaluated)
 	}
 	if second.Threshold != first.Threshold {
 		t.Fatalf("resume changed threshold: %v vs %v", second.Threshold, first.Threshold)

@@ -9,59 +9,28 @@ import (
 	"repro/internal/diskfault"
 	"repro/internal/grn"
 	"repro/internal/mat"
-	"repro/internal/mi"
 	"repro/internal/panelstore"
 	"repro/internal/perm"
 	"repro/internal/stats"
 	"repro/internal/tile"
 )
 
-// scanKit is the resident ensemble loop's shared scan apparatus: one
-// kernel (estimator + permutation pool + optional prescreener) and one
-// workspace and permuted-row cache per worker, built once for the
-// first bootstrap and rebound — never reallocated — for every
-// subsequent one. The permutation pool never rebinds at all: the
+// rebindKit points the resident ensemble loop's shared scanners at a
+// refilled weight-matrix view. The kernel, workspaces, and permuted-row
+// caches are built once for the first bootstrap and rebound — never
+// reallocated — for every subsequent one: marginal entropies are
+// recomputed and every index-dependent cache is invalidated (a stale
+// row key or permuted-row entry would alias the previous bootstrap's
+// gene values). The permutation pool never rebinds at all: the
 // subsample size is constant across bootstraps, so the same permuted
 // index sets apply to every bootstrap's view.
-type scanKit struct {
-	k  *pairKernel
-	ws []*mi.Workspace
-	pc []*mi.PermCache
-}
-
-// newScanKit builds the apparatus against an already-filled view.
-func newScanKit(wm *bspline.WeightMatrix, cfg Config) *scanKit {
-	k := newPairKernel(wm, cfg)
-	kit := &scanKit{
-		k:  k,
-		ws: make([]*mi.Workspace, cfg.Workers),
-		pc: make([]*mi.PermCache, cfg.Workers),
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		kit.ws[w] = k.newWorkspace()
-		kit.pc[w] = k.newPermCache(cfg)
-	}
-	return kit
-}
-
-// rebind points the kit at a refilled weight-matrix view: marginal
-// entropies are recomputed, every index-dependent cache is invalidated
-// (a stale row key or permuted-row entry would alias the previous
-// bootstrap's gene values), and the threshold is cleared for the next
-// bootstrap's phase 3.
-func (kit *scanKit) rebind(wm *bspline.WeightMatrix) {
-	kit.k.est.Reset(wm)
-	kit.k.thresh = 0
-	for _, ws := range kit.ws {
-		ws.InvalidateRowKeys()
-	}
-	for _, pc := range kit.pc {
-		if pc != nil {
-			pc.Rebind(kit.k.est)
+func rebindKit(kit []*tileScanner, wm *bspline.WeightMatrix) {
+	kit[0].k.est.Reset(wm)
+	for _, sc := range kit {
+		sc.ws.InvalidateRowKeys()
+		if sc.pc != nil {
+			sc.pc.Rebind(sc.k.est)
 		}
-	}
-	if kit.k.screen != nil {
-		kit.k.screen.Reset(kit.k.est)
 	}
 }
 
@@ -109,7 +78,6 @@ func (l *ensembleLedger) restore(res *Result, ens *grn.Ensemble, next int) {
 	for b := 0; b < next; b++ {
 		res.PairsEvaluated += l.state.PairEvalsPerTile[b]
 		res.PermEvaluations += l.state.EvalsPerTile[b] - l.state.PairEvalsPerTile[b]
-		res.PairsScreenedOut += l.state.ScreenedPerTile[b]
 	}
 	copy(res.EnsembleThresholds, l.state.EnsembleThresholds[:next])
 	if next > 0 {
@@ -125,7 +93,6 @@ func (l *ensembleLedger) bootstrapDone(b int, bres *Result, ens *grn.Ensemble) e
 	s.Done[b] = true
 	s.EvalsPerTile[b] = bres.PairsEvaluated + bres.PermEvaluations
 	s.PairEvalsPerTile[b] = bres.PairsEvaluated
-	s.ScreenedPerTile[b] = bres.PairsScreenedOut
 	s.EnsembleThresholds[b] = bres.Threshold
 	s.EnsembleEdges = ens.Edges()
 	return checkpoint.SaveFileFS(l.fsys, l.path, s)
@@ -144,8 +111,6 @@ func foldBootstrapResult(res, bres *Result) {
 	res.NullSize = bres.NullSize
 	res.PairsEvaluated += bres.PairsEvaluated
 	res.PermEvaluations += bres.PermEvaluations
-	res.PairsScreenedOut += bres.PairsScreenedOut
-	res.ScreenPhaseSeconds += bres.ScreenPhaseSeconds
 	res.PermutationsSkipped += bres.PermutationsSkipped
 	res.PermutationsCertified += bres.PermutationsCertified
 	res.PermCacheHits += bres.PermCacheHits
@@ -270,7 +235,7 @@ func wrapEnsembleProgress(outer func(done, total int), sessionDone, runTotal int
 // shared across bootstraps: norm and full are the full-set rank
 // normalization and stencil precompute, each bootstrap gathers a
 // column view of full (never recomputing a stencil), and the host-pool
-// engines additionally share one scanKit. The cluster engine rebuilds
+// engines additionally share one set of scanners. The cluster engine rebuilds
 // per-rank kernels inside each world — its status quo for a single
 // scan — but still shares the normalization, precompute, and view.
 func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.WeightMatrix, basis *bspline.Basis, cfg Config, res *Result) error {
@@ -295,7 +260,7 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 	}
 
 	view := bspline.NewPanelWeights(basis, n, mSub)
-	var kit *scanKit
+	var kit []*tileScanner
 	sessionDone := 0
 	for b := lo; b < hi; b++ {
 		if err := ctx.Err(); err != nil {
@@ -308,7 +273,7 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 		if kit == nil {
 			kit = newScanKit(view, cfg)
 		} else {
-			kit.rebind(view)
+			rebindKit(kit, view)
 		}
 		res.EnsembleStencilsReused += int64(n) * int64(mSub)
 
@@ -320,11 +285,11 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 		case Cluster:
 			err = runCluster(ctx, view, bcfg, bres)
 		case Phi:
-			err = runPhiKit(ctx, view, bcfg, bres, kit)
+			err = runPhi(ctx, view, bcfg, bres, kit)
 		case Hybrid:
-			err = runHybridKit(ctx, view, bcfg, bres, kit)
+			err = runHybrid(ctx, view, bcfg, bres, kit)
 		default:
-			_, _, err = hostScanKit(ctx, view, bcfg, bres, kit)
+			_, _, err = hostScan(ctx, view, bcfg, bres, kit)
 		}
 		if err != nil {
 			return err
@@ -399,15 +364,12 @@ func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer
 		}
 		idx := perm.SubsampleIndices(ec.Seed, uint64(b), m, mSub)
 		copy(idxBuf, idx)
-		for _, wk := range workers {
-			wk.pk.thresh = 0
-		}
 
 		bcfg := cfg
 		bcfg.CheckpointPath = ""
 		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, sessionDone, hi-lo)
 		bres := &Result{Timer: timer}
-		if err := oocScanPass(ctx, store, bcfg, bres, workers, tiles, nil, false); err != nil {
+		if err := oocScanPass(ctx, store, bcfg, bres, workers, tiles); err != nil {
 			return nil, err
 		}
 		var rows grn.RowFunc
@@ -430,17 +392,6 @@ func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer
 	// Store and budget accounting once over the whole ensemble — the
 	// panel cache persists across bootstraps, so these are cumulative
 	// by construction.
-	st := store.Stats()
-	res.PanelHits = st.Hits
-	res.PanelLoads = st.Misses
-	res.PanelEvictions = st.Evictions
-	res.PanelBytesSpilled = st.BytesSpilled
-	res.PanelBytesLoaded = st.BytesLoaded
-	res.SpillReadRetries += st.LoadRetries
-	res.StorePeakBytes = st.PeakBytes
-	res.PeakTileBytes = st.PeakBytes + scratch
-	if p := ingestPeak + 3*store.PanelBytes(); p > res.PeakTileBytes {
-		res.PeakTileBytes = p
-	}
+	reportStore(res, store, scratch, ingestPeak)
 	return res, nil
 }

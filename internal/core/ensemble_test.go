@@ -34,10 +34,9 @@ func ensembleBaseCfg() Config {
 
 // identicalEnsembles asserts bit-identity of two ensemble results:
 // per-bootstrap thresholds, the support matrix (counts AND float64
-// weight sums), and the consensus network. counters additionally pins
-// the full-history evaluation counts (skip it when one side resumed
-// with prescreening or other schedule-dependent counters).
-func identicalEnsembles(t *testing.T, label string, a, b *Result, counters bool) {
+// weight sums), the consensus network, and the full-history evaluation
+// counts.
+func identicalEnsembles(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.Ensemble == nil || b.Ensemble == nil {
 		t.Fatalf("%s: missing ensemble aggregate (%v, %v)", label, a.Ensemble != nil, b.Ensemble != nil)
@@ -71,11 +70,9 @@ func identicalEnsembles(t *testing.T, label string, a, b *Result, counters bool)
 			t.Fatalf("%s: consensus edge %d differs: %+v vs %+v", label, k, an[k], bn[k])
 		}
 	}
-	if counters {
-		if a.PairsEvaluated != b.PairsEvaluated || a.PermEvaluations != b.PermEvaluations {
-			t.Fatalf("%s: counters (%d,%d) != (%d,%d)", label,
-				a.PairsEvaluated, a.PermEvaluations, b.PairsEvaluated, b.PermEvaluations)
-		}
+	if a.PairsEvaluated != b.PairsEvaluated || a.PermEvaluations != b.PermEvaluations {
+		t.Fatalf("%s: counters (%d,%d) != (%d,%d)", label,
+			a.PairsEvaluated, a.PermEvaluations, b.PairsEvaluated, b.PermEvaluations)
 	}
 }
 
@@ -111,10 +108,10 @@ func sameSupportStructure(t *testing.T, label string, a, b *Result) {
 // TestEnsembleGoldenEquivalence is the ensemble determinism anchor:
 // for a fixed (seed, bootstrap, subsample) configuration the support
 // matrix, per-bootstrap thresholds, and consensus network are
-// bit-identical across all five engines, every worker count, the
-// legacy permutation path, prescreening, and resume from a
-// mid-ensemble checkpoint — and structurally identical (exact support
-// counts, drift-bounded weights) across compute precisions.
+// bit-identical across all five engines and every worker count — and
+// structurally identical (exact support counts, drift-bounded weights)
+// across compute precisions. TestEnsembleResume covers resume from a
+// mid-ensemble checkpoint.
 func TestEnsembleGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble golden matrix is not short")
@@ -161,32 +158,10 @@ func TestEnsembleGoldenEquivalence(t *testing.T) {
 					t.Fatalf("%v/%v/w%d: %v", eng, prec, w, err)
 				}
 				label := eng.String() + "/" + prec.String() + "/w" + itoa(w)
-				identicalEnsembles(t, label, res, baselines[prec], true)
+				identicalEnsembles(t, label, res, baselines[prec])
 			}
 		}
 	}
-
-	// Legacy permutation path: same networks, no permuted-row cache.
-	legacy := ensembleBaseCfg()
-	legacy.LegacyPermutation = true
-	lres, err := Infer(d.Expr, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalEnsembles(t, "legacy", lres, baselines[Float64], true)
-	if lres.PermCacheHits != 0 || lres.PermCacheMisses != 0 {
-		t.Fatalf("legacy path used the perm cache: %d/%d", lres.PermCacheHits, lres.PermCacheMisses)
-	}
-
-	// Prescreening: bit-identical networks (the bound is conservative);
-	// work counters legitimately differ.
-	screen := ensembleBaseCfg()
-	screen.Prescreen = true
-	sres, err := Infer(d.Expr, screen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalEnsembles(t, "prescreen", sres, baselines[Float64], false)
 }
 
 // TestEnsembleResume kills an ensemble mid-run (host and out-of-core)
@@ -235,7 +210,7 @@ func TestEnsembleResume(t *testing.T) {
 			t.Fatalf("%v resume ran %d of %d bootstraps (checkpoint ignored?)",
 				eng, res.EnsembleBootstrapsRun, base.Ensemble.Bootstraps)
 		}
-		identicalEnsembles(t, eng.String()+"/resume", res, want, true)
+		identicalEnsembles(t, eng.String()+"/resume", res, want)
 	}
 }
 

@@ -17,15 +17,10 @@ import (
 // The split is a greedy heterogeneous list schedule: tiles (priced per
 // device from observed evaluation counts) go to whichever device would
 // finish its accumulated share sooner — the steady state of the
-// paper's dynamic host/device work distribution.
-func runHybrid(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) error {
-	return runHybridKit(ctx, wm, cfg, res, nil)
-}
-
-// runHybridKit is runHybrid over an optional shared scanKit (see
-// hostScanKit) — the ensemble loop's entry.
-func runHybridKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit *scanKit) error {
-	evalsPerTile, tiles, err := hostScanKit(ctx, wm, cfg, res, kit)
+// paper's dynamic host/device work distribution. kit is hostScan's
+// optional shared scanners (the ensemble loop's entry).
+func runHybrid(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit []*tileScanner) error {
+	evalsPerTile, tiles, err := hostScan(ctx, wm, cfg, res, kit)
 	if err != nil {
 		return err
 	}

@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bspline"
-	"repro/internal/grn"
 	"repro/internal/mat"
 	"repro/internal/mi"
 	"repro/internal/panelstore"
@@ -47,7 +43,7 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 		width = mSub
 	}
 	pool := perm.MustNewPool(cfg.Seed, width, cfg.Permutations)
-	wk := newOOCWorker(basis, pool, cfg, samples, idx)
+	wk := newOOCWorker(nil, basis, pool, cfg, samples, idx)
 	panelBytes := int64(cfg.PanelRows) * int64(samples) * 4
 	scratch := wk.bytes(basis, cfg)*int64(cfg.Workers) + 3*panelBytes
 	maxPins := int64(2 * cfg.Workers)
@@ -58,18 +54,18 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 }
 
 // oocWorker is one worker's fixed-size apparatus for the out-of-core
-// scan. Nothing in it scales with the gene count: the weight matrix,
-// estimator, workspace, and permuted-row cache are all sized to one
-// tile (at most 2·TileSize genes), and every tile re-fills them in
-// place. Bit-identity with the resident engines follows from the
-// shared building blocks: the same rank transform per row, the same
-// stencil precompute per gene, the same kernels — only the gene
-// indices are tile-local.
+// scan: a tileScanner whose row source is the worker itself, staging
+// rows from the panel store. Nothing in it scales with the gene count:
+// the weight matrix, estimator, workspace, and permuted-row cache are
+// all sized to one tile (at most 2·TileSize genes), and every tile
+// re-fills them in place. Bit-identity with the resident engines
+// follows from the shared building blocks: the same rank transform per
+// row, the same stencil precompute per gene, the same kernels — only
+// the gene indices are tile-local.
 type oocWorker struct {
-	pk      *pairKernel
+	tileScanner
+	store   *panelstore.Store
 	tileWM  *bspline.WeightMatrix
-	ws      *mi.Workspace
-	pc      *mi.PermCache
 	normBuf []float32   // 2·TileSize rank-normalized row copies
 	rows    [][]float32 // row views into normBuf for FillPanel
 	samples int
@@ -83,42 +79,31 @@ type oocWorker struct {
 	fullBuf []float32
 }
 
-// newOOCWorker builds one worker's fixed scratch. samples is the store
-// row width; idx, when non-nil, is the ensemble sample-index view (the
-// worker's kernels then run at len(idx) width).
-func newOOCWorker(basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int, idx []int32) *oocWorker {
+// newOOCWorker builds one worker's fixed scratch over store (nil when
+// only sizing). samples is the store row width; idx, when non-nil, is
+// the ensemble sample-index view (the worker's kernels then run at
+// len(idx) width).
+func newOOCWorker(store *panelstore.Store, basis *bspline.Basis, pool *perm.Pool, cfg Config, samples int, idx []int32) *oocWorker {
 	width := samples
 	if idx != nil {
 		width = len(idx)
 	}
 	tileWM := bspline.NewPanelWeights(basis, 2*cfg.TileSize, width)
 	est := mi.NewEstimator(tileWM)
+	k := &pairKernel{est: est, pool: pool, kind: cfg.Kernel, prec: cfg.Precision}
 	w := &oocWorker{
-		pk: &pairKernel{
-			est:    est,
-			pool:   pool,
-			kind:   cfg.Kernel,
-			prec:   cfg.Precision,
-			legacy: cfg.LegacyPermutation,
-		},
-		tileWM:  tileWM,
-		ws:      mi.NewWorkspacePrec(est, cfg.Precision),
-		normBuf: make([]float32, 2*cfg.TileSize*width),
-		rows:    make([][]float32, 0, 2*cfg.TileSize),
-		samples: width,
-		idx:     idx,
+		tileScanner: tileScanner{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)},
+		store:       store,
+		tileWM:      tileWM,
+		normBuf:     make([]float32, 2*cfg.TileSize*width),
+		rows:        make([][]float32, 0, 2*cfg.TileSize),
+		samples:     width,
+		idx:         idx,
 	}
+	w.src = w
 	if idx != nil {
 		w.fullBuf = make([]float32, samples)
 	}
-	if cfg.Prescreen {
-		// Reserve the screener arena for a full tile's gene capacity and
-		// the workspace's coarse-joint scratch now, so bytes() is final
-		// before the budget check.
-		w.pk.screen = mi.NewScreenerCap(est, cfg.Precision, 2*cfg.TileSize)
-		w.pk.screen.EnsureScratch(w.ws)
-	}
-	w.pc = w.pk.newPermCache(cfg)
 	return w
 }
 
@@ -129,9 +114,6 @@ func (w *oocWorker) bytes(basis *bspline.Basis, cfg Config) int64 {
 	b += int64(w.ws.Bytes())
 	if w.pc != nil {
 		b += int64(w.pc.Bytes())
-	}
-	if w.pk.screen != nil {
-		b += int64(w.pk.screen.Bytes())
 	}
 	b += int64(len(w.normBuf)) * 4
 	b += int64(len(w.fullBuf)) * 4
@@ -168,41 +150,37 @@ func (w *oocWorker) stage(p *panelstore.Panel, g, r int) {
 // would alias a different gene.
 func (w *oocWorker) rebind() {
 	w.tileWM.FillPanel(w.rows)
-	w.pk.est.Reset(w.tileWM)
+	w.k.est.Reset(w.tileWM)
 	w.ws.InvalidateRowKeys()
 	if w.pc != nil {
-		w.pc.Rebind(w.pk.est)
-	}
-	if w.pk.screen != nil {
-		w.pk.screen.Reset(w.pk.est)
+		w.pc.Rebind(w.k.est)
 	}
 }
 
-// loadTile pins the tile's panels, stages its i-rows (and, off the
-// diagonal, its j-rows after them), and rebinds. It returns the local
-// index base of the j range: on a diagonal tile both ranges are the
-// same staged rows.
-func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (jBase int, err error) {
+// stageTile pins the tile's panels, stages its i-rows as local genes
+// from 0 (and, off the diagonal, its j-rows after them), and rebinds.
+// On a diagonal tile both ranges are the same staged rows.
+func (w *oocWorker) stageTile(t tile.Tile) (iOff, jOff int, err error) {
+	store := w.store
 	w.rows = w.rows[:0]
 	pinI, err := store.Panel(store.PanelOf(t.I0))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	pinJ := pinI
 	if pj := store.PanelOf(t.J0); pj != pinI.Index() {
 		pinJ, err = store.Panel(pj)
 		if err != nil {
 			pinI.Release()
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	nI := t.I1 - t.I0
 	for r := 0; r < nI; r++ {
 		w.stage(pinI, t.I0+r, r)
 	}
-	if t.I0 == t.J0 {
-		jBase = 0 // diagonal tile: the j range is the i range
-	} else {
+	jBase := 0 // diagonal tile: the j range is the i range
+	if t.I0 != t.J0 {
 		jBase = nI
 		for r := 0; r < t.J1-t.J0; r++ {
 			w.stage(pinJ, t.J0+r, nI+r)
@@ -213,22 +191,23 @@ func (w *oocWorker) loadTile(store *panelstore.Store, t tile.Tile) (jBase int, e
 	}
 	pinI.Release()
 	w.rebind()
-	return jBase, nil
+	return t.I0, t.J0 - jBase, nil
 }
 
-// loadPair stages one null-sample pair (a, b) as local genes (0, 1).
-func (w *oocWorker) loadPair(store *panelstore.Store, a, b int) error {
+// stagePair stages one null-sample pair (a, b) as local genes (0, 1).
+func (w *oocWorker) stagePair(a, b int) (i, j int, err error) {
+	store := w.store
 	w.rows = w.rows[:0]
 	pinA, err := store.Panel(store.PanelOf(a))
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	pinB := pinA
 	if pb := store.PanelOf(b); pb != pinA.Index() {
 		pinB, err = store.Panel(pb)
 		if err != nil {
 			pinA.Release()
-			return err
+			return 0, 0, err
 		}
 	}
 	w.stage(pinA, a, 0)
@@ -238,7 +217,7 @@ func (w *oocWorker) loadPair(store *panelstore.Store, a, b int) error {
 	}
 	pinA.Release()
 	w.rebind()
-	return nil
+	return 0, 1, nil
 }
 
 // oocWorkers builds the per-worker kits and carves the store's panel
@@ -249,7 +228,7 @@ func (w *oocWorker) loadPair(store *panelstore.Store, a, b int) error {
 func oocWorkers(store *panelstore.Store, cfg Config, basis *bspline.Basis, pool *perm.Pool, idx []int32) ([]*oocWorker, int64, error) {
 	workers := make([]*oocWorker, cfg.Workers)
 	for w := range workers {
-		workers[w] = newOOCWorker(basis, pool, cfg, store.Cols(), idx)
+		workers[w] = newOOCWorker(store, basis, pool, cfg, store.Cols(), idx)
 	}
 	perWorker := workers[0].bytes(basis, cfg)
 	scratch := perWorker*int64(cfg.Workers) + 3*store.PanelBytes() // + staging/transpose/io buffers
@@ -288,24 +267,20 @@ func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Resu
 	// the phases separately and report the larger ceiling at the end.
 	ingestPeak := store.ResetPeak()
 
-	// Checkpoint setup — byte-compatible with the resident engines via
-	// the shared fingerprint, so committed tiles survive a kill and are
-	// never re-read from the store on resume.
-	var ck *ckptManager
-	resumed := false
-	if cfg.CheckpointPath != "" {
-		state, res2, err := loadResumeState(cfg, fingerprintDims(n, m, cfg), len(tiles), res)
-		if err != nil {
-			return err
-		}
-		resumed = res2
-		ck = &ckptManager{fsys: cfg.FS, path: cfg.CheckpointPath, every: cfg.CheckpointEvery, state: state}
-	}
-
-	if err := oocScanPass(ctx, store, cfg, res, workers, tiles, ck, resumed); err != nil {
+	// The scan's checkpoint is byte-compatible with the resident
+	// engines' via the shared fingerprint, so committed tiles survive a
+	// kill and are never re-read from the store on resume.
+	if err := oocScanPass(ctx, store, cfg, res, workers, tiles); err != nil {
 		return err
 	}
 
+	reportStore(res, store, scratch, ingestPeak)
+	return nil
+}
+
+// reportStore fills the panel-store counters and the budget ceiling of
+// an out-of-core run into res.
+func reportStore(res *Result, store *panelstore.Store, scratch, ingestPeak int64) {
 	st := store.Stats()
 	res.PanelHits = st.Hits
 	res.PanelLoads = st.Misses
@@ -318,214 +293,28 @@ func oocScan(ctx context.Context, store *panelstore.Store, cfg Config, res *Resu
 	// panels plus the store's own buffers during ingest, resident panels
 	// plus every worker's fixed scratch (and those buffers) during the
 	// scan. The phases never overlap, so they are not summed.
-	res.PeakTileBytes = st.PeakBytes + scratch
-	if p := ingestPeak + 3*store.PanelBytes(); p > res.PeakTileBytes {
-		res.PeakTileBytes = p
-	}
-	return nil
+	res.PeakTileBytes = max(st.PeakBytes+scratch, ingestPeak+3*store.PanelBytes())
 }
 
 // oocScanPass runs phases 3 and 4 of the out-of-core scan with
 // pre-built workers — one full scan for the plain path, one bootstrap
 // for the ensemble loop (which reuses the workers across passes and
-// reads the store/budget counters once at the end). Cache counters are
-// reported as this pass's deltas.
-func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *Result, workers []*oocWorker, tiles []tile.Tile, ck *ckptManager, resumed bool) error {
-	n := store.Rows()
-
-	// Phase 3: pooled-null threshold over sampled pairs. Each worker
-	// stages a pair's two rows as local genes (0, 1); every permuted MI is
-	// bit-identical to the resident computation, so the threshold matches
-	// the resident engines exactly.
-	evals := make([]func(i, j int, out []float64) error, len(workers))
+// reads the store/budget counters once at the end). In phase 3 each
+// worker stages a null pair's two rows as local genes (0, 1); every
+// permuted MI is bit-identical to the resident computation, so the
+// threshold matches the resident engines exactly.
+func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *Result, workers []*oocWorker, tiles []tile.Tile) error {
+	log, err := openLog(cfg, fingerprintDims(store.Rows(), store.Cols(), cfg), len(tiles), res)
+	if err != nil {
+		return err
+	}
+	scanners := make([]*tileScanner, len(workers))
 	for w, wk := range workers {
-		evals[w] = func(i, j int, out []float64) error {
-			if err := wk.loadPair(store, i, j); err != nil {
-				return err
-			}
-			wk.pk.null(0, 1, out, wk.ws)
-			return nil
-		}
+		scanners[w] = &wk.tileScanner
 	}
-	if err := scanThreshold(ctx, cfg, n, res, ck, resumed, evals); err != nil {
+	if err := poolScan(ctx, cfg, res, log, tiles, scanners); err != nil {
 		return err
 	}
-	for _, wk := range workers {
-		wk.pk.thresh = res.Threshold
-	}
-
-	// Phase 4: tile scan over the pending tiles.
-	var errMu sync.Mutex
-	var scanErr error
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if scanErr == nil {
-			scanErr = err
-		}
-		errMu.Unlock()
-	}
-	firstErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return scanErr
-	}
-	pending := make([]int, 0, len(tiles))
-	for i := range tiles {
-		if ck == nil || !ck.state.Done[i] {
-			pending = append(pending, i)
-		}
-	}
-	evalsPerTile := make([]int64, len(tiles))
-	busy := make([]float64, cfg.Workers)
-	edgesPerWorker := make([][]grn.Edge, cfg.Workers)
-	var totalEvals, totalPermEvals, totalScreened, totalSkipped, totalCertified int64
-	var totalScreenNanos int64
-	var cacheHits, cacheMisses int64
-	var tilesDone int64
-	res.Timer.Time("mi", func() {
-		sched := tile.NewScheduler(cfg.Policy, len(pending), cfg.Workers)
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wk := workers[w]
-				cert0 := wk.ws.Certified()
-				var hits0, misses0 int64
-				if wk.pc != nil {
-					hits0, misses0 = wk.pc.Hits(), wk.pc.Misses()
-				}
-				start := time.Now()
-				var local []grn.Edge
-				var evals, permEvals, screened, skipped int64
-				var screenNanos int64
-				var mask []bool
-				for {
-					pi := sched.Next(w)
-					if pi == -1 || ctx.Err() != nil {
-						break
-					}
-					ti := pending[pi]
-					t := tiles[ti]
-					var endSpan func()
-					if cfg.Trace != nil {
-						endSpan = cfg.Trace.Span(w, fmt.Sprintf("tile-%d %s", ti, t))
-					}
-					jBase, err := wk.loadTile(store, t)
-					if err != nil {
-						fail(err)
-						break
-					}
-					var tileScreened int64
-					if wk.pk.screen != nil {
-						// Screen per pinned panel pair: the bound runs on the
-						// same tile-local weights the exact kernel would use,
-						// so the budget accounting is untouched.
-						localTile := tile.Tile{I0: 0, I1: t.I1 - t.I0, J0: jBase, J1: jBase + t.J1 - t.J0}
-						screenStart := time.Now()
-						mask, tileScreened = wk.pk.screenTile(localTile, wk.ws, mask)
-						screenNanos += time.Since(screenStart).Nanoseconds()
-					}
-					var tilePairEvals, tilePermEvals int64
-					var tileEdges []grn.Edge
-					idx := 0
-					t.ForEachPair(func(i, j int) {
-						if wk.pk.screen != nil && mask[idx] {
-							idx++
-							return
-						}
-						idx++
-						obs, sig, ev, pe, sk := wk.pk.decide(i-t.I0, j-t.J0+jBase, wk.ws, wk.pc)
-						tilePairEvals += ev
-						tilePermEvals += pe
-						skipped += sk
-						if sig {
-							tileEdges = append(tileEdges, grn.Edge{I: i, J: j, Weight: obs})
-						}
-					})
-					tileEvals := tilePairEvals + tilePermEvals
-					atomic.AddInt64(&evalsPerTile[ti], tileEvals)
-					evals += tilePairEvals
-					permEvals += tilePermEvals
-					screened += tileScreened
-					if ck != nil {
-						ck.tileDone(ti, tilePairEvals, tilePermEvals, tileScreened, tileEdges)
-					} else {
-						local = append(local, tileEdges...)
-					}
-					if endSpan != nil {
-						endSpan()
-					}
-					if cfg.Trace != nil {
-						cfg.Trace.Counter(w, "perm_skipped", float64(skipped))
-						cfg.Trace.Counter(w, "perm_certified", float64(wk.ws.Certified()-cert0))
-						if wk.pk.screen != nil {
-							cfg.Trace.Counter(w, "pairs_screened", float64(screened))
-						}
-						if wk.pc != nil {
-							cfg.Trace.Counter(w, "permcache_hits", float64(wk.pc.Hits()))
-						}
-					}
-					if cfg.Progress != nil {
-						cfg.Progress(int(atomic.AddInt64(&tilesDone, 1)), len(pending))
-					}
-				}
-				busy[w] = time.Since(start).Seconds()
-				edgesPerWorker[w] = local
-				atomic.AddInt64(&totalEvals, evals)
-				atomic.AddInt64(&totalPermEvals, permEvals)
-				atomic.AddInt64(&totalScreened, screened)
-				atomic.AddInt64(&totalSkipped, skipped)
-				atomic.AddInt64(&totalCertified, wk.ws.Certified()-cert0)
-				atomic.AddInt64(&totalScreenNanos, screenNanos)
-				if wk.pc != nil {
-					atomic.AddInt64(&cacheHits, wk.pc.Hits()-hits0)
-					atomic.AddInt64(&cacheMisses, wk.pc.Misses()-misses0)
-				}
-			}(w)
-		}
-		wg.Wait()
-	})
-	if ck != nil {
-		if err := ck.flush(); err != nil {
-			return err
-		}
-	}
-	if err := firstErr(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res.PairsEvaluated = totalEvals
-	res.PermEvaluations = totalPermEvals
-	res.PairsScreenedOut = totalScreened
-	res.PermutationsSkipped = totalSkipped
-	res.PermutationsCertified = totalCertified
-	res.PermCacheHits = cacheHits
-	res.PermCacheMisses = cacheMisses
-	if cfg.Prescreen {
-		d := time.Duration(totalScreenNanos)
-		res.ScreenPhaseSeconds = d.Seconds()
-		res.Timer.Add("screen", d)
-	}
-	res.Imbalance = tile.Imbalance(busy)
-
-	net := grn.New(n)
-	if ck != nil {
-		for _, e := range ck.state.Edges {
-			net.AddEdge(e.I, e.J, e.Weight)
-		}
-	} else {
-		for _, edges := range edgesPerWorker {
-			for _, e := range edges {
-				net.AddEdge(e.I, e.J, e.Weight)
-			}
-		}
-	}
-	res.Network = net
+	log.report(res)
 	return nil
 }

@@ -22,16 +22,11 @@ const offloadChunks = 16
 //     blocks, double-buffered against compute.
 //
 // SimSeconds is the pipelined total; SimTransferSeconds isolates the
-// transfer component.
-func runPhi(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) error {
-	return runPhiKit(ctx, wm, cfg, res, nil)
-}
-
-// runPhiKit is runPhi over an optional shared scanKit (see
-// hostScanKit); the time model is unchanged — each ensemble bootstrap
-// accounts its own simulated scan over the subsampled width.
-func runPhiKit(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit *scanKit) error {
-	evalsPerTile, tiles, err := hostScanKit(ctx, wm, cfg, res, kit)
+// transfer component. kit is hostScan's optional shared scanners; each
+// ensemble bootstrap accounts its own simulated scan over the
+// subsampled width.
+func runPhi(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result, kit []*tileScanner) error {
+	evalsPerTile, tiles, err := hostScan(ctx, wm, cfg, res, kit)
 	if err != nil {
 		return err
 	}

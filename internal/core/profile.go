@@ -74,7 +74,7 @@ func ProfileTiles(exprMat *mat.Dense, cfg Config) (*Profile, error) {
 	wm := bspline.PrecomputeParallel(basis, norm, cfg.Workers)
 
 	res := &Result{Timer: stats.NewTimer()}
-	evals, tiles, err := hostScan(context.Background(), wm, cfg, res)
+	evals, tiles, err := hostScan(context.Background(), wm, cfg, res, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bspline"
+	"repro/internal/grn"
 	"repro/internal/mat"
 	"repro/internal/mi"
 	"repro/internal/perm"
@@ -25,7 +26,7 @@ func precomputeWeights(t *testing.T, cfg Config, norm *mat.Dense) *bspline.Weigh
 
 // identicalNetworks requires exact equality — same edge order, same I/J,
 // bitwise-equal weights. The sweep engine's claim is bit-identity with
-// the seed path, not mere closeness.
+// the per-permutation reference, not mere closeness.
 func identicalNetworks(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.Threshold != b.Threshold {
@@ -48,18 +49,60 @@ func identicalNetworks(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// referenceNull is phase 3 by its definition: every sampled null pair's
-// q permuted MIs, one per-permutation kernel call each (miPermuted),
-// pooled and cut at the (1-alpha) quantile. It is the oracle the shared
-// single-sweep phase 3 must match bit for bit.
-func referenceNull(t *testing.T, exprMat *mat.Dense, cfg Config) PooledNull {
+// miObserved is pair (i, j)'s observed MI under the per-pair
+// formulations. At float64 the bucketed kernel is the counting-sort
+// PairBucketed, so the engines' PairBlocked stays pinned bit-identical
+// to it.
+func (k *pairKernel) miObserved(i, j int, ws *mi.Workspace) float64 {
+	if k.prec == Float64 && k.kind == KernelBucketed {
+		return k.est.PairBucketed(i, j, ws)
+	}
+	return k.miPair(i, j, ws)
+}
+
+// miPermuted computes MI of (i, j) under pool permutation p with a
+// fresh per-permutation kernel call (setup and permutation gather
+// included) — one evaluation of the reference decide loop.
+func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
+	if k.prec == Float32 {
+		switch k.kind {
+		case KernelScalar:
+			return k.est.PairPermutedScalar32(i, j, k.pool.Perm(p), ws)
+		case KernelVec:
+			return k.est.PairPermutedVec32(i, j, k.pool.Perm(p), ws)
+		default:
+			return k.est.PairPermutedBlocked32(i, j, k.pool.Perm(p), ws)
+		}
+	}
+	switch k.kind {
+	case KernelScalar:
+		return k.est.PairPermutedScalar(i, j, k.pool.Perm(p), ws)
+	case KernelVec:
+		return k.est.PairPermutedVec(i, j, k.pool.Perm(p), ws)
+	default:
+		return k.est.PairPermutedBucketed(i, j, k.pool.Perm(p), ws)
+	}
+}
+
+// referenceKernel builds the kernel of Infer's resident path for the
+// references below.
+func referenceKernel(t *testing.T, exprMat *mat.Dense, cfg *Config) *pairKernel {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	norm := exprMat.Clone()
 	norm.RankNormalize()
-	k := newPairKernel(precomputeWeights(t, cfg, norm), cfg)
+	return newPairKernel(precomputeWeights(t, *cfg, norm), *cfg)
+}
+
+// referenceNull is phase 3 by its definition: every sampled null pair's
+// q permuted MIs, one per-permutation kernel call each (miPermuted),
+// pooled and cut at the (1-alpha) quantile. It is the oracle the shared
+// single-sweep phase 3 must match bit for bit.
+func referenceNull(t *testing.T, exprMat *mat.Dense, cfg Config) PooledNull {
+	t.Helper()
+	k := referenceKernel(t, exprMat, &cfg)
 	ws := k.newWorkspace()
 	var null perm.Null
 	for _, pr := range sampleNullPairs(cfg.Seed, exprMat.Rows(), cfg.NullSamplePairs) {
@@ -70,15 +113,47 @@ func referenceNull(t *testing.T, exprMat *mat.Dense, cfg Config) PooledNull {
 	return PooledNull{Threshold: null.Threshold(cfg.Alpha), Size: null.Len()}
 }
 
+// referenceScan is phase 4 by its definition, with none of the engines'
+// machinery (tiles, sweeps, caches, certificates): every pair's
+// observed MI (miObserved), the threshold from referenceNull, and the
+// per-permutation decide loop with early exit — an edge must strictly
+// beat all q permuted MIs, each from its own kernel call. It counts
+// pair and permutation evaluations the way the engines must.
+func referenceScan(t *testing.T, exprMat *mat.Dense, cfg Config) *Result {
+	t.Helper()
+	null := referenceNull(t, exprMat, cfg)
+	k := referenceKernel(t, exprMat, &cfg)
+	ws := k.newWorkspace()
+	n := exprMat.Rows()
+	res := &Result{Threshold: null.Threshold, NullSize: null.Size, Network: grn.New(n)}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			obs := k.miObserved(i, j, ws)
+			res.PairsEvaluated++
+			if obs < null.Threshold {
+				continue
+			}
+			significant := true
+			for p := 0; p < cfg.Permutations && significant; p++ {
+				res.PermEvaluations++
+				significant = k.miPermuted(i, j, p, ws) < obs
+			}
+			if significant {
+				res.Network.AddEdge(i, j, obs)
+			}
+		}
+	}
+	return res
+}
+
 // TestSweepGoldenEquivalence is the golden equivalence suite: for fixed
-// seeds the amortized sweep path must emit networks byte-identical to
-// the seed per-permutation path — same edges in the same order, bitwise
-// equal weights, equal threshold, and equal PairsEvaluated (both paths
-// count 1 observed evaluation plus the permutations actually computed
-// before early exit; skipped permutations are never counted) — across
-// seeds {1,2,3}, orders {1,3}, all five engines, all three kernels, and
-// both precisions. Both paths share phase 3, so each run's Threshold
-// and NullSize are also pinned to the per-permutation reference null.
+// seeds every engine must emit networks byte-identical to referenceScan
+// — same edges in the same order, bitwise equal weights, equal
+// threshold and null size, and equal pair and permutation evaluation
+// counts (1 observed evaluation per pair plus the permutations actually
+// computed before early exit; skipped permutations are never counted)
+// — across seeds {1,2,3}, orders {1,3}, all five engines, all three
+// kernels, and both precisions.
 func TestSweepGoldenEquivalence(t *testing.T) {
 	engines := []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore}
 	kernels := []KernelKind{KernelBucketed, KernelScalar, KernelVec}
@@ -91,28 +166,18 @@ func TestSweepGoldenEquivalence(t *testing.T) {
 						Kernel: kern, Order: order, Precision: prec,
 						Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
 					}
-					ref := referenceNull(t, d.Expr, cfg)
+					want := referenceScan(t, d.Expr, cfg)
 					for _, eng := range engines {
 						cfg.Engine = eng
-						legacyCfg := cfg
-						legacyCfg.LegacyPermutation = true
-						want, err := Infer(d.Expr, legacyCfg)
-						if err != nil {
-							t.Fatal(err)
-						}
 						got, err := Infer(d.Expr, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						label := eng.String() + "/" + kern.String() + "/" + prec.String()
 						identicalNetworks(t, label, got, want)
-						if want.PermCacheHits != 0 || want.PermCacheMisses != 0 {
-							t.Fatalf("%s: legacy path touched the perm cache (%d/%d)",
-								label, want.PermCacheHits, want.PermCacheMisses)
-						}
-						if got.Threshold != ref.Threshold || got.NullSize != ref.Size {
-							t.Fatalf("%s: phase 3 gave threshold %v over %d values, per-permutation reference %v over %d",
-								label, got.Threshold, got.NullSize, ref.Threshold, ref.Size)
+						if got.NullSize != want.NullSize {
+							t.Fatalf("%s: phase 3 pooled %d values, per-permutation reference %d",
+								label, got.NullSize, want.NullSize)
 						}
 					}
 				}

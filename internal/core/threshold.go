@@ -42,8 +42,8 @@ type nullPhase struct {
 // for bit.
 //
 // When the outcome is already known — from a resumed checkpoint or
-// Config.KnownNull, passed as known — no pair is evaluated and no
-// "threshold" phase is recorded.
+// Config.KnownNull, passed as known by commitLog.threshold — no pair is
+// evaluated and no "threshold" phase is recorded.
 func estimateThreshold(ctx context.Context, cfg Config, n int, known *PooledNull, ph nullPhase) (PooledNull, error) {
 	if known != nil {
 		return *known, nil
@@ -57,26 +57,6 @@ func estimateThreshold(ctx context.Context, cfg Config, n int, known *PooledNull
 		compute()
 	}
 	return out, err
-}
-
-// scanThreshold is phase 3 of the goroutine-pool scans (host and out of
-// core): a resumed checkpoint's outcome, else cfg.KnownNull, else
-// estimateThreshold over evals. The outcome lands in res and, when
-// checkpointing, in the checkpoint state.
-func scanThreshold(ctx context.Context, cfg Config, n int, res *Result, ck *ckptManager, resumed bool, evals []func(i, j int, out []float64) error) error {
-	known := cfg.KnownNull
-	if resumed {
-		known = &PooledNull{Threshold: ck.state.Threshold, Size: ck.state.NullSize}
-	}
-	null, err := estimateThreshold(ctx, cfg, n, known, nullPhase{evals: evals, timer: res.Timer})
-	if err != nil {
-		return err
-	}
-	res.Threshold, res.NullSize = null.Threshold, null.Size
-	if ck != nil {
-		ck.state.Threshold, ck.state.NullSize = null.Threshold, null.Size
-	}
-	return nil
 }
 
 // pooledNull evaluates this caller's share of the null-pair sample over

@@ -473,7 +473,7 @@ func (c *Coordinator) prepare(s *scan) error {
 		Order: s.cfg.Order, Bins: s.cfg.Bins,
 		Permutations: s.cfg.Permutations, NullSamplePairs: s.cfg.NullSamplePairs,
 		TileSize: s.cfg.TileSize, Alpha: s.cfg.Alpha, Seed: s.cfg.Seed,
-		Precision: uint8(s.cfg.Precision), Prescreen: s.cfg.Prescreen,
+		Precision:     uint8(s.cfg.Precision),
 		Bootstraps:    s.cfg.Ensemble.Bootstraps,
 		SubsampleFrac: s.cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:  s.cfg.Ensemble.Seed,
@@ -514,7 +514,6 @@ func (c *Coordinator) prepare(s *scan) error {
 				}
 				s.sums.PairsEvaluated += saved.PairEvalsPerTile[i]
 				s.sums.PermEvaluations += saved.EvalsPerTile[i] - saved.PairEvalsPerTile[i]
-				s.sums.PairsScreenedOut += saved.ScreenedPerTile[i]
 			}
 		}
 		// Corrupt or mismatched ledgers start fresh: the ledger is an
@@ -703,11 +702,9 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 	s.ledger.Done[ci] = true
 	s.ledger.EvalsPerTile[ci] = res.PairsEvaluated + res.PermEvaluations
 	s.ledger.PairEvalsPerTile[ci] = res.PairsEvaluated
-	s.ledger.ScreenedPerTile[ci] = res.PairsScreenedOut
 	s.ledger.Edges = append(s.ledger.Edges, edges...)
 	s.sums.PairsEvaluated += res.PairsEvaluated
 	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PairsScreenedOut += res.PairsScreenedOut
 	s.sums.PermutationsSkipped += res.PermutationsSkipped
 	s.sums.PermutationsCertified += res.PermutationsCertified
 	s.sums.PermCacheHits += res.PermCacheHits
@@ -727,7 +724,6 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 		cp.Edges = append([]grn.Edge(nil), s.ledger.Edges...)
 		cp.EvalsPerTile = append([]int64(nil), s.ledger.EvalsPerTile...)
 		cp.PairEvalsPerTile = append([]int64(nil), s.ledger.PairEvalsPerTile...)
-		cp.ScreenedPerTile = append([]int64(nil), s.ledger.ScreenedPerTile...)
 		ledgerCopy = &cp
 	}
 	s.mu.Unlock()
@@ -776,10 +772,8 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	s.bootThresh[ci] = res.EnsembleThresholds[0]
 	s.ledger.EvalsPerTile[ci] = res.PairsEvaluated + res.PermEvaluations
 	s.ledger.PairEvalsPerTile[ci] = res.PairsEvaluated
-	s.ledger.ScreenedPerTile[ci] = res.PairsScreenedOut
 	s.sums.PairsEvaluated += res.PairsEvaluated
 	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PairsScreenedOut += res.PairsScreenedOut
 	s.sums.PermutationsSkipped += res.PermutationsSkipped
 	s.sums.PermutationsCertified += res.PermutationsCertified
 	s.sums.PermCacheHits += res.PermCacheHits
@@ -823,7 +817,6 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 		cp.EnsembleThresholds = append([]float64(nil), s.ledger.EnsembleThresholds...)
 		cp.EvalsPerTile = append([]int64(nil), s.ledger.EvalsPerTile...)
 		cp.PairEvalsPerTile = append([]int64(nil), s.ledger.PairEvalsPerTile...)
-		cp.ScreenedPerTile = append([]int64(nil), s.ledger.ScreenedPerTile...)
 		ledgerCopy = &cp
 	}
 	s.mu.Unlock()
@@ -885,7 +878,6 @@ func (c *Coordinator) merge(s *scan) {
 		Timer:                 timer,
 		PairsEvaluated:        s.sums.PairsEvaluated,
 		PermEvaluations:       s.sums.PermEvaluations,
-		PairsScreenedOut:      s.sums.PairsScreenedOut,
 		PermutationsSkipped:   s.sums.PermutationsSkipped,
 		PermutationsCertified: s.sums.PermutationsCertified,
 		PermCacheHits:         s.sums.PermCacheHits,
@@ -941,7 +933,6 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 			Timer:                 timer,
 			PairsEvaluated:        s.sums.PairsEvaluated,
 			PermEvaluations:       s.sums.PermEvaluations,
-			PairsScreenedOut:      s.sums.PairsScreenedOut,
 			PermutationsSkipped:   s.sums.PermutationsSkipped,
 			PermutationsCertified: s.sums.PermutationsCertified,
 			PermCacheHits:         s.sums.PermCacheHits,

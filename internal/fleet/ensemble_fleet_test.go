@@ -153,7 +153,7 @@ func TestFleetEnsembleLedgerResume(t *testing.T) {
 		Order: cfg.Order, Bins: cfg.Bins,
 		Permutations: cfg.Permutations, NullSamplePairs: cfg.NullSamplePairs,
 		TileSize: cfg.TileSize, Alpha: cfg.Alpha, Seed: cfg.Seed,
-		Precision: uint8(cfg.Precision), Prescreen: cfg.Prescreen,
+		Precision:     uint8(cfg.Precision),
 		Bootstraps:    cfg.Ensemble.Bootstraps,
 		SubsampleFrac: cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:  cfg.Ensemble.Seed,

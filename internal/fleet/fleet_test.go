@@ -608,7 +608,7 @@ func TestFleetLedgerResume(t *testing.T) {
 		Order: cfg.Order, Bins: cfg.Bins,
 		Permutations: cfg.Permutations, NullSamplePairs: cfg.NullSamplePairs,
 		TileSize: cfg.TileSize, Alpha: cfg.Alpha, Seed: cfg.Seed,
-		Precision: uint8(cfg.Precision), Prescreen: cfg.Prescreen,
+		Precision: uint8(cfg.Precision),
 	}, chunks)
 	st.Threshold = part.Threshold
 	st.NullSize = part.NullSize

@@ -255,7 +255,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		Edges:                 make([][3]float64, 0, res.Network.Len()),
 		PairsEvaluated:        res.PairsEvaluated,
 		PermEvaluations:       res.PermEvaluations,
-		PairsScreenedOut:      res.PairsScreenedOut,
 		PermutationsSkipped:   res.PermutationsSkipped,
 		PermutationsCertified: res.PermutationsCertified,
 		PermCacheHits:         res.PermCacheHits,

@@ -195,14 +195,6 @@ type Workspace struct {
 	keyI     []int32
 	keyIGene int
 	blockAcc []float32
-	// Prescreening scratch: the coarse joint accumulator of whichever
-	// precision the Screener runs at, sized by Screener.EnsureScratch
-	// (only when prescreening is enabled). screenJoint32b is the second
-	// interleaved accumulator of the batched float32 scatter. All three
-	// are kept all-zero between bound calls.
-	screenJoint    []float64
-	screenJoint32  []float32
-	screenJoint32b []float32
 
 	certified int64 // see Certified
 }
@@ -271,7 +263,6 @@ func (ws *Workspace) Bytes() int {
 	}
 	b += (len(ws.counts) + len(ws.starts) + len(ws.order) + len(ws.keyI)) * 4
 	b += len(ws.blockAcc) * 4
-	b += len(ws.screenJoint)*8 + (len(ws.screenJoint32)+len(ws.screenJoint32b))*4
 	return b
 }
 

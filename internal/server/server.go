@@ -170,7 +170,7 @@ type Server struct {
 	mSubmitted, mRejected, mEvicted  *metrics.Counter
 	mPairs, mSkipped, mHits, mMisses *metrics.Counter
 	mCertified                       *metrics.Counter
-	mPermEvals, mScreened            *metrics.Counter
+	mPermEvals                       *metrics.Counter
 	mRankFailures, mRecoveryRuns     *metrics.Counter
 	mRecoveredTiles                  *metrics.Counter
 	mCkptCorrupt, mSpillRetries      *metrics.Counter
@@ -229,7 +229,6 @@ func (s *Server) init() {
 		}
 		s.mPairs = r.Counter("tinge_pairs_evaluated_total", "MI kernel evaluations including permutations.", nil)
 		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Permutation MI evaluations actually computed.", nil)
-		s.mScreened = r.Counter("tinge_pairs_screened_out_total", "Pairs skipped by the conservative prescreening bound.", nil)
 		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit.", nil)
 		s.mCertified = r.Counter("tinge_permutations_certified_total", "Permutation evaluations decided by the Jensen certificate without an entropy pass.", nil)
 		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits.", nil)
@@ -422,9 +421,6 @@ func ParseConfigValues(q url.Values) (core.Config, error) {
 	if v := q.Get("cmi"); v == "1" || v == "true" {
 		cfg.CMIFilter = true
 	}
-	if v := q.Get("prescreen"); v == "1" || v == "true" {
-		cfg.Prescreen = true
-	}
 	switch v := q.Get("engine"); v {
 	case "", "host":
 		cfg.Engine = core.Host
@@ -494,9 +490,6 @@ func ConfigParams(cfg core.Config) url.Values {
 	if cfg.Kernel != core.KernelBucketed {
 		q.Set("kernel", cfg.Kernel.String())
 	}
-	if cfg.Prescreen {
-		q.Set("prescreen", "1")
-	}
 	if cfg.DPI {
 		q.Set("dpi", "1")
 	}
@@ -535,10 +528,13 @@ func ConfigParams(cfg core.Config) url.Values {
 func JobKey(body []byte, cfg core.Config) string {
 	h := sha256.New()
 	h.Write(body)
+	// The literal false fills the slot of the retired prescreen flag, so
+	// keys (checkpoint stems, cached fleet results) computed while it
+	// existed still match.
 	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|%v|%v|%v|%v",
 		cfg.Order, cfg.Bins, cfg.Permutations, cfg.NullSamplePairs,
 		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, cfg.Kernel,
-		cfg.Precision, cfg.Prescreen, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
+		cfg.Precision, false, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
 	if cfg.ChunkTiles > 0 {
 		fmt.Fprintf(h, "|chunk %d+%d", cfg.ChunkStart, cfg.ChunkTiles)
 	}
@@ -774,7 +770,6 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 		// splits them.
 		s.mPairs.Add(float64(res.PairsEvaluated + res.PermEvaluations))
 		s.mPermEvals.Add(float64(res.PermEvaluations))
-		s.mScreened.Add(float64(res.PairsScreenedOut))
 		s.mSkipped.Add(float64(res.PermutationsSkipped))
 		s.mCertified.Add(float64(res.PermutationsCertified))
 		s.mHits.Add(float64(res.PermCacheHits))
@@ -805,8 +800,7 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 	}
 	if res != nil {
 		attrs = append(attrs, "edges", res.Network.Len(), "threshold", res.Threshold,
-			"evals", res.PairsEvaluated, "perm_evals", res.PermEvaluations,
-			"screened_out", res.PairsScreenedOut)
+			"evals", res.PairsEvaluated, "perm_evals", res.PermEvaluations)
 	}
 	s.Logger.Info("job finished", attrs...)
 }
@@ -925,7 +919,6 @@ type statusResponse struct {
 	Threshold  float64  `json:"threshold,omitempty"`
 	Evals      int64    `json:"evaluations,omitempty"`
 	PermEvals  int64    `json:"permEvaluations,omitempty"`
-	Screened   int64    `json:"pairsScreenedOut,omitempty"`
 	DPIRemoved int      `json:"dpiEdgesRemoved,omitempty"`
 	CMIRemoved int      `json:"cmiEdgesRemoved,omitempty"`
 	SimSecs    float64  `json:"simSeconds,omitempty"`
@@ -952,7 +945,6 @@ func (j *job) status() statusResponse {
 		resp.Threshold = j.result.Threshold
 		resp.Evals = j.result.PairsEvaluated
 		resp.PermEvals = j.result.PermEvaluations
-		resp.Screened = j.result.PairsScreenedOut
 		resp.DPIRemoved = j.result.DPIEdgesRemoved
 		resp.CMIRemoved = j.result.CMIEdgesRemoved
 		resp.SimSecs = j.result.SimSeconds
@@ -1085,7 +1077,6 @@ type ResultResponse struct {
 	Edges                 [][3]float64 `json:"edges"`
 	PairsEvaluated        int64        `json:"pairsEvaluated"`
 	PermEvaluations       int64        `json:"permEvaluations"`
-	PairsScreenedOut      int64        `json:"pairsScreenedOut"`
 	PermutationsSkipped   int64        `json:"permutationsSkipped"`
 	PermutationsCertified int64        `json:"permutationsCertified"`
 	PermCacheHits         int64        `json:"permCacheHits"`
@@ -1127,7 +1118,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Edges:                 make([][3]float64, 0, res.Network.Len()),
 		PairsEvaluated:        res.PairsEvaluated,
 		PermEvaluations:       res.PermEvaluations,
-		PairsScreenedOut:      res.PairsScreenedOut,
 		PermutationsSkipped:   res.PermutationsSkipped,
 		PermutationsCertified: res.PermutationsCertified,
 		PermCacheHits:         res.PermCacheHits,
