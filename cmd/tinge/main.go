@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"sync/atomic"
 
 	"repro/tinge"
@@ -312,52 +313,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tinge: ensemble: %d bootstraps (subsample %g, eseed %d), %d distinct edges, consensus %d at support >= %g\n",
 			res.Ensemble.Bootstraps(), frac, cfg.Ensemble.Seed,
 			res.Ensemble.Len(), res.Network.Len(), cut)
-		fmt.Fprintf(os.Stderr, "tinge: ensemble sharing: %d stencils reused, %d perm-cache hits\n",
-			res.EnsembleStencilsReused, res.PermCacheHits)
-	}
-	if *dpi {
-		fmt.Fprintf(os.Stderr, "tinge: dpi(tol=%g): removed %d edge(s)\n", cfg.DPITolerance, res.DPIEdgesRemoved)
-	}
-	if *cmi {
-		fmt.Fprintf(os.Stderr, "tinge: cmi(ratio=%g): removed %d edge(s)\n", cfg.CMIRatio, res.CMIEdgesRemoved)
-	}
-	if res.FilterShardLoads > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: filter adjacency: peak %d bytes (%d shard loads, %d hits, %d evictions, %d spilled)\n",
-			res.FilterShardPeakBytes, res.FilterShardLoads, res.FilterShardHits,
-			res.FilterShardEvictions, res.FilterShardBytesSpilled)
 	}
 	fmt.Fprintf(os.Stderr, "tinge: phases: %s\n", res.Timer)
-	if res.SimSeconds > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: simulated coprocessor time %.3fs (transfers %.3fs)\n",
-			res.SimSeconds, res.SimTransferSeconds)
-	}
-	if res.HybridPhiShare > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: hybrid split: %.1f%% of evaluations on the coprocessor\n",
-			100*res.HybridPhiShare)
-	}
-	if res.StorePeakBytes > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: out-of-core: peak %d bytes of %d budget (%d panel loads, %d hits, %d evictions)\n",
-			res.PeakTileBytes, cfg.MemoryBudget, res.PanelLoads, res.PanelHits, res.PanelEvictions)
-	}
-	if res.Messages > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: cluster traffic %d messages, %d bytes\n",
-			res.Messages, res.TrafficBytes)
-	}
-	if res.RankFailures > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: recovered from %d rank failure(s): %d re-run(s), %d tile(s) redistributed\n",
-			res.RankFailures, res.RecoveryRuns, res.RecoveredTiles)
-	}
-	if res.FaultDelayedMessages > 0 || res.FaultDroppedMessages > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: fault injection: %d message(s) delayed, %d dropped\n",
-			res.FaultDelayedMessages, res.FaultDroppedMessages)
-	}
-	if res.CheckpointRecoveries > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: discarded %d corrupt checkpoint(s) and started fresh\n",
-			res.CheckpointRecoveries)
-	}
-	if res.SpillReadRetries > 0 {
-		fmt.Fprintf(os.Stderr, "tinge: %d spill read(s) failed verification once and succeeded on retry\n",
-			res.SpillReadRetries)
+	for _, f := range tinge.CounterSchema() {
+		if v := f.Value(&res.Counters); v != 0 {
+			fmt.Fprintf(os.Stderr, "tinge: %s=%s %s\n", f.Key, strconv.FormatFloat(v, 'f', -1, 64), f.Unit)
+		}
 	}
 	if *truth != "" {
 		tf, err := os.Open(*truth)

@@ -86,21 +86,22 @@ type State struct {
 	Edges []grn.Edge
 	// EvalsPerTile records combined MI evaluation counts (exact pair
 	// kernels plus permutation evaluations) of completed tiles — the
-	// quantity the Phi time model replays.
+	// quantity the Phi time model replays. A resumed run reports only
+	// its own session's counts, so nothing else reads it; ensemble
+	// ledgers and fleet chunk ledgers leave it zero.
 	EvalsPerTile []int64
-	// PairEvalsPerTile records just the exact-kernel pair evaluations,
-	// so resumed runs can report the pair/permutation split exactly.
-	// Files written before the split decode nil and are normalized to
-	// zeros by Load. (Files from the prescreening era also carry a
-	// per-tile screened-pair array, which gob skips.)
+	// PairEvalsPerTile is no longer written; it stays so checkpoints
+	// that carry it still load. Files written before it existed decode
+	// nil and are normalized to zeros by Load. (Files from the
+	// prescreening era also carry a per-tile screened-pair array, which
+	// gob skips.)
 	PairEvalsPerTile []int64
 	// EnsembleEdges snapshots the bootstrap support aggregate of an
 	// ensemble run. For ensemble checkpoints the unit of work is a whole
 	// bootstrap, not a tile: Done is the per-bootstrap bitmap (length
-	// Fingerprint.Bootstraps), the per-tile arrays hold per-bootstrap
-	// totals, and this table carries the (support, weight-sum) fold of
-	// every completed bootstrap in ascending order. nil for
-	// single-network scans.
+	// Fingerprint.Bootstraps), and this table carries the (support,
+	// weight-sum) fold of every completed bootstrap in ascending order.
+	// nil for single-network scans.
 	EnsembleEdges []grn.SupportEdge
 	// EnsembleThresholds[b] is bootstrap b's pooled-null I_alpha (0
 	// until the bootstrap completes). nil for single-network scans.

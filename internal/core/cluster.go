@@ -77,11 +77,14 @@ func (r *clusterRecorder) traffic() (msgs, bytes int64) {
 // the host engine's.
 func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Result) error {
 	tiles := tile.Decompose(wm.Genes, cfg.TileSize)
-	log, err := openLog(cfg, fingerprint(wm, cfg), len(tiles), res)
+	log, err := openLog(cfg, Fingerprint(wm.Genes, wm.Samples, cfg), len(tiles), res)
 	if err != nil {
 		return err
 	}
 	rec := &clusterRecorder{}
+	// A plan's stats are cumulative across every world that used it (an
+	// ensemble's bootstraps share one); the run reports its own share.
+	fault0 := cfg.Fault.Stats()
 
 	type rankOut struct {
 		threshold              float64
@@ -229,10 +232,8 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 	}
 	res.Imbalance = tile.Imbalance(busy)
 	res.Messages, res.TrafficBytes = rec.traffic()
-	if cfg.Fault != nil {
-		st := cfg.Fault.Stats()
-		res.FaultDelayedMessages = st.Delayed
-		res.FaultDroppedMessages = st.Dropped
-	}
+	fault := cfg.Fault.Stats()
+	res.FaultDelayedMessages = fault.Delayed - fault0.Delayed
+	res.FaultDroppedMessages = fault.Dropped - fault0.Dropped
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/bspline"
 	"repro/internal/checkpoint"
 	"repro/internal/diskfault"
 	"repro/internal/grn"
@@ -140,9 +139,8 @@ func (l *commitLog) commit(ti int, edges []grn.Edge, c tileCounts) {
 	}
 	l.state.Done[ti] = true
 	// EvalsPerTile keeps the combined count, the Phi time model's
-	// quantity; the pair half rides alongside.
+	// quantity.
 	l.state.EvalsPerTile[ti] = c.pairEvals + c.permEvals
-	l.state.PairEvalsPerTile[ti] = c.pairEvals
 	l.state.Edges = append(l.state.Edges, edges...)
 	l.session.add(c)
 	l.committed++
@@ -240,15 +238,12 @@ func loadResumeState(cfg Config, fp checkpoint.Fingerprint, nTiles int, res *Res
 	return checkpoint.NewState(fp, nTiles), false, nil
 }
 
-func fingerprint(wm *bspline.WeightMatrix, cfg Config) checkpoint.Fingerprint {
-	return fingerprintDims(wm.Genes, wm.Samples, cfg)
-}
-
-// fingerprintDims is the checkpoint fingerprint from bare dimensions.
-// The out-of-core scan shares it so its checkpoints are byte-compatible
-// with the resident engines': a killed OutOfCore run can resume from a
-// Host checkpoint and vice versa.
-func fingerprintDims(genes, samples int, cfg Config) checkpoint.Fingerprint {
+// Fingerprint is the checkpoint fingerprint of a scan of a genes ×
+// samples matrix under cfg. Every engine shares it, so checkpoints are
+// byte-compatible across engines (a killed OutOfCore run can resume
+// from a Host checkpoint and vice versa), and the fleet coordinator
+// keys its chunk ledgers with it.
+func Fingerprint(genes, samples int, cfg Config) checkpoint.Fingerprint {
 	return checkpoint.Fingerprint{
 		Genes:           genes,
 		Samples:         samples,

@@ -568,109 +568,26 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Result is the outcome of a run.
+// Result is the outcome of a run: the network, its threshold and
+// timings, the ensemble aggregate of an ensemble run, and the run's
+// Counters (embedded, so res.PairsEvaluated and the rest read as
+// fields of Result).
 type Result struct {
 	// Network holds the significant (and, if enabled, DPI-pruned)
 	// edges weighted by MI in bits.
 	Network *grn.Network
-	// RawEdges is the edge count before the filter phase
-	// (== Network.Len() when DPI and the CMI filter are off).
-	RawEdges int
-	// DPIEdgesRemoved and CMIEdgesRemoved count the edges each filter
-	// pruned (0 when the respective filter is off).
-	DPIEdgesRemoved, CMIEdgesRemoved int
-	// FilterShardPeakBytes is the filter phase's resident
-	// adjacency-shard high-water mark; on a budgeted run it stays under
-	// the effective shard budget. FilterShardHits/Loads/Evictions and
-	// the spill-traffic byte counters mirror the panel-store metrics
-	// for the filter's own shard store (all 0 on unbudgeted runs except
-	// the peak and hits).
-	FilterShardPeakBytes                            int64
-	FilterShardHits, FilterShardLoads               int64
-	FilterShardEvictions                            int64
-	FilterShardBytesSpilled, FilterShardBytesLoaded int64
 	// Threshold is the pooled-null I_alpha actually used.
 	Threshold float64
-	// PairsEvaluated counts exact-kernel MI computations of observed
-	// pairs actually computed in this session (one per pair of every
-	// tile scanned); a resumed run's committed tiles are not re-counted.
-	// Permutation evaluations are counted separately in PermEvaluations.
-	PairsEvaluated int64
-	// PermEvaluations counts permuted-MI kernel evaluations actually
-	// computed during phase 4 in this session (the per-pair permutation
-	// checks; the pooled-null phase is not included).
-	PermEvaluations int64
-	// NullSize is the pooled null distribution size.
-	NullSize int
 	// Timer breaks down host wall time by phase.
 	Timer *stats.Timer
-	// SimSeconds is the Phi engine's simulated device time
-	// (compute makespan + offload), 0 for other engines.
-	SimSeconds float64
-	// SimTransferSeconds is the offload transfer part of SimSeconds.
-	SimTransferSeconds float64
-	// Messages and TrafficBytes report cluster communication (0
-	// elsewhere).
-	Messages, TrafficBytes int64
-	// HybridPhiShare is the fraction of MI evaluations the Hybrid
-	// engine's split assigned to the coprocessor (0 elsewhere).
-	HybridPhiShare float64
-	// Imbalance is max/mean per-worker busy time for phase 4.
-	Imbalance float64
-	// PermCacheHits and PermCacheMisses count lookups of the worker
-	// permuted-row caches during phase 4 (0 for the vectorized kernel,
-	// which does not use the cache). A miss
-	// materializes a gene's q permuted offset+weight rows; a hit reuses
-	// them — the tile-level amortization at work.
-	PermCacheHits, PermCacheMisses int64
-	// PermutationsSkipped counts permutation evaluations avoided by the
-	// early exit during phase 4 in this session (summed over pairs that
-	// entered the permutation test).
-	PermutationsSkipped int64
-	// PermutationsCertified counts the phase-4 permutation evaluations
-	// (a subset of PermEvaluations) the Jensen certificate decided
-	// without an entropy pass. Like PermutationsSkipped it covers this
-	// session only: a resumed run's committed tiles are not re-counted.
-	PermutationsCertified int64
-	// PeakTileBytes is the largest per-worker tile working set of
-	// phase 4: workspace scratch plus the permuted-row cache arena. It
-	// is the number the per-tile memory budget must bound — the quantity
-	// the float32 path exists to shrink.
-	PeakTileBytes int64
-	// PanelHits and PanelLoads count pins of spill-store panels during
-	// the out-of-core scan that were served resident vs. re-read from
-	// disk; PanelEvictions counts panels dropped to stay under budget
-	// (all 0 for resident engines). A resumed run whose tiles are all
-	// committed performs no pins at all — committed work is never
-	// re-read from the store.
-	PanelHits, PanelLoads, PanelEvictions int64
-	// PanelBytesSpilled and PanelBytesLoaded are the out-of-core scan's
-	// cumulative spill-file traffic.
-	PanelBytesSpilled, PanelBytesLoaded int64
-	// StorePeakBytes is the resident-panel high-water mark of the
-	// out-of-core store (one component of PeakTileBytes).
-	StorePeakBytes int64
-	// RankFailures counts rank failures the cluster engine observed
-	// (recovered or not) during the run; 0 elsewhere.
-	RankFailures int
-	// RecoveryRuns counts world re-runs the cluster engine performed
-	// after excluding failed ranks.
-	RecoveryRuns int
-	// RecoveredTiles counts pending tiles redistributed to surviving
-	// ranks across recovery re-runs — the re-scan cost of the failures
-	// (committed tiles are never recomputed).
-	RecoveredTiles int
-	// FaultDelayedMessages and FaultDroppedMessages report what an
-	// injected Config.Fault plan actually did to the message stream.
-	FaultDelayedMessages, FaultDroppedMessages int64
+	Counters
 	// Ensemble is the bootstrap support aggregate of an ensemble run
 	// (nil otherwise). On a full-range run Network holds the consensus
 	// at Config.Ensemble.SupportCutoff; on a partial (Start/Count) run
 	// Network is empty and the per-bootstrap networks ride in
-	// EnsembleNetworks. RawEdges sums the per-bootstrap pre-filter edge
-	// counts; DPI/CMI removal counts likewise accumulate across
-	// bootstraps (filters run per bootstrap, before folding — the
-	// consensus itself is never filtered).
+	// EnsembleNetworks. Filters run per bootstrap, before folding (the
+	// consensus itself is never filtered), so the filter counters fold
+	// across bootstraps.
 	Ensemble *grn.Ensemble
 	// EnsembleNetworks holds the filtered per-bootstrap networks of a
 	// partial ensemble run, aligned with [Start, Start+Count) — the
@@ -682,26 +599,6 @@ type Result struct {
 	// full-range runs carry all Bootstraps entries (resumed ones from
 	// the checkpoint), partial runs the Count entries of their range.
 	EnsembleThresholds []float64
-	// EnsembleBootstrapsRun counts bootstraps inferred in this session
-	// (excluding any restored from a checkpoint).
-	EnsembleBootstrapsRun int
-	// EnsembleStencilsReused counts (gene, sample) B-spline stencils
-	// served from the shared full-set precompute via the column-gather
-	// view instead of being recomputed — n·mSub per resident bootstrap
-	// (0 for the out-of-core path, which recomputes per tile by
-	// design). The amortization regression test pins its growth.
-	EnsembleStencilsReused int64
-	// CheckpointRecoveries counts checkpoint loads that failed integrity
-	// checks on every copy (primary and ".prev" rotation) and were
-	// handled by starting the scan fresh instead of failing the run. A
-	// fallback to a valid ".prev" is silent and not counted — no work
-	// beyond one save interval is lost there.
-	CheckpointRecoveries int64
-	// SpillReadRetries counts spill-file reads (panel store and
-	// adjacency shards) that failed integrity or I/O checks once and
-	// were re-read; loads that fail twice abort the run with a typed
-	// corruption error instead of computing on bad bytes.
-	SpillReadRetries int64
 }
 
 // Infer runs the pipeline on the expression matrix (rows = genes,

@@ -35,9 +35,9 @@ func rebindKit(kit []*tileScanner, wm *bspline.WeightMatrix) {
 }
 
 // ensembleLedger is the bootstrap-granularity checkpoint of an
-// ensemble run: Done is the per-bootstrap bitmap, the per-tile counter
-// arrays hold per-bootstrap totals, and the state snapshots the
-// running support aggregate after every completed bootstrap. Because
+// ensemble run: Done is the per-bootstrap bitmap, and the state
+// snapshots the per-bootstrap thresholds and the running support
+// aggregate after every completed bootstrap. Because
 // bootstraps complete strictly in ascending order, the snapshot's
 // weight sums are exact — a resumed run folds the remaining bootstraps
 // onto it and lands bit-identical to an uninterrupted run.
@@ -52,7 +52,7 @@ type ensembleLedger struct {
 // loadResumeState: an unreadable checkpoint restarts the ensemble.
 func loadEnsembleLedger(cfg Config, genes, samples int, res *Result) (*ensembleLedger, int, error) {
 	B := cfg.Ensemble.Bootstraps
-	state, resumed, err := loadResumeState(cfg, fingerprintDims(genes, samples, cfg), B, res)
+	state, resumed, err := loadResumeState(cfg, Fingerprint(genes, samples, cfg), B, res)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -72,13 +72,10 @@ func loadEnsembleLedger(cfg Config, genes, samples int, res *Result) (*ensembleL
 }
 
 // restore folds the ledger's completed-bootstrap snapshot into the
-// aggregate and the run counters. next is the first pending bootstrap.
+// aggregate and the thresholds. next is the first pending bootstrap.
+// Like every resumed scan, the run counts only this session's work.
 func (l *ensembleLedger) restore(res *Result, ens *grn.Ensemble, next int) {
 	ens.Restore(l.state.EnsembleEdges, next)
-	for b := 0; b < next; b++ {
-		res.PairsEvaluated += l.state.PairEvalsPerTile[b]
-		res.PermEvaluations += l.state.EvalsPerTile[b] - l.state.PairEvalsPerTile[b]
-	}
 	copy(res.EnsembleThresholds, l.state.EnsembleThresholds[:next])
 	if next > 0 {
 		res.Threshold = l.state.EnsembleThresholds[next-1]
@@ -91,54 +88,9 @@ func (l *ensembleLedger) restore(res *Result, ens *grn.Ensemble, next int) {
 func (l *ensembleLedger) bootstrapDone(b int, bres *Result, ens *grn.Ensemble) error {
 	s := l.state
 	s.Done[b] = true
-	s.EvalsPerTile[b] = bres.PairsEvaluated + bres.PermEvaluations
-	s.PairEvalsPerTile[b] = bres.PairsEvaluated
 	s.EnsembleThresholds[b] = bres.Threshold
 	s.EnsembleEdges = ens.Edges()
 	return checkpoint.SaveFileFS(l.fsys, l.path, s)
-}
-
-// foldBootstrapResult accumulates one bootstrap's counters into the
-// run result. Monotone work counters sum; ratios and per-scan gauges
-// keep the latest bootstrap's value; peaks take the maximum. The fault
-// injection counters are plan-cumulative (the same plan observes every
-// bootstrap), so the latest sample already covers the whole run.
-func foldBootstrapResult(res, bres *Result) {
-	res.RawEdges += bres.RawEdges
-	res.DPIEdgesRemoved += bres.DPIEdgesRemoved
-	res.CMIEdgesRemoved += bres.CMIEdgesRemoved
-	res.Threshold = bres.Threshold
-	res.NullSize = bres.NullSize
-	res.PairsEvaluated += bres.PairsEvaluated
-	res.PermEvaluations += bres.PermEvaluations
-	res.PermutationsSkipped += bres.PermutationsSkipped
-	res.PermutationsCertified += bres.PermutationsCertified
-	res.PermCacheHits += bres.PermCacheHits
-	res.PermCacheMisses += bres.PermCacheMisses
-	res.SimSeconds += bres.SimSeconds
-	res.SimTransferSeconds += bres.SimTransferSeconds
-	res.Messages += bres.Messages
-	res.TrafficBytes += bres.TrafficBytes
-	res.HybridPhiShare = bres.HybridPhiShare
-	res.Imbalance = bres.Imbalance
-	if bres.PeakTileBytes > res.PeakTileBytes {
-		res.PeakTileBytes = bres.PeakTileBytes
-	}
-	res.RankFailures += bres.RankFailures
-	res.RecoveryRuns += bres.RecoveryRuns
-	res.RecoveredTiles += bres.RecoveredTiles
-	res.FaultDelayedMessages = bres.FaultDelayedMessages
-	res.FaultDroppedMessages = bres.FaultDroppedMessages
-	res.CheckpointRecoveries += bres.CheckpointRecoveries
-	res.SpillReadRetries += bres.SpillReadRetries
-	res.FilterShardHits += bres.FilterShardHits
-	res.FilterShardLoads += bres.FilterShardLoads
-	res.FilterShardEvictions += bres.FilterShardEvictions
-	res.FilterShardBytesSpilled += bres.FilterShardBytesSpilled
-	res.FilterShardBytesLoaded += bres.FilterShardBytesLoaded
-	if bres.FilterShardPeakBytes > res.FilterShardPeakBytes {
-		res.FilterShardPeakBytes = bres.FilterShardPeakBytes
-	}
 }
 
 // finishEnsemble publishes the aggregate: a full-range run derives the
@@ -204,11 +156,12 @@ func ensembleRange(cfg Config, res *Result) (lo, hi int, partial bool) {
 
 // recordBootstrap does the per-bootstrap bookkeeping shared by the
 // resident and out-of-core drivers: fold the filtered network into the
-// aggregate, accumulate counters, record the threshold (and, on
-// partial runs, the network itself — the fleet wire payload).
+// aggregate and the counters into the run's, record the threshold
+// (and, on partial runs, the network itself — the fleet wire payload).
 func recordBootstrap(res, bres *Result, ens *grn.Ensemble, b int, partial bool) {
 	ens.Fold(bres.Network)
-	foldBootstrapResult(res, bres)
+	res.Counters.Fold(&bres.Counters)
+	res.Threshold = bres.Threshold
 	if partial {
 		res.EnsembleThresholds = append(res.EnsembleThresholds, bres.Threshold)
 		res.EnsembleNetworks = append(res.EnsembleNetworks, bres.Network)
@@ -235,9 +188,10 @@ func wrapEnsembleProgress(outer func(done, total int), sessionDone, runTotal int
 // shared across bootstraps: norm and full are the full-set rank
 // normalization and stencil precompute, each bootstrap gathers a
 // column view of full (never recomputing a stencil), and the host-pool
-// engines additionally share one set of scanners. The cluster engine rebuilds
-// per-rank kernels inside each world — its status quo for a single
-// scan — but still shares the normalization, precompute, and view.
+// engines (host, phi, hybrid) additionally share one set of scanners.
+// The cluster engine builds per-rank kernels inside each world — its
+// status quo for a single scan — so it gets no shared scanners, but
+// still shares the normalization, precompute, and view.
 func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.WeightMatrix, basis *bspline.Basis, cfg Config, res *Result) error {
 	n, m := full.Genes, full.Samples
 	ec := cfg.Ensemble
@@ -270,9 +224,11 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 		res.Timer.Time("view", func() {
 			view.FillView(full, idx)
 		})
-		if kit == nil {
+		switch {
+		case cfg.Engine == Cluster:
+		case kit == nil:
 			kit = newScanKit(view, cfg)
-		} else {
+		default:
 			rebindKit(kit, view)
 		}
 		res.EnsembleStencilsReused += int64(n) * int64(mSub)

@@ -34,8 +34,9 @@ func ensembleBaseCfg() Config {
 
 // identicalEnsembles asserts bit-identity of two ensemble results:
 // per-bootstrap thresholds, the support matrix (counts AND float64
-// weight sums), the consensus network, and the full-history evaluation
-// counts.
+// weight sums), the consensus network, and the evaluation counts. A
+// resumed run counts only its own session, so TestEnsembleResume passes
+// a want whose counts are those of the pending bootstraps.
 func identicalEnsembles(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.Ensemble == nil || b.Ensemble == nil {
@@ -206,11 +207,25 @@ func TestEnsembleResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v resume: %v", eng, err)
 		}
-		if res.EnsembleBootstrapsRun >= base.Ensemble.Bootstraps || res.EnsembleBootstrapsRun < 1 {
+		ran := res.EnsembleBootstrapsRun
+		if ran >= base.Ensemble.Bootstraps || ran < 1 {
 			t.Fatalf("%v resume ran %d of %d bootstraps (checkpoint ignored?)",
-				eng, res.EnsembleBootstrapsRun, base.Ensemble.Bootstraps)
+				eng, ran, base.Ensemble.Bootstraps)
 		}
-		identicalEnsembles(t, eng.String()+"/resume", res, want)
+		// The resumed session did exactly the pending bootstraps' work:
+		// a Start/Count run over them counts the same evaluations.
+		pendingCfg := base
+		pendingCfg.Ensemble.Start, pendingCfg.Ensemble.Count = base.Ensemble.Bootstraps-ran, ran
+		pending, err := Infer(d.Expr, pendingCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session := *want
+		session.PairsEvaluated, session.PermEvaluations = pending.PairsEvaluated, pending.PermEvaluations
+		if session.PairsEvaluated >= want.PairsEvaluated {
+			t.Fatalf("%v: pending bootstraps evaluated %d pairs, the whole run %d", eng, session.PairsEvaluated, want.PairsEvaluated)
+		}
+		identicalEnsembles(t, eng.String()+"/resume", res, &session)
 	}
 }
 

@@ -211,7 +211,7 @@ func hostScan(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Re
 		kit = newScanKit(wm, cfg)
 	}
 	tiles := tile.Decompose(wm.Genes, cfg.TileSize)
-	log, err := openLog(cfg, fingerprint(wm, cfg), len(tiles), res)
+	log, err := openLog(cfg, Fingerprint(wm.Genes, wm.Samples, cfg), len(tiles), res)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -304,7 +304,7 @@ func reportStore(res *Result, store *panelstore.Store, scratch, ingestPeak int64
 // permuted MI is bit-identical to the resident computation, so the
 // threshold matches the resident engines exactly.
 func oocScanPass(ctx context.Context, store *panelstore.Store, cfg Config, res *Result, workers []*oocWorker, tiles []tile.Tile) error {
-	log, err := openLog(cfg, fingerprintDims(store.Rows(), store.Cols(), cfg), len(tiles), res)
+	log, err := openLog(cfg, Fingerprint(store.Rows(), store.Cols(), cfg), len(tiles), res)
 	if err != nil {
 		return err
 	}

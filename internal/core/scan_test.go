@@ -62,7 +62,7 @@ func TestPoolScanStopsAtFirstTileError(t *testing.T) {
 	wm := precomputeWeights(t, cfg, norm)
 	tiles := tile.Decompose(wm.Genes, cfg.TileSize)
 	res := &Result{Timer: stats.NewTimer()}
-	log, err := openLog(cfg, fingerprint(wm, cfg), len(tiles), res)
+	log, err := openLog(cfg, Fingerprint(wm.Genes, wm.Samples, cfg), len(tiles), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPrescreenEraCheckpointsResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if err := st.Validate(fingerprintDims(32, 40, cfg), len(tiles)); err != nil {
+		if err := st.Validate(Fingerprint(32, 40, cfg), len(tiles)); err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
 		if done := len(tiles) - st.Remaining(); done != tc.done {

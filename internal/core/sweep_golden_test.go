@@ -125,7 +125,8 @@ func referenceScan(t *testing.T, exprMat *mat.Dense, cfg Config) *Result {
 	k := referenceKernel(t, exprMat, &cfg)
 	ws := k.newWorkspace()
 	n := exprMat.Rows()
-	res := &Result{Threshold: null.Threshold, NullSize: null.Size, Network: grn.New(n)}
+	res := &Result{Threshold: null.Threshold, Network: grn.New(n)}
+	res.NullSize = null.Size
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			obs := k.miObserved(i, j, ws)

@@ -156,9 +156,9 @@ type scan struct {
 	bootThresh []float64
 	bootDone   []bool
 	folded     int
-	attempts   []int       // per-chunk attempt counts
-	lastWorker []int       // per-chunk index of the last worker tried (-1 none)
-	sums       core.Result // counter accumulator across chunks
+	attempts   []int         // per-chunk attempt counts
+	lastWorker []int         // per-chunk index of the last worker tried (-1 none)
+	sums       core.Counters // this session's chunks' counters, folded
 	watchers   int
 	created    time.Time
 	started    time.Time
@@ -468,16 +468,7 @@ func (c *Coordinator) prepare(s *scan) error {
 	// pending-tile recovery log the cluster engine uses, so a dead
 	// worker's chunks (or a restarted coordinator's) are reassigned,
 	// never lost. Ensemble scans use one slot per bootstrap.
-	fp := checkpoint.Fingerprint{
-		Genes: s.n, Samples: data.Expr.Cols(),
-		Order: s.cfg.Order, Bins: s.cfg.Bins,
-		Permutations: s.cfg.Permutations, NullSamplePairs: s.cfg.NullSamplePairs,
-		TileSize: s.cfg.TileSize, Alpha: s.cfg.Alpha, Seed: s.cfg.Seed,
-		Precision:     uint8(s.cfg.Precision),
-		Bootstraps:    s.cfg.Ensemble.Bootstraps,
-		SubsampleFrac: s.cfg.Ensemble.SubsampleFrac,
-		EnsembleSeed:  s.cfg.Ensemble.Seed,
-	}
+	fp := core.Fingerprint(s.n, data.Expr.Cols(), s.cfg)
 	ledger = checkpoint.NewState(fp, len(chunks))
 	if s.cfg.Ensemble.Enabled() {
 		ledger.EnsembleThresholds = make([]float64, len(chunks))
@@ -503,18 +494,9 @@ func (c *Coordinator) prepare(s *scan) error {
 					s.bootThresh[i] = saved.EnsembleThresholds[i]
 				}
 			}
+			// Like every resumed scan, the merged result counts only the
+			// chunks this session ran.
 			resumed = len(chunks) - saved.Remaining()
-			// Fold the resumed chunks' evaluation counters into the merge
-			// sums — they were committed by a previous coordinator life.
-			// (Cache-level counters like PermCacheHits are not in the
-			// ledger; a resumed scan underreports those.)
-			for i, done := range saved.Done {
-				if !done {
-					continue
-				}
-				s.sums.PairsEvaluated += saved.PairEvalsPerTile[i]
-				s.sums.PermEvaluations += saved.EvalsPerTile[i] - saved.PairEvalsPerTile[i]
-			}
 		}
 		// Corrupt or mismatched ledgers start fresh: the ledger is an
 		// optimization, never worth failing a scan over.
@@ -700,17 +682,8 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 			ci, res.Threshold, s.ledger.Threshold)
 	}
 	s.ledger.Done[ci] = true
-	s.ledger.EvalsPerTile[ci] = res.PairsEvaluated + res.PermEvaluations
-	s.ledger.PairEvalsPerTile[ci] = res.PairsEvaluated
 	s.ledger.Edges = append(s.ledger.Edges, edges...)
-	s.sums.PairsEvaluated += res.PairsEvaluated
-	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PermutationsSkipped += res.PermutationsSkipped
-	s.sums.PermutationsCertified += res.PermutationsCertified
-	s.sums.PermCacheHits += res.PermCacheHits
-	s.sums.PermCacheMisses += res.PermCacheMisses
-	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
-	s.sums.SpillReadRetries += res.SpillReadRetries
+	s.sums.Fold(&res.Counters)
 	done := len(s.chunks) - s.ledger.Remaining()
 	if p := progressOf(done, len(s.chunks)); p > s.progress {
 		s.progress = p
@@ -722,8 +695,6 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 		cp := *s.ledger
 		cp.Done = append([]bool(nil), s.ledger.Done...)
 		cp.Edges = append([]grn.Edge(nil), s.ledger.Edges...)
-		cp.EvalsPerTile = append([]int64(nil), s.ledger.EvalsPerTile...)
-		cp.PairEvalsPerTile = append([]int64(nil), s.ledger.PairEvalsPerTile...)
 		ledgerCopy = &cp
 	}
 	s.mu.Unlock()
@@ -770,16 +741,7 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	s.bootDone[ci] = true
 	s.bootEdges[ci] = edges
 	s.bootThresh[ci] = res.EnsembleThresholds[0]
-	s.ledger.EvalsPerTile[ci] = res.PairsEvaluated + res.PermEvaluations
-	s.ledger.PairEvalsPerTile[ci] = res.PairsEvaluated
-	s.sums.PairsEvaluated += res.PairsEvaluated
-	s.sums.PermEvaluations += res.PermEvaluations
-	s.sums.PermutationsSkipped += res.PermutationsSkipped
-	s.sums.PermutationsCertified += res.PermutationsCertified
-	s.sums.PermCacheHits += res.PermCacheHits
-	s.sums.PermCacheMisses += res.PermCacheMisses
-	s.sums.CheckpointRecoveries += res.CheckpointRecoveries
-	s.sums.SpillReadRetries += res.SpillReadRetries
+	s.sums.Fold(&res.Counters)
 	// Advance the fold prefix: bootstraps must enter the aggregate in
 	// ascending order (WeightSum is order-sensitive), so results that
 	// arrived early wait in bootEdges until their turn.
@@ -815,8 +777,6 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 		cp.Done = append([]bool(nil), s.ledger.Done...)
 		cp.EnsembleEdges = append([]grn.SupportEdge(nil), s.ledger.EnsembleEdges...)
 		cp.EnsembleThresholds = append([]float64(nil), s.ledger.EnsembleThresholds...)
-		cp.EvalsPerTile = append([]int64(nil), s.ledger.EvalsPerTile...)
-		cp.PairEvalsPerTile = append([]int64(nil), s.ledger.PairEvalsPerTile...)
 		ledgerCopy = &cp
 	}
 	s.mu.Unlock()
@@ -845,8 +805,8 @@ func progressOf(done, total int) float64 {
 // merge assembles the completed chunks into the Result a
 // single-process scan would return: union the edge sets (chunks
 // partition the pair triangle, so no duplicates), adopt the shared
-// threshold, sum the counters, then run the phase-5 filters exactly
-// once over the merged network.
+// threshold and the folded counters, then run the phase-5 filters
+// exactly once over the merged network.
 func (c *Coordinator) merge(s *scan) {
 	if s.cfg.Ensemble.Enabled() {
 		c.mergeEnsemble(s)
@@ -871,20 +831,9 @@ func (c *Coordinator) merge(s *scan) {
 		c.finishScan(s, StateFailed, buildErr.Error())
 		return
 	}
-	res := &core.Result{
-		Network:               net,
-		Threshold:             s.ledger.Threshold,
-		NullSize:              s.ledger.NullSize,
-		Timer:                 timer,
-		PairsEvaluated:        s.sums.PairsEvaluated,
-		PermEvaluations:       s.sums.PermEvaluations,
-		PermutationsSkipped:   s.sums.PermutationsSkipped,
-		PermutationsCertified: s.sums.PermutationsCertified,
-		PermCacheHits:         s.sums.PermCacheHits,
-		PermCacheMisses:       s.sums.PermCacheMisses,
-		CheckpointRecoveries:  s.sums.CheckpointRecoveries,
-		SpillReadRetries:      s.sums.SpillReadRetries,
-	}
+	res := &core.Result{Network: net, Threshold: s.ledger.Threshold, Timer: timer, Counters: s.sums}
+	// The ledger holds the null of a scan resumed with no chunk left to run.
+	res.NullSize = s.ledger.NullSize
 	var rows grn.RowFunc
 	if s.cfg.CMIFilter {
 		rows = core.ResidentRows(s.norm)
@@ -925,20 +874,12 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 			return
 		}
 		res = &core.Result{
-			Network:               s.ens.Consensus(s.cfg.Ensemble.SupportCutoff),
-			Ensemble:              s.ens,
-			EnsembleThresholds:    append([]float64(nil), s.bootThresh...),
-			EnsembleBootstrapsRun: len(s.chunks) - s.resumed,
-			Threshold:             s.bootThresh[len(s.bootThresh)-1],
-			Timer:                 timer,
-			PairsEvaluated:        s.sums.PairsEvaluated,
-			PermEvaluations:       s.sums.PermEvaluations,
-			PermutationsSkipped:   s.sums.PermutationsSkipped,
-			PermutationsCertified: s.sums.PermutationsCertified,
-			PermCacheHits:         s.sums.PermCacheHits,
-			PermCacheMisses:       s.sums.PermCacheMisses,
-			CheckpointRecoveries:  s.sums.CheckpointRecoveries,
-			SpillReadRetries:      s.sums.SpillReadRetries,
+			Network:            s.ens.Consensus(s.cfg.Ensemble.SupportCutoff),
+			Ensemble:           s.ens,
+			EnsembleThresholds: append([]float64(nil), s.bootThresh...),
+			Threshold:          s.bootThresh[len(s.bootThresh)-1],
+			Timer:              timer,
+			Counters:           s.sums,
 		}
 	})
 	if buildErr != nil {

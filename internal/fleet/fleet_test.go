@@ -101,7 +101,8 @@ func reference(t testing.TB, body []byte, cfg core.Config) *core.Result {
 }
 
 // assertBitIdentical fails unless got reproduces want exactly: same
-// threshold bits, same edge set, same weight bits.
+// threshold bits, same edge set, same weight bits, and the same pair
+// and permutation evaluation counts.
 func assertBitIdentical(t testing.TB, got, want *core.Result) {
 	t.Helper()
 	if got.Threshold != want.Threshold {
@@ -124,6 +125,9 @@ func assertBitIdentical(t testing.TB, got, want *core.Result) {
 	}
 	if got.PairsEvaluated != want.PairsEvaluated {
 		t.Fatalf("pairs evaluated %d != single-process %d", got.PairsEvaluated, want.PairsEvaluated)
+	}
+	if got.PermEvaluations != want.PermEvaluations {
+		t.Fatalf("perm evaluations %d != single-process %d", got.PermEvaluations, want.PermEvaluations)
 	}
 }
 
@@ -603,19 +607,11 @@ func TestFleetLedgerResume(t *testing.T) {
 	chunkCfg.ChunkTiles = plan[0].TileCount
 	part := reference(t, body, chunkCfg)
 
-	st := checkpoint.NewState(checkpoint.Fingerprint{
-		Genes: 24, Samples: 16,
-		Order: cfg.Order, Bins: cfg.Bins,
-		Permutations: cfg.Permutations, NullSamplePairs: cfg.NullSamplePairs,
-		TileSize: cfg.TileSize, Alpha: cfg.Alpha, Seed: cfg.Seed,
-		Precision: uint8(cfg.Precision),
-	}, chunks)
+	st := checkpoint.NewState(core.Fingerprint(24, 16, cfg), chunks)
 	st.Threshold = part.Threshold
 	st.NullSize = part.NullSize
 	st.Done[0] = true
 	st.Edges = append(st.Edges, part.Network.Edges()...)
-	st.EvalsPerTile[0] = part.PairsEvaluated + part.PermEvaluations
-	st.PairEvalsPerTile[0] = part.PairsEvaluated
 	ledger := dir + "/" + key + ".fleet.ckpt"
 	if err := checkpoint.SaveFile(ledger, st); err != nil {
 		t.Fatal(err)
@@ -632,7 +628,11 @@ func TestFleetLedgerResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, got, want)
+	// The resumed scan counts only the chunks this session ran.
+	session := *want
+	session.PairsEvaluated -= part.PairsEvaluated
+	session.PermEvaluations -= part.PermEvaluations
+	assertBitIdentical(t, got, &session)
 	if v := c.mDispatched.Value(); v != chunks-1 {
 		t.Fatalf("dispatched %v chunks, want %d (chunk 0 resumed from ledger)", v, chunks-1)
 	}

@@ -49,14 +49,12 @@ import (
 	"net/url"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/grn"
 	"repro/internal/metrics"
 )
 
@@ -167,20 +165,16 @@ type Server struct {
 	now func() time.Time
 
 	// Pre-registered instruments (hot-path safe: no registry lookups).
-	mSubmitted, mRejected, mEvicted  *metrics.Counter
-	mPairs, mSkipped, mHits, mMisses *metrics.Counter
-	mCertified                       *metrics.Counter
-	mPermEvals                       *metrics.Counter
-	mRankFailures, mRecoveryRuns     *metrics.Counter
-	mRecoveredTiles                  *metrics.Counter
-	mCkptCorrupt, mSpillRetries      *metrics.Counter
-	mFaultDelayed, mFaultDropped     *metrics.Counter
-	mDPIRemoved, mCMIRemoved         *metrics.Counter
-	mEnsBootstraps, mEnsStencils     *metrics.Counter
-	mEnsSupportEdges                 *metrics.Counter
-	mThresholdsReused                *metrics.Counter
-	mTerminal                        map[JobState]*metrics.Counter
-	hJobSeconds                      *metrics.Histogram
+	mSubmitted, mRejected, mEvicted *metrics.Counter
+	// mCounters holds one counter per core.CounterSchema row, aligned
+	// with the schema; rows without a metric name (max and last rules)
+	// stay nil.
+	mCounters         []*metrics.Counter
+	mPairs            *metrics.Counter
+	mEnsSupportEdges  *metrics.Counter
+	mThresholdsReused *metrics.Counter
+	mTerminal         map[JobState]*metrics.Counter
+	hJobSeconds       *metrics.Histogram
 }
 
 // New returns a server with default limits.
@@ -227,23 +221,16 @@ func (s *Server) init() {
 			s.mTerminal[st] = r.Counter("tinge_jobs_finished_total",
 				"Jobs reaching a terminal state.", metrics.Labels{"state": string(st)})
 		}
+		for _, f := range core.CounterSchema() {
+			var c *metrics.Counter
+			if f.Metric != "" {
+				c = r.Counter(f.Metric, f.Help, nil)
+			}
+			s.mCounters = append(s.mCounters, c)
+		}
+		// tinge_pairs_evaluated_total predates the split of observed-pair
+		// and permutation evaluations and keeps counting both.
 		s.mPairs = r.Counter("tinge_pairs_evaluated_total", "MI kernel evaluations including permutations.", nil)
-		s.mPermEvals = r.Counter("tinge_perm_evaluations_total", "Permutation MI evaluations actually computed.", nil)
-		s.mSkipped = r.Counter("tinge_permutations_skipped_total", "Permutation evaluations avoided by early exit.", nil)
-		s.mCertified = r.Counter("tinge_permutations_certified_total", "Permutation evaluations decided by the Jensen certificate without an entropy pass.", nil)
-		s.mHits = r.Counter("tinge_permcache_hits_total", "Permuted-row cache hits.", nil)
-		s.mMisses = r.Counter("tinge_permcache_misses_total", "Permuted-row cache misses.", nil)
-		s.mRankFailures = r.Counter("tinge_rank_failures_total", "Cluster ranks lost to faults across jobs.", nil)
-		s.mRecoveryRuns = r.Counter("tinge_recovery_runs_total", "Cluster recovery re-runs after a rank failure.", nil)
-		s.mRecoveredTiles = r.Counter("tinge_recovered_tiles_total", "Pair tiles redistributed to surviving ranks.", nil)
-		s.mCkptCorrupt = r.Counter("tinge_checkpoint_corrupt_total", "Corrupt checkpoints handled by starting the job fresh.", nil)
-		s.mSpillRetries = r.Counter("tinge_spill_read_retries_total", "Spill reads that failed verification once and succeeded on retry.", nil)
-		s.mFaultDelayed = r.Counter("tinge_fault_delayed_messages_total", "Messages delayed by fault injection.", nil)
-		s.mFaultDropped = r.Counter("tinge_fault_dropped_messages_total", "Messages dropped by fault injection.", nil)
-		s.mDPIRemoved = r.Counter("tinge_dpi_edges_removed_total", "Edges pruned by the DPI filter.", nil)
-		s.mCMIRemoved = r.Counter("tinge_cmi_edges_removed_total", "Edges pruned by the CMI successor filter.", nil)
-		s.mEnsBootstraps = r.Counter("tinge_ensemble_bootstraps_total", "Bootstrap networks inferred by ensemble jobs.", nil)
-		s.mEnsStencils = r.Counter("tinge_ensemble_stencils_reused_total", "B-spline stencils reused from the shared precompute instead of recomputed.", nil)
 		s.mEnsSupportEdges = r.Counter("tinge_ensemble_support_edges_total", "Support-matrix cells produced by completed ensemble jobs.", nil)
 		s.mThresholdsReused = r.Counter("tinge_thresholds_reused_total", "Jobs that took their pooled-null threshold from a finished job of the same scan instead of computing it.", nil)
 		s.hJobSeconds = r.Histogram("tinge_job_seconds", "Job wall time from start to terminal state.",
@@ -278,54 +265,21 @@ func (s *Server) countState(st JobState) int {
 // Handler returns the routed http.Handler.
 func (s *Server) Handler() http.Handler {
 	s.init()
+	in := Instrument(s.Metrics, s.Logger, "tinge_http_requests_total", "HTTP requests by route and status.")
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /healthz", in("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	}))
-	mux.HandleFunc("POST /jobs", s.instrument("/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /jobs", s.instrument("/jobs", s.handleList))
-	mux.HandleFunc("GET /jobs/{id}", s.instrument("/jobs/{id}", s.handleStatus))
-	mux.HandleFunc("GET /jobs/{id}/network", s.instrument("/jobs/{id}/network", s.handleNetwork))
-	mux.HandleFunc("GET /jobs/{id}/result", s.instrument("/jobs/{id}/result", s.handleResult))
-	mux.HandleFunc("GET /jobs/{id}/support", s.instrument("/jobs/{id}/support", s.handleSupport))
-	mux.HandleFunc("GET /jobs/{id}/events", s.instrument("/jobs/{id}/events", s.handleEvents))
-	mux.HandleFunc("DELETE /jobs/{id}", s.instrument("/jobs/{id}", s.handleCancel))
+	mux.HandleFunc("POST /jobs", in("/jobs", s.handleSubmit))
+	mux.HandleFunc("GET /jobs", in("/jobs", s.handleList))
+	mux.HandleFunc("GET /jobs/{id}", in("/jobs/{id}", s.handleStatus))
+	mux.HandleFunc("GET /jobs/{id}/network", in("/jobs/{id}/network", s.handleNetwork))
+	mux.HandleFunc("GET /jobs/{id}/result", in("/jobs/{id}/result", s.handleResult))
+	mux.HandleFunc("GET /jobs/{id}/support", in("/jobs/{id}/support", s.handleSupport))
+	mux.HandleFunc("GET /jobs/{id}/events", in("/jobs/{id}/events", s.handleEvents))
+	mux.HandleFunc("DELETE /jobs/{id}", in("/jobs/{id}", s.handleCancel))
 	mux.Handle("GET /metrics", s.Metrics.Handler())
 	return mux
-}
-
-// statusWriter captures the response code for logs and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying Flusher so SSE streaming works
-// through the instrumentation wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with structured request logging and a
-// per-route/status request counter.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.Metrics.Counter("tinge_http_requests_total", "HTTP requests by route and status.",
-			metrics.Labels{"route": route, "code": strconv.Itoa(sw.code)}).Inc()
-		s.Logger.Info("request",
-			"method", r.Method, "route", route, "path", r.URL.Path,
-			"status", sw.code, "dur_ms", float64(time.Since(start).Microseconds())/1000)
-	}
 }
 
 // ParseConfig builds a core.Config from a request's query parameters.
@@ -765,26 +719,12 @@ func (s *Server) finish(j *job, st JobState, errMsg string, res *core.Result) {
 	s.mTerminal[st].Inc()
 	s.hJobSeconds.Observe(wall)
 	if res != nil {
-		// tinge_pairs_evaluated_total historically counted observed plus
-		// permutation evaluations; keep that meaning now the Result
-		// splits them.
+		for i, f := range core.CounterSchema() {
+			if c := s.mCounters[i]; c != nil {
+				c.Add(f.Value(&res.Counters))
+			}
+		}
 		s.mPairs.Add(float64(res.PairsEvaluated + res.PermEvaluations))
-		s.mPermEvals.Add(float64(res.PermEvaluations))
-		s.mSkipped.Add(float64(res.PermutationsSkipped))
-		s.mCertified.Add(float64(res.PermutationsCertified))
-		s.mHits.Add(float64(res.PermCacheHits))
-		s.mMisses.Add(float64(res.PermCacheMisses))
-		s.mRankFailures.Add(float64(res.RankFailures))
-		s.mRecoveryRuns.Add(float64(res.RecoveryRuns))
-		s.mRecoveredTiles.Add(float64(res.RecoveredTiles))
-		s.mCkptCorrupt.Add(float64(res.CheckpointRecoveries))
-		s.mSpillRetries.Add(float64(res.SpillReadRetries))
-		s.mFaultDelayed.Add(float64(res.FaultDelayedMessages))
-		s.mFaultDropped.Add(float64(res.FaultDroppedMessages))
-		s.mDPIRemoved.Add(float64(res.DPIEdgesRemoved))
-		s.mCMIRemoved.Add(float64(res.CMIEdgesRemoved))
-		s.mEnsBootstraps.Add(float64(res.EnsembleBootstrapsRun))
-		s.mEnsStencils.Add(float64(res.EnsembleStencilsReused))
 		if res.Ensemble != nil {
 			s.mEnsSupportEdges.Add(float64(res.Ensemble.Len()))
 		}
@@ -906,7 +846,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// statusResponse is the job-status JSON shape.
+// statusResponse is the job-status JSON shape. Once the job is done,
+// the embedded Counters (the finished result's, never modified after
+// publication) add every counter under its schema key; evaluations and
+// bootstrapsRun are the older status names of pairsEvaluated and
+// ensembleBootstrapsRun. It is comparable, which the SSE stream uses
+// for change detection.
 type statusResponse struct {
 	ID         string   `json:"id"`
 	State      JobState `json:"state"`
@@ -915,16 +860,11 @@ type statusResponse struct {
 	Created    string   `json:"created,omitempty"`
 	Finished   string   `json:"finished,omitempty"`
 	Edges      int      `json:"edges,omitempty"`
-	RawEdges   int      `json:"rawEdges,omitempty"`
 	Threshold  float64  `json:"threshold,omitempty"`
 	Evals      int64    `json:"evaluations,omitempty"`
-	PermEvals  int64    `json:"permEvaluations,omitempty"`
-	DPIRemoved int      `json:"dpiEdgesRemoved,omitempty"`
-	CMIRemoved int      `json:"cmiEdgesRemoved,omitempty"`
-	SimSecs    float64  `json:"simSeconds,omitempty"`
-	CkptRecov  int64    `json:"checkpointRecoveries,omitempty"`
 	Bootstraps int      `json:"bootstrapsRun,omitempty"`
 	Support    int      `json:"supportEdges,omitempty"`
+	*core.Counters
 }
 
 // status snapshots a job into the response shape. Callers must not
@@ -941,15 +881,10 @@ func (j *job) status() statusResponse {
 	}
 	if j.result != nil {
 		resp.Edges = j.result.Network.Len()
-		resp.RawEdges = j.result.RawEdges
 		resp.Threshold = j.result.Threshold
 		resp.Evals = j.result.PairsEvaluated
-		resp.PermEvals = j.result.PermEvaluations
-		resp.DPIRemoved = j.result.DPIEdgesRemoved
-		resp.CMIRemoved = j.result.CMIEdgesRemoved
-		resp.SimSecs = j.result.SimSeconds
-		resp.CkptRecov = j.result.CheckpointRecoveries
 		resp.Bootstraps = j.result.EnsembleBootstrapsRun
+		resp.Counters = &j.result.Counters
 		if j.result.Ensemble != nil {
 			resp.Support = j.result.Ensemble.Len()
 		}
@@ -958,28 +893,21 @@ func (j *job) status() statusResponse {
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	s.evictLocked()
-	j := s.jobs[id]
-	key, evicted := s.gone[id]
-	s.mu.Unlock()
-	if j == nil {
-		if evicted {
-			// TTL eviction raced a late poll (typically an SSE reconnect):
-			// the job existed, its result is gone. 410 plus the content key
-			// lets the client resubmit the identical scan and hit the
-			// coordinator cache or checkpoint instead of starting blind.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusGone)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": "job evicted", "key": key,
-			})
-			return nil
-		}
-		http.Error(w, "unknown job", http.StatusNotFound)
-	}
-	return j
+	return Lookup(w, r, func(id string) (*job, string, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.evictLocked()
+		key, gone := s.gone[id]
+		return s.jobs[id], key, gone
+	})
+}
+
+// outcome snapshots what the result routes serve: the state, the
+// result (nil until done) and the gene names.
+func (j *job) outcome() (JobState, *core.Result, []string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.result, j.geneNames
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1008,205 +936,39 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	state := j.state
-	var net *grn.Network
-	var names []string
-	if j.result != nil {
-		net = j.result.Network
-		names = j.geneNames
-	}
-	j.mu.Unlock()
-	if state != StateDone || net == nil {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	if err := net.WriteTSV(w, names); err != nil && !strings.Contains(err.Error(), "broken pipe") {
-		// Response already started; nothing useful to send.
-		return
+	if j := s.lookup(w, r); j != nil {
+		st, res, names := j.outcome()
+		ServeNetwork(w, st, res, names)
 	}
 }
 
 // handleSupport serves the ensemble support-weighted edge table as TSV
 // (409 until done, 404 for jobs that did not run in ensemble mode).
 func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
+	if j := s.lookup(w, r); j != nil {
+		st, res, names := j.outcome()
+		ServeSupport(w, st, res, names)
 	}
-	j.mu.Lock()
-	state := j.state
-	var ens *grn.Ensemble
-	var names []string
-	if j.result != nil {
-		ens = j.result.Ensemble
-		names = j.geneNames
-	}
-	j.mu.Unlock()
-	if state != StateDone {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	if ens == nil {
-		http.Error(w, "job was not an ensemble run", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	if err := ens.WriteSupportTSV(w, names); err != nil && !strings.Contains(err.Error(), "broken pipe") {
-		return
-	}
-}
-
-// ResultResponse is the machine-readable scan result served at
-// GET /jobs/{id}/result. The network TSV rounds weights to 6
-// significant digits — fine for humans, fatal for the fleet
-// coordinator's bit-identity merge — while JSON float64s round-trip
-// exactly (Go emits the shortest representation that parses back to
-// the same bits). Edges are [i, j, weight] triples in sorted order.
-type ResultResponse struct {
-	ID                    string       `json:"id"`
-	Key                   string       `json:"key"`
-	Threshold             float64      `json:"threshold"`
-	NullSize              int          `json:"nullSize"`
-	RawEdges              int          `json:"rawEdges"`
-	Edges                 [][3]float64 `json:"edges"`
-	PairsEvaluated        int64        `json:"pairsEvaluated"`
-	PermEvaluations       int64        `json:"permEvaluations"`
-	PermutationsSkipped   int64        `json:"permutationsSkipped"`
-	PermutationsCertified int64        `json:"permutationsCertified"`
-	PermCacheHits         int64        `json:"permCacheHits"`
-	PermCacheMisses       int64        `json:"permCacheMisses"`
-	CheckpointRecoveries  int64        `json:"checkpointRecoveries"`
-	SpillReadRetries      int64        `json:"spillReadRetries"`
-
-	// Ensemble extensions. Full ensemble runs serve the support table as
-	// [i, j, support, weightSum] rows (weightSum, not the rounded mean:
-	// the fleet's bit-identity contract extends to float64 sums) plus the
-	// per-bootstrap thresholds; partial runs (bcount > 0) additionally
-	// serve each bootstrap's edge list so the coordinator can fold them
-	// in ascending bootstrap order.
-	EnsembleBootstraps int            `json:"ensembleBootstraps,omitempty"`
-	EnsembleThresholds []float64      `json:"ensembleThresholds,omitempty"`
-	Support            [][4]float64   `json:"support,omitempty"`
-	BootstrapEdges     [][][3]float64 `json:"bootstrapEdges,omitempty"`
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
+	if j := s.lookup(w, r); j != nil {
+		st, res, _ := j.outcome()
+		ServeResult(w, st, res, j.id, j.key)
 	}
-	j.mu.Lock()
-	state := j.state
-	res := j.result
-	j.mu.Unlock()
-	if state != StateDone || res == nil {
-		http.Error(w, fmt.Sprintf("job is %s", state), http.StatusConflict)
-		return
-	}
-	out := ResultResponse{
-		ID:                    j.id,
-		Key:                   j.key,
-		Threshold:             res.Threshold,
-		NullSize:              res.NullSize,
-		RawEdges:              res.RawEdges,
-		Edges:                 make([][3]float64, 0, res.Network.Len()),
-		PairsEvaluated:        res.PairsEvaluated,
-		PermEvaluations:       res.PermEvaluations,
-		PermutationsSkipped:   res.PermutationsSkipped,
-		PermutationsCertified: res.PermutationsCertified,
-		PermCacheHits:         res.PermCacheHits,
-		PermCacheMisses:       res.PermCacheMisses,
-		CheckpointRecoveries:  res.CheckpointRecoveries,
-		SpillReadRetries:      res.SpillReadRetries,
-	}
-	for _, e := range res.Network.Edges() {
-		out.Edges = append(out.Edges, [3]float64{float64(e.I), float64(e.J), e.Weight})
-	}
-	if res.Ensemble != nil {
-		out.EnsembleBootstraps = res.Ensemble.Bootstraps()
-		for _, se := range res.Ensemble.Edges() {
-			out.Support = append(out.Support, [4]float64{
-				float64(se.I), float64(se.J), float64(se.Support), se.WeightSum,
-			})
-		}
-	}
-	out.EnsembleThresholds = res.EnsembleThresholds
-	for _, net := range res.EnsembleNetworks {
-		edges := make([][3]float64, 0, net.Len())
-		for _, e := range net.Edges() {
-			edges = append(edges, [3]float64{float64(e.I), float64(e.J), e.Weight})
-		}
-		out.BootstrapEdges = append(out.BootstrapEdges, edges)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
 }
 
-// handleEvents streams job progress as Server-Sent Events: a
-// "progress" event whenever the status snapshot changes, then a single
-// terminal "done"/"failed"/"canceled" event, after which the stream
-// closes. Clients that would otherwise hammer GET /jobs/{id} hold one
-// connection instead; on disconnect they reconnect here (or fall back
-// to polling — a late reconnect after eviction gets 410 with the
-// content key).
+// handleEvents streams job progress as Server-Sent Events (see
+// StreamEvents); on disconnect clients reconnect here or fall back to
+// polling — a late reconnect after eviction gets 410 with the content
+// key.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
+	if j := s.lookup(w, r); j != nil {
+		StreamEvents(w, r, s.EventPoll, func() (statusResponse, JobState) {
+			st := j.status()
+			return st, st.State
+		})
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	ticker := time.NewTicker(s.EventPoll)
-	defer ticker.Stop()
-	var last statusResponse
-	sent := false
-	for {
-		st := j.status()
-		if !sent || st != last {
-			name := "progress"
-			if st.State.terminal() {
-				name = string(st.State)
-			}
-			if err := writeEvent(w, name, st); err != nil {
-				return
-			}
-			fl.Flush()
-			last, sent = st, true
-		}
-		if st.State.terminal() {
-			return
-		}
-		select {
-		case <-ticker.C:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeEvent emits one SSE frame with a JSON payload.
-func writeEvent(w io.Writer, name string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-	return err
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

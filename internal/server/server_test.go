@@ -746,7 +746,7 @@ func TestResumeCorruptCheckpointStartsFresh(t *testing.T) {
 	id2 := startJob(t, ts2, bytes.NewReader(body), params)
 	st2 := waitFor(t, ts2, id2, StateDone)
 
-	if st2.CkptRecov == 0 {
+	if st2.CheckpointRecoveries == 0 {
 		t.Fatal("status does not report the checkpoint recovery")
 	}
 	if st2.Evals != refSt.Evals {

@@ -51,8 +51,14 @@ type (
 	// documentation. The zero value gives the paper's defaults.
 	Config = core.Config
 	// Result is an inference outcome: network, threshold, timings, and
-	// engine-specific accounts.
+	// the run's Counters.
 	Result = core.Result
+	// Counters is every count and gauge a run reports (embedded in
+	// Result); CounterSchema lists each with its unit, help text and
+	// fold rule.
+	Counters = core.Counters
+	// CounterField is one row of the counter schema.
+	CounterField = core.CounterField
 	// EngineKind selects Host, Phi, or Cluster execution.
 	EngineKind = core.EngineKind
 	// KernelKind selects the MI kernel formulation.
@@ -64,6 +70,9 @@ type (
 	// support frequencies plus a consensus network at the cutoff.
 	EnsembleConfig = core.EnsembleConfig
 )
+
+// CounterSchema returns the counter schema, one row per Counters field.
+func CounterSchema() []CounterField { return core.CounterSchema() }
 
 // Ensemble types.
 type (
