@@ -29,13 +29,13 @@ func main() {
 		in       = flag.String("in", "", "input expression file (required)")
 		format   = flag.String("format", "tsv", "input format: tsv|soft (NCBI GEO SOFT family file)")
 		out      = flag.String("out", "", "output edge TSV (default stdout)")
-		engine   = flag.String("engine", "host", "execution engine: host|phi|cluster|hybrid")
+		engine   = flag.String("engine", "host", "execution engine: host|phi|cluster|hybrid|ooc")
 		order    = flag.Int("order", 3, "B-spline order k")
 		bins     = flag.Int("bins", 10, "histogram bins b")
 		perms    = flag.Int("permutations", 30, "permutation-test count q")
 		alpha    = flag.Float64("alpha", 0.01, "significance level for the pooled-null threshold")
 		nullPair = flag.Int("null-pairs", 500, "pairs sampled for the pooled null")
-		dpi      = flag.Bool("dpi", false, "apply data-processing-inequality pruning")
+		dpi      = flag.Bool("dpi", false, "apply data-processing-inequality pruning (permutation-tests only the threshold survivors it needs)")
 		dpiTol   = flag.Float64("dpi-tolerance", 0.1, "DPI near-tie tolerance (0 = strict: every triangle's weakest edge is pruned)")
 		cmi      = flag.Bool("cmi", false, "apply the conditional-MI successor filter after DPI")
 		cmiRatio = flag.Float64("cmi-ratio", 0.3, "CMI filter removal threshold: prune (i,j) when min_k I(i;j|k) < ratio*I(i;j)")
@@ -73,7 +73,7 @@ func main() {
 		// recovery path — results stay bit-identical to a clean run).
 		faultKillRank  = flag.Int("fault-kill-rank", -1, "kill this rank (-1 = no kill)")
 		faultKillAfter = flag.Int("fault-kill-after-sends", 0, "kill trigger: after the rank's Nth send")
-		faultKillPhase = flag.String("fault-kill-phase", "", "kill trigger: entering this phase (null-pool|tile-scan|gather)")
+		faultKillPhase = flag.String("fault-kill-phase", "", "kill trigger: entering this phase (null-pool|tile-scan|gather|test-scan)")
 		faultSeed      = flag.Uint64("fault-seed", 1, "fault-injection RNG seed")
 		faultDelayProb = flag.Float64("fault-delay-prob", 0, "per-message delay probability")
 		faultDelayMax  = flag.Duration("fault-delay-max", 0, "max injected per-message delay")

@@ -4,23 +4,27 @@
 // checkpoint between work blocks so a preempted job resumes instead of
 // recomputing 10¹¹ MI kernels. The state is everything phase 4 has
 // produced: the phase-3 threshold, the completed-tile bitmap, the
-// significant edges found so far, and per-tile evaluation counts.
+// threshold survivors found so far with each one's permutation-test
+// verdict, and per-tile evaluation counts.
 //
 // A Fingerprint of the run parameters guards against resuming with a
 // different dataset or configuration, which would silently corrupt the
 // result.
 //
-// On disk a checkpoint is a v2 frame: magic "TNGC", format version,
+// On disk a checkpoint is a frame: magic "TNGC", format version,
 // payload length, and a CRC32C over the gob payload, so a torn or
 // bit-flipped file is detected on load instead of silently resuming
-// wrong state. Files are published atomically — the frame is written
+// wrong state. The version is 3 when the state carries per-survivor
+// verdicts and 2 otherwise; a reader that predates verdicts rejects a
+// v3 file as corrupt and starts fresh, where decoding it would skip
+// the verdicts and take every stored survivor for a passing edge. Files are published atomically — the frame is written
 // to a temp file in one write, fsynced, renamed over the target, and
 // the parent directory fsynced — and the previous snapshot is rotated
 // to a ".prev" last-good copy that Load falls back to when the primary
 // is corrupt. Only when both copies fail does LoadFile return a
 // *CorruptError; engines treat that as "start fresh and count it",
-// never as a fatal run error. Legacy v1 files (bare gob, no frame)
-// remain readable.
+// never as a fatal run error. v2 frames and legacy v1 files (bare
+// gob, no frame) remain readable.
 package checkpoint
 
 import (
@@ -82,8 +86,16 @@ type State struct {
 	NullSize    int
 	// Done[i] marks pair tile i complete.
 	Done []bool
-	// Edges holds the significant edges of completed tiles.
+	// Edges holds the threshold survivors of completed tiles, weighted
+	// by their observed MI.
 	Edges []grn.Edge
+	// Verdicts[x] is the permutation-test verdict of Edges[x] (Untested
+	// until the test pass decides it). Files written before scans split
+	// observation from testing stored only edges that had passed their
+	// test and carry no verdicts: nil means every stored edge passed.
+	// Fleet chunk ledgers, which store merged passing edges, leave it
+	// nil too.
+	Verdicts []grn.Verdict
 	// EvalsPerTile records combined MI evaluation counts (exact pair
 	// kernels plus permutation evaluations) of completed tiles — the
 	// quantity the Phi time model replays. A resumed run reports only
@@ -165,12 +177,14 @@ func (s *State) Validate(fp Fingerprint, nTiles int) error {
 	return nil
 }
 
-// v2 frame layout: magic, format version, reserved padding, payload
+// Frame layout: magic, format version, reserved padding, payload
 // length, CRC32C over the payload, then the gob payload itself.
+// verdictVersion frames a state with Verdicts, fileVersion any other.
 const (
-	fileMagic   = "TNGC"
-	fileVersion = 2
-	headerLen   = 4 + 2 + 2 + 8 + 4
+	fileMagic      = "TNGC"
+	fileVersion    = 2
+	verdictVersion = 3
+	headerLen      = 4 + 2 + 2 + 8 + 4
 	// maxPayload bounds the declared payload length so a corrupt header
 	// cannot drive a huge allocation. Real states are a few MB at most.
 	maxPayload = 1 << 32
@@ -204,7 +218,8 @@ func corrupt(path string, err error) error {
 // PrevPath returns the last-good rotation path beside path.
 func PrevPath(path string) string { return path + ".prev" }
 
-// Encode serializes the state as a v2 frame.
+// Encode serializes the state as a frame: v3 when it carries
+// verdicts, v2 otherwise.
 func Encode(s *State) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
@@ -212,21 +227,25 @@ func Encode(s *State) ([]byte, error) {
 	}
 	frame := make([]byte, headerLen, headerLen+payload.Len())
 	copy(frame, fileMagic)
-	binary.LittleEndian.PutUint16(frame[4:], fileVersion)
+	version := uint16(fileVersion)
+	if s.Verdicts != nil {
+		version = verdictVersion
+	}
+	binary.LittleEndian.PutUint16(frame[4:], version)
 	binary.LittleEndian.PutUint64(frame[8:], uint64(payload.Len()))
 	binary.LittleEndian.PutUint32(frame[16:], crc32.Checksum(payload.Bytes(), crcTable))
 	return append(frame, payload.Bytes()...), nil
 }
 
-// Decode parses a checkpoint from raw file bytes: a v2 frame, or a
-// legacy v1 bare-gob file. Every failure wraps diskfault.ErrCorrupt.
+// Decode parses a checkpoint from raw file bytes: a v3 or v2 frame,
+// or a legacy v1 bare-gob file. Every failure wraps diskfault.ErrCorrupt.
 func Decode(data []byte) (*State, error) {
 	payload := data
 	if len(data) >= len(fileMagic) && string(data[:len(fileMagic)]) == string(fileMagic) {
 		if len(data) < headerLen {
 			return nil, fmt.Errorf("%w: truncated header: %d bytes", diskfault.ErrCorrupt, len(data))
 		}
-		if v := binary.LittleEndian.Uint16(data[4:]); v != fileVersion {
+		if v := binary.LittleEndian.Uint16(data[4:]); v != fileVersion && v != verdictVersion {
 			return nil, fmt.Errorf("%w: unsupported format version %d", diskfault.ErrCorrupt, v)
 		}
 		n := binary.LittleEndian.Uint64(data[8:])
@@ -258,6 +277,10 @@ func Decode(data []byte) (*State, error) {
 		return nil, fmt.Errorf("%w: inconsistent state: %d done flags, %d split counts",
 			diskfault.ErrCorrupt, len(s.Done), len(s.PairEvalsPerTile))
 	}
+	if s.Verdicts != nil && len(s.Verdicts) != len(s.Edges) {
+		return nil, fmt.Errorf("%w: inconsistent state: %d edges, %d verdicts",
+			diskfault.ErrCorrupt, len(s.Edges), len(s.Verdicts))
+	}
 	// Ensemble snapshots carry one threshold slot per bootstrap; a
 	// mismatched length means the file does not describe its own Done
 	// bitmap.
@@ -268,7 +291,7 @@ func Decode(data []byte) (*State, error) {
 	return &s, nil
 }
 
-// Save writes the state to w as a v2 frame.
+// Save writes the state to w as a frame (see Encode).
 func Save(w io.Writer, s *State) error {
 	frame, err := Encode(s)
 	if err != nil {
@@ -280,7 +303,7 @@ func Save(w io.Writer, s *State) error {
 	return nil
 }
 
-// Load reads a state from r (v2 frame or legacy v1 bare gob).
+// Load reads a state from r (v3 or v2 frame, or legacy v1 bare gob).
 func Load(r io.Reader) (*State, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -300,7 +323,7 @@ func SaveFile(path string, s *State) error {
 }
 
 // SaveFileFS writes the state to path through fsys (nil: the real
-// filesystem): the v2 frame lands in a temp file with a single write,
+// filesystem): the frame lands in a temp file with a single write,
 // is fsynced and renamed over path, and the parent directory is
 // fsynced so the rename survives a power cut. An existing snapshot at
 // path is first rotated to PrevPath(path); a crash at any single

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"os"
@@ -67,7 +68,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	s.NullSize = 15000
 	s.Done[0] = true
 	s.EvalsPerTile[0] = 42
-	s.Edges = []grn.Edge{{I: 1, J: 2, Weight: 0.75}}
+	s.Edges = []grn.Edge{{I: 1, J: 2, Weight: 0.75}, {I: 0, J: 2, Weight: 0.5}}
+	s.Verdicts = []grn.Verdict{grn.Failed, grn.Untested}
 	var buf bytes.Buffer
 	if err := Save(&buf, s); err != nil {
 		t.Fatal(err)
@@ -76,13 +78,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(back.Verdicts) != 2 || back.Verdicts[0] != grn.Failed || back.Verdicts[1] != grn.Untested {
+		t.Fatalf("verdicts = %v", back.Verdicts)
+	}
 	if back.Threshold != 0.125 || back.NullSize != 15000 {
 		t.Fatalf("threshold/null = %v/%d", back.Threshold, back.NullSize)
 	}
 	if !back.Done[0] || back.Done[1] || back.EvalsPerTile[0] != 42 {
 		t.Fatalf("tiles = %v / %v", back.Done, back.EvalsPerTile)
 	}
-	if len(back.Edges) != 1 || back.Edges[0] != (grn.Edge{I: 1, J: 2, Weight: 0.75}) {
+	if len(back.Edges) != 2 || back.Edges[0] != (grn.Edge{I: 1, J: 2, Weight: 0.75}) {
 		t.Fatalf("edges = %v", back.Edges)
 	}
 	if err := back.Validate(testFP(), 3); err != nil {
@@ -105,6 +110,16 @@ func TestLoadInconsistent(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil {
 		t.Fatal("inconsistent lengths should fail to load")
+	}
+	s = NewState(testFP(), 3)
+	s.Edges = []grn.Edge{{I: 0, J: 1, Weight: 1}}
+	s.Verdicts = []grn.Verdict{grn.Passed, grn.Passed}
+	buf.Reset()
+	if err := Save(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Fatal("a verdict array longer than the edge list should fail to load")
 	}
 }
 
@@ -215,6 +230,41 @@ func TestFrameFormat(t *testing.T) {
 	for n := 0; n < len(frame); n++ {
 		if _, err := Decode(frame[:n]); !errors.Is(err, diskfault.ErrCorrupt) {
 			t.Fatalf("truncate to %d: got %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// TestFrameVersion: a state with verdicts is framed as v3, so a
+// reader that predates verdicts rejects it instead of taking every
+// stored survivor for a passing edge; a state without them stays v2.
+// Both decode, and an unknown version is corruption.
+func TestFrameVersion(t *testing.T) {
+	plain := NewState(testFP(), 2)
+	plain.Edges = []grn.Edge{{I: 0, J: 1, Weight: 0.5}}
+	withVerdicts := NewState(testFP(), 2)
+	withVerdicts.Edges = []grn.Edge{{I: 0, J: 1, Weight: 0.5}}
+	withVerdicts.Verdicts = []grn.Verdict{grn.Failed}
+	for _, tc := range []struct {
+		s    *State
+		want uint16
+	}{{plain, 2}, {withVerdicts, 3}} {
+		frame, err := Encode(tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(frame[4:]); v != tc.want {
+			t.Fatalf("version %d, want %d", v, tc.want)
+		}
+		back, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back.Verdicts) != len(tc.s.Verdicts) {
+			t.Fatalf("v%d: verdicts %v, want %v", tc.want, back.Verdicts, tc.s.Verdicts)
+		}
+		binary.LittleEndian.PutUint16(frame[4:], 4)
+		if _, err := Decode(frame); !errors.Is(err, diskfault.ErrCorrupt) {
+			t.Fatalf("version 4: got %v, want ErrCorrupt", err)
 		}
 	}
 }

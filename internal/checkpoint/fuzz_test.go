@@ -59,7 +59,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 				n, len(got.EvalsPerTile), len(got.PairEvalsPerTile))
 		}
 		// A framed input that decodes must be byte-identical to the known
-		// frame modulo its own payload: any accepted v2 frame re-encodes
+		// frame modulo its own payload: any accepted frame re-encodes
 		// to a frame whose payload passes the same CRC. (Re-encode and
 		// re-decode as a cheap involution check.)
 		frame2, err := Encode(got)

@@ -276,3 +276,46 @@ func TestClusterRecoveryWithCheckpointFile(t *testing.T) {
 		t.Fatal("checkpointed recovery network differs")
 	}
 }
+
+// TestClusterRecoveryKillDuringTestScan kills a rank in the test pass
+// of a DPI run: the engine re-runs the round's pending test tiles on
+// the survivors, and the network is bit-identical to the fault-free
+// run's and to the host engine's.
+func TestClusterRecoveryKillDuringTestScan(t *testing.T) {
+	clean := recoveryConfig(4)
+	clean.DPI, clean.DPITolerance = true, DefaultDPITolerance
+	ref, err := inferBounded(t, clean, 32, 100, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := clean
+	host.Engine = Host
+	hostRes, err := inferBounded(t, host, 32, 100, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEdges(ref.Network, hostRes.Network) {
+		t.Fatal("fault-free cluster network differs from the host engine's")
+	}
+
+	faulty := clean
+	faulty.Fault = &mpi.FaultPlan{Seed: 1, Kill: &mpi.KillSpec{Rank: 2, Phase: "test-scan"}}
+	got, err := inferBounded(t, faulty, 32, 100, 77)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if !sameEdges(ref.Network, got.Network) {
+		t.Fatal("recovered network differs from fault-free network")
+	}
+	if got.RankFailures != 1 || got.RecoveryRuns != 1 || got.RecoveredTiles <= 0 {
+		t.Fatalf("counters = %d failures / %d recoveries / %d recovered tiles, want 1/1/>0",
+			got.RankFailures, got.RecoveryRuns, got.RecoveredTiles)
+	}
+	if got.PairsTested != ref.PairsTested || got.PermEvaluations < ref.PermEvaluations {
+		t.Fatalf("recovered run tested %d pairs (%d permutations), fault-free %d (%d)",
+			got.PairsTested, got.PermEvaluations, ref.PairsTested, ref.PermEvaluations)
+	}
+	if kills := faulty.Fault.Stats().Kills; kills != 1 {
+		t.Fatalf("fault kills = %d, want exactly 1", kills)
+	}
+}

@@ -1,37 +1,52 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/diskfault"
 	"repro/internal/grn"
+	"repro/internal/tile"
 )
 
-// tileCounts is the work one tile's scan did: exact-kernel pair
-// evaluations, permutation evaluations, permutations the early exit
-// skipped, and permutation evaluations the Jensen certificate decided.
+// tileCounts is the work one tile's pass did: exact-kernel pair
+// evaluations and threshold survivors (observe), and survivors tested,
+// permutation evaluations, permutations the early exit skipped, and
+// permutation evaluations the Jensen certificate decided (test).
 type tileCounts struct {
-	pairEvals, permEvals, skipped, certified int64
+	pairEvals, survived, tested, permEvals, skipped, certified int64
 }
 
 func (c *tileCounts) add(o tileCounts) {
 	c.pairEvals += o.pairEvals
+	c.survived += o.survived
+	c.tested += o.tested
 	c.permEvals += o.permEvals
 	c.skipped += o.skipped
 	c.certified += o.certified
 }
 
+// roundTile is one tile's share of a test round: the ids (positions in
+// the log's survivor list) of the requested survivors in tile ti, in
+// (i, j) order.
+type roundTile struct {
+	ti  int
+	ids []int32
+}
+
 // commitLog is the record of one scan that every engine shares: the
-// phase-3 outcome and the committed tiles (bitmap, edges, per-tile
-// evaluation counts) in one checkpoint.State under one mutex, plus the
-// counts of the tiles committed in this session. It is also the cluster
+// phase-3 outcome, the observed tiles (bitmap and threshold
+// survivors), and each survivor's test verdict, with per-tile
+// evaluation counts, in one checkpoint.State under one mutex, plus the
+// counts of the work committed in this session. It is also the cluster
 // engine's recovery log — the in-process stand-in for the shared
 // filesystem TINGe deployments checkpoint to between work blocks: when
-// a world aborts, committed tiles survive and only the pending
+// a world aborts, committed work survives and only the pending
 // remainder is redistributed. With a CheckpointPath it saves the state
 // every CheckpointEvery commits and on flush, so a killed process
 // resumes the same way a killed rank does.
@@ -42,14 +57,27 @@ type commitLog struct {
 	// lo and hi bound the tile range this scan covers (a fleet chunk, or
 	// every tile).
 	lo, hi int
-	// session sums the counts of the tiles committed in this session;
-	// committed counts those tiles and total is how many were pending
-	// when the session began — the Progress denominator.
-	session          tileCounts
-	committed, total int
-	progress         func(done, total int)
-	// failed is the first error a worker hit; poolScan stops every
-	// worker at its next tile boundary once it is set.
+	// sched is the test schedule over the survivors, from the first
+	// test round to its fixpoint; round is the current round's work and
+	// roundDone its committed tiles.
+	sched     *grn.TestSchedule
+	round     []roundTile
+	roundDone []bool
+	// shard is the finished schedule's adjacency-shard traffic.
+	shard grn.FilterStats
+	// session sums the counts of the work committed in this session.
+	// Progress counts in tiles: one unit per observe tile pending when
+	// the session began and one test unit per tile of the range, done
+	// when the tile is first tested in this session or, for tiles the
+	// schedule never requests, when it reaches its fixpoint. done never
+	// decreases and total is fixed, so the reported fraction is
+	// monotone.
+	session     tileCounts
+	done, total int
+	testedTile  []bool // indexed by tile - lo
+	progress    func(done, total int)
+	// failed is the first error a worker hit; every worker stops at its
+	// next tile boundary once it is set.
 	failed error
 
 	fsys      diskfault.FS
@@ -61,7 +89,8 @@ type commitLog struct {
 
 // openLog loads the scan's checkpoint (see loadResumeState) or starts
 // an empty state for nTiles tiles. A resumed checkpoint was saved after
-// phase 3 completed, so its threshold is authoritative.
+// phase 3 completed, so its threshold is authoritative; a checkpoint
+// without verdicts stored only survivors that had passed their test.
 func openLog(cfg Config, fp checkpoint.Fingerprint, nTiles int, res *Result) (*commitLog, error) {
 	l := &commitLog{
 		lo: 0, hi: nTiles,
@@ -84,8 +113,15 @@ func openLog(cfg Config, fp checkpoint.Fingerprint, nTiles int, res *Result) (*c
 			return nil, err
 		}
 		l.state, l.nullDone = state, resumed
+		if state.Verdicts == nil {
+			state.Verdicts = make([]grn.Verdict, len(state.Edges))
+			for x := range state.Verdicts {
+				state.Verdicts[x] = grn.Passed
+			}
+		}
 	}
-	l.total = len(l.pending())
+	l.testedTile = make([]bool, l.hi-l.lo)
+	l.total = len(l.pending()) + len(l.testedTile)
 	return l, nil
 }
 
@@ -115,7 +151,7 @@ func (l *commitLog) threshold(ctx context.Context, cfg Config, ph nullPhase) (Po
 	return null, nil
 }
 
-// pending returns the uncommitted tiles of the scan's range in
+// pending returns the unobserved tiles of the scan's range in
 // ascending order.
 func (l *commitLog) pending() []int {
 	l.mu.Lock()
@@ -129,32 +165,162 @@ func (l *commitLog) pending() []int {
 	return out
 }
 
-// commit records finished tile ti, saves on the interval, and reports
-// progress. A tile that is already committed is ignored.
-func (l *commitLog) commit(ti int, edges []grn.Edge, c tileCounts) {
+// commit records observed tile ti with its threshold survivors —
+// tested, pass[y] the verdict of survivors[y], or untested when pass is
+// nil — saves on the interval, and reports progress. A tile that is
+// already committed is ignored.
+func (l *commitLog) commit(ti int, survivors []grn.Edge, pass []bool, c tileCounts) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.state.Done[ti] {
-		l.mu.Unlock()
 		return
 	}
 	l.state.Done[ti] = true
-	// EvalsPerTile keeps the combined count, the Phi time model's
-	// quantity.
+	// EvalsPerTile keeps the combined count of both passes, the Phi time
+	// model's quantity.
 	l.state.EvalsPerTile[ti] = c.pairEvals + c.permEvals
-	l.state.Edges = append(l.state.Edges, edges...)
+	l.state.Edges = append(l.state.Edges, survivors...)
+	for y := range survivors {
+		v := grn.Untested
+		if pass != nil {
+			v = verdict(pass[y])
+		}
+		l.state.Verdicts = append(l.state.Verdicts, v)
+	}
+	l.done++
+	if pass != nil {
+		l.testedLocked(ti)
+	}
+	l.committedLocked(c)
+}
+
+// verdict is the Verdict of a finished permutation test.
+func verdict(pass bool) grn.Verdict {
+	if pass {
+		return grn.Passed
+	}
+	return grn.Failed
+}
+
+// testedLocked completes tile ti's test unit of the progress, once.
+func (l *commitLog) testedLocked(ti int) {
+	if !l.testedTile[ti-l.lo] {
+		l.testedTile[ti-l.lo] = true
+		l.done++
+	}
+}
+
+// committedLocked accounts one committed tile of either pass: counts,
+// the save interval, and progress (reported under the lock, so the
+// calls arrive in order).
+func (l *commitLog) committedLocked(c tileCounts) {
 	l.session.add(c)
-	l.committed++
-	done := l.committed
 	if l.path != "" {
 		l.sinceSave++
 		if l.sinceSave >= l.every {
 			l.saveLocked()
 		}
 	}
-	l.mu.Unlock()
 	if l.progress != nil {
-		l.progress(done, l.total)
+		l.progress(l.done, l.total)
 	}
+}
+
+// selectTests runs one round of the test schedule (grn.TestSchedule)
+// over the survivors and verdicts so far, with DPI as configured, and
+// makes the requested survivors, grouped by tile in ascending tile and
+// (i, j) order, the current round. No tile may be in flight. It
+// returns the round's tiles; none means every survivor the network
+// needs is decided, and completes the progress.
+func (l *commitLog) selectTests(cfg Config, round int) ([]roundTile, error) {
+	if cfg.Trace != nil {
+		defer cfg.Trace.Span(phaseRow(cfg), fmt.Sprintf("select-%d", round))()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	edges := l.state.Edges
+	if l.sched == nil {
+		var err error
+		if l.sched, err = grn.NewTestSchedule(l.state.Fingerprint.Genes, edges, cfg.DPI, filterOpts(cfg)); err != nil {
+			return nil, err
+		}
+	}
+	ids, err := l.sched.Next(l.state.Verdicts)
+	if err != nil {
+		return nil, err
+	}
+	tileOf := func(e grn.Edge) int { return tile.IndexOf(l.state.Fingerprint.Genes, cfg.TileSize, e.I, e.J) }
+	slices.SortFunc(ids, func(a, b int32) int {
+		ea, eb := edges[a], edges[b]
+		if c := cmp.Compare(tileOf(ea), tileOf(eb)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ea.I, eb.I); c != 0 {
+			return c
+		}
+		return cmp.Compare(ea.J, eb.J)
+	})
+	var work []roundTile
+	for _, id := range ids {
+		ti := tileOf(edges[id])
+		if n := len(work); n == 0 || work[n-1].ti != ti {
+			work = append(work, roundTile{ti: ti})
+		}
+		work[len(work)-1].ids = append(work[len(work)-1].ids, id)
+	}
+	l.round, l.roundDone = work, make([]bool, len(work))
+	if len(work) == 0 {
+		l.shard = l.sched.Stats()
+		l.sched = nil
+		if l.done < l.total {
+			l.done = l.total
+			if l.progress != nil {
+				l.progress(l.done, l.total)
+			}
+		}
+	}
+	return work, nil
+}
+
+// survivors returns the survivor list the test pass reads; no tile is
+// observed while a test round runs, so the slice stays valid.
+func (l *commitLog) survivors() []grn.Edge {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state.Edges
+}
+
+// pendingTests returns the uncommitted tiles of the current test round
+// as indices into it, in ascending order.
+func (l *commitLog) pendingTests() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []int
+	for x, done := range l.roundDone {
+		if !done {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// commitTest records the verdicts of test-round tile x (pass[y] for
+// its y-th survivor), saves on the interval, and reports progress. A
+// tile that is already committed is ignored.
+func (l *commitLog) commitTest(x int, pass []bool, c tileCounts) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.roundDone[x] {
+		return
+	}
+	l.roundDone[x] = true
+	tt := l.round[x]
+	for y, id := range tt.ids {
+		l.state.Verdicts[id] = verdict(pass[y])
+	}
+	l.state.EvalsPerTile[tt.ti] += c.permEvals
+	l.testedLocked(tt.ti)
+	l.committedLocked(c)
 }
 
 // fail records err as the scan's failure unless one is already
@@ -193,20 +359,26 @@ func (l *commitLog) flush() error {
 }
 
 // report publishes the scan into res: the phase-3 outcome, the counts
-// of the tiles computed in this session (a resumed scan's committed
-// tiles are not re-counted), and the network of every committed tile
-// across sessions.
+// of the work done in this session (a resumed scan's committed tiles
+// and verdicts are not re-counted), the test schedule's adjacency-shard
+// traffic, and the network of every survivor
+// that passed its test, across sessions.
 func (l *commitLog) report(res *Result) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	res.Threshold, res.NullSize = l.state.Threshold, l.state.NullSize
 	res.PairsEvaluated = l.session.pairEvals
+	res.PairsSurvived = l.session.survived
+	res.PairsTested = l.session.tested
 	res.PermEvaluations = l.session.permEvals
 	res.PermutationsSkipped = l.session.skipped
 	res.PermutationsCertified = l.session.certified
+	res.addFilterStats(l.shard)
 	net := grn.New(l.state.Fingerprint.Genes)
-	for _, e := range l.state.Edges {
-		net.AddEdge(e.I, e.J, e.Weight)
+	for x, e := range l.state.Edges {
+		if l.state.Verdicts[x] == grn.Passed {
+			net.AddEdge(e.I, e.J, e.Weight)
+		}
 	}
 	res.Network = net
 }

@@ -9,17 +9,21 @@
 //  3. threshold: estimate the global significance threshold I_alpha
 //     from the pooled null distribution of a deterministic sample of
 //     permuted pairs.
-//  4. mi: for every pair (i<j), compute MI; pairs below I_alpha are
-//     rejected immediately, pairs above run the per-pair permutation
-//     check (the observed MI must exceed all q permuted MIs) with
-//     early exit — this is the skew that motivates dynamic scheduling.
-//  5. dpi: optional data-processing-inequality pruning of the
-//     resulting network.
+//  4. mi: observe — for every pair (i<j), compute MI and keep the
+//     survivors at or above I_alpha; select — pick the survivors whose
+//     per-pair permutation check DPI still needs (all of them without
+//     DPI; grn.TestSchedule); test — run each selected survivor's
+//     check (the observed MI must exceed all q permuted MIs) with early
+//     exit, the skew that motivates dynamic scheduling. Select and test
+//     repeat until nothing new is selected; the network is the tested
+//     survivors that passed.
+//  5. dpi: optional data-processing-inequality pruning of that network,
+//     equal to DPI over every survivor that would pass its check.
 //
 // Five engines map phases 3 and 4 onto hardware. They share one tile
-// scan (every pair of a tile through one decide call) and one commit
-// log (threshold, committed tiles, checkpoint), and differ only in
-// scheduling and in where a tile's weight rows come from:
+// scan per pass (observe and test) and one commit log (threshold,
+// survivors and verdicts, checkpoint), and differ only in scheduling
+// and in where a tile's weight rows come from:
 //
 //   - Host: a goroutine pool over pair tiles of the resident weight
 //     matrix (the paper's Xeon solution).
@@ -278,11 +282,16 @@ type Config struct {
 	// Precision selects the MI compute precision (default Float64).
 	Precision Precision
 	// Progress, when non-nil, is invoked once per tile committed in this
-	// session with (tilesDone, tilesTotal), where tilesTotal counts the
-	// tiles pending when the scan began. It is called concurrently from
-	// worker goroutines and must be safe for concurrent use; keep it
-	// cheap — it sits on the scan's critical path. Every engine calls
-	// it; an ensemble run scales it over the whole run.
+	// session, observed or tested, with (done, total) in tiles: total
+	// counts one unit per tile pending observation when the scan began
+	// plus one test unit per tile of the scan's range, and a test unit
+	// is done when its tile is first tested in this session, or when the
+	// test schedule finishes (one last call then completes the units of
+	// tiles it never requested). total is fixed and done never
+	// decreases. The calls come from worker goroutines, one at a time
+	// and in order, so it must be safe for concurrent use; keep it cheap
+	// — it sits on the scan's critical path. Every engine calls it; an
+	// ensemble run scales it over the whole run.
 	Progress func(done, total int)
 	// Trace, when non-nil, records a span per pair tile on the row of
 	// the worker (or cluster rank) that scanned it, plus per-worker

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -321,8 +323,15 @@ func TestDPIReducesEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.RawEdges != a.Network.Len() {
-		t.Fatalf("RawEdges %d != undpi'd %d", b.RawEdges, a.Network.Len())
+	// Without DPI every survivor is tested; with it the schedule tests
+	// a subset, and the pre-filter network is the passing part of it.
+	if a.PairsTested != a.PairsSurvived || a.RawEdges != a.Network.Len() {
+		t.Fatalf("without DPI: %d of %d survivors tested, %d raw edges for %d",
+			a.PairsTested, a.PairsSurvived, a.RawEdges, a.Network.Len())
+	}
+	if b.PairsSurvived != a.PairsSurvived || b.PairsTested >= a.PairsTested || b.RawEdges > a.Network.Len() {
+		t.Fatalf("with DPI: %d of %d survivors tested (%d without), %d raw edges of %d",
+			b.PairsTested, b.PairsSurvived, a.PairsTested, b.RawEdges, a.Network.Len())
 	}
 	if b.Network.Len() > b.RawEdges {
 		t.Fatal("DPI cannot add edges")
@@ -513,46 +522,146 @@ func TestInferNilContext(t *testing.T) {
 }
 
 // TestProgressAndTraceHooks: every engine reports Progress once per
-// committed tile against the scan's tile total, and records one
-// tile-<i> span per tile on the rows of the workers (or ranks) that
-// scanned them.
+// committed tile of both passes — the observed tiles, then each test
+// round's — plus at most one call when the schedule finishes, against
+// a fixed total of two units per tile, with done never decreasing and
+// ending at done == total. On the rows of the workers (or ranks) it
+// records one tile-<i> span per observed tile and one test-<i> span per
+// test-round tile, and on the phase row after them the threshold, one
+// select-<round> span per schedule round (the last one requesting
+// nothing), dpi and cmi.
 func TestProgressAndTraceHooks(t *testing.T) {
 	d := testDataset(t, 20, 60, 40)
-	nTiles := int64(len(tile.Decompose(20, 4)))
+	nTiles := len(tile.Decompose(20, 4))
 	for _, eng := range []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore} {
-		var calls int64
-		var lastDone, total int64
+		var mu sync.Mutex
+		var calls [][2]int
 		rec := trace.NewRecorder()
-		_, err := Infer(d.Expr, Config{
+		res, err := Infer(d.Expr, Config{
 			Engine: eng, Seed: 1, Permutations: 5, Workers: 2, Ranks: 2, TileSize: 4,
+			DPI: true, DPITolerance: 0, CMIFilter: true,
 			Progress: func(done, tot int) {
-				atomic.AddInt64(&calls, 1)
-				atomic.StoreInt64(&lastDone, int64(done))
-				atomic.StoreInt64(&total, int64(tot))
+				mu.Lock()
+				calls = append(calls, [2]int{done, tot})
+				mu.Unlock()
 			},
 			Trace: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != nTiles {
-			t.Fatalf("%v: progress calls = %d, want %d", eng, calls, nTiles)
+		if len(calls) == 0 {
+			t.Fatalf("%v: no progress calls", eng)
 		}
-		if total != nTiles {
-			t.Fatalf("%v: total = %d, want %d", eng, total, nTiles)
-		}
-		// Trace: one span per tile, all workers covered by utilization.
-		if int64(rec.Len()) != nTiles {
-			t.Fatalf("%v: trace spans = %d, want %d", eng, rec.Len(), nTiles)
-		}
-		for _, ev := range rec.Events() {
-			if !strings.HasPrefix(ev.Name, "tile-") {
-				t.Fatalf("%v: unexpected span %q", eng, ev.Name)
+		for x, c := range calls {
+			if c[0] < 1 || c[1] != 2*nTiles || (x > 0 && c[0] < calls[x-1][0]) {
+				t.Fatalf("%v: progress call %d = %v after %v, total want %d", eng, x, c, calls[max(x-1, 0)], 2*nTiles)
 			}
 		}
-		util := rec.Utilization(2)
-		if len(util) != 2 {
+		if last := calls[len(calls)-1]; last[0] != last[1] {
+			t.Fatalf("%v: progress ends at %v", eng, last)
+		}
+		if res.PairsTested <= 0 {
+			t.Fatalf("%v: no pair tested", eng)
+		}
+
+		rows := 2
+		counts := map[string]int{}
+		rounds := 0
+		for _, ev := range rec.Events() {
+			name, _, _ := strings.Cut(ev.Name, " ")
+			kind, num, _ := strings.Cut(name, "-")
+			onWorker := ev.Worker >= 0 && ev.Worker < rows
+			switch {
+			case (kind == "tile" || kind == "test") && onWorker:
+				counts[kind]++
+			case kind == "select" && ev.Worker == rows:
+				rounds++
+				if num != strconv.Itoa(rounds) {
+					t.Fatalf("%v: span %q is schedule round %d", eng, ev.Name, rounds)
+				}
+			case (name == "threshold" || name == "dpi" || name == "cmi") && ev.Worker == rows:
+				counts[name]++
+			default:
+				t.Fatalf("%v: unexpected span %q on row %d", eng, ev.Name, ev.Worker)
+			}
+		}
+		want := map[string]int{"tile": nTiles, "threshold": 1, "dpi": 1, "cmi": 1}
+		for name, n := range want {
+			if counts[name] != n {
+				t.Fatalf("%v: %d %s spans, want %d", eng, counts[name], name, n)
+			}
+		}
+		if tiles := counts["tile"] + counts["test"]; len(calls) != tiles && len(calls) != tiles+1 {
+			t.Fatalf("%v: %d progress calls for %d committed tiles", eng, len(calls), tiles)
+		}
+		if rounds < 2 {
+			t.Fatalf("%v: %d select spans, want the test rounds plus the empty last one", eng, rounds)
+		}
+		if util := rec.Utilization(rows); len(util) != rows {
 			t.Fatalf("%v: utilization = %v", eng, util)
+		}
+	}
+}
+
+// TestCheckpointResumeTogglesDPI: a checkpoint records survivors and
+// verdicts, not the DPI setting, so a scan resumes under the other
+// setting to that setting's network. A finished DPI run resumed
+// without DPI tests exactly the survivors the first session left
+// untested and observes nothing. Without DPI a tile's survivors are
+// tested as it is observed, so that session's progress advances two
+// units per tile and stops at the first count at or past stopAt.
+func TestCheckpointResumeTogglesDPI(t *testing.T) {
+	d := testDataset(t, 40, 80, 12)
+	off := Config{Seed: 12, Permutations: 8, Workers: 2, TileSize: 8, CheckpointEvery: 1, DPITolerance: DefaultDPITolerance}
+	on := off
+	on.DPI = true
+	wantOff, err := Infer(d.Expr, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOn, err := Infer(d.Expr, on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nTiles := len(tile.Decompose(40, 8))
+	for _, tc := range []struct {
+		name          string
+		first, second Config
+		want          *Result
+		stopAt        int // progress count to cancel the first session at; 0 runs it to the end
+	}{
+		{"on, stopped testing, resumed off", on, off, wantOff, nTiles + 2},
+		{"on, finished, resumed off", on, off, wantOff, 0},
+		{"off, stopped late, resumed on", off, on, wantOn, nTiles + 2},
+		{"off, stopped early, resumed on", off, on, wantOn, nTiles / 2},
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		first := tc.first
+		first.CheckpointPath = path
+		ctx, cancel := context.WithCancel(context.Background())
+		if tc.stopAt > 0 {
+			first.Progress = func(done, total int) {
+				if done >= tc.stopAt {
+					cancel()
+				}
+			}
+		}
+		_, err := InferContext(ctx, d.Expr, first)
+		cancel()
+		if (err != nil) != (tc.stopAt > 0) {
+			t.Fatalf("%s: first session returned %v", tc.name, err)
+		}
+		second := tc.second
+		second.CheckpointPath = path
+		got, err := Infer(d.Expr, second)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		identicalEdges(t, tc.name, tc.want, got)
+		if tc.stopAt == 0 && (got.PairsEvaluated != 0 || got.PairsTested != wantOff.PairsTested-wantOn.PairsTested) {
+			t.Fatalf("%s: observed %d pairs and tested %d, want 0 and the %d left untested",
+				tc.name, got.PairsEvaluated, got.PairsTested, wantOff.PairsTested-wantOn.PairsTested)
 		}
 	}
 }

@@ -36,20 +36,22 @@ const (
 // Result embeds Counters, so res.PairsEvaluated and the other fields
 // read as before.
 type Counters struct {
-	// RawEdges is the edge count before the filter phase (==
-	// Network.Len() when DPI and the CMI filter are off). An ensemble
-	// sums the per-bootstrap pre-filter counts.
+	// RawEdges is the edge count before the filter phase: the tested
+	// threshold survivors that passed (with DPI off every survivor is
+	// tested, so it equals Network.Len() when the CMI filter is off
+	// too). An ensemble sums the per-bootstrap pre-filter counts.
 	RawEdges int `json:"rawEdges" fold:"sum" unit:"count" metric:"tinge_raw_edges_total" help:"Significant edges before the filter phase."`
 	// DPIEdgesRemoved and CMIEdgesRemoved count the edges each filter
 	// pruned (0 when the respective filter is off).
 	DPIEdgesRemoved int `json:"dpiEdgesRemoved" fold:"sum" unit:"count" metric:"tinge_dpi_edges_removed_total" help:"Edges pruned by the DPI filter."`
 	CMIEdgesRemoved int `json:"cmiEdgesRemoved" fold:"sum" unit:"count" metric:"tinge_cmi_edges_removed_total" help:"Edges pruned by the CMI successor filter."`
-	// FilterShardPeakBytes is the filter phase's resident
-	// adjacency-shard high-water mark; on a budgeted run it stays under
-	// the effective shard budget. The other FilterShard counters mirror
-	// the panel-store counters for the filter's own shard store (all 0
-	// on unbudgeted runs except the peak and hits).
-	FilterShardPeakBytes    int64 `json:"filterShardPeakBytes" fold:"max" unit:"bytes" help:"Peak resident adjacency-shard bytes of the filter phase."`
+	// FilterShardPeakBytes is the resident adjacency-shard high-water
+	// mark of the DPI test schedule and the filter phase; on a budgeted
+	// run it stays under the effective shard budget. The other
+	// FilterShard counters mirror the panel-store counters for their
+	// shard stores, summed (all 0 on unbudgeted runs except the peak and
+	// hits).
+	FilterShardPeakBytes    int64 `json:"filterShardPeakBytes" fold:"max" unit:"bytes" help:"Peak resident adjacency-shard bytes of the DPI test schedule and the filter phase."`
 	FilterShardHits         int64 `json:"filterShardHits" fold:"sum" unit:"count" metric:"tinge_filter_shard_hits_total" help:"Adjacency-shard pins served resident."`
 	FilterShardLoads        int64 `json:"filterShardLoads" fold:"sum" unit:"count" metric:"tinge_filter_shard_loads_total" help:"Adjacency-shard pins re-read from the spill file."`
 	FilterShardEvictions    int64 `json:"filterShardEvictions" fold:"sum" unit:"count" metric:"tinge_filter_shard_evictions_total" help:"Adjacency shards dropped to stay under budget."`
@@ -64,6 +66,13 @@ type Counters struct {
 	// during phase 4 in this session (the per-pair permutation checks;
 	// the pooled-null phase is not included).
 	PermEvaluations int64 `json:"permEvaluations" fold:"sum" unit:"count" metric:"tinge_perm_evaluations_total" help:"Permutation MI evaluations actually computed."`
+	// PairsSurvived counts the observed pairs at or above the threshold
+	// in this session — the survivors the test schedule draws from.
+	PairsSurvived int64 `json:"pairsSurvived" fold:"sum" unit:"count" metric:"tinge_pairs_survived_total" help:"Observed pairs at or above the pooled-null threshold."`
+	// PairsTested counts the survivors whose permutation test ran in
+	// this session: every survivor with DPI off, the ones the DPI test
+	// schedule requests with it on.
+	PairsTested int64 `json:"pairsTested" fold:"sum" unit:"count" metric:"tinge_pairs_tested_total" help:"Threshold survivors whose permutation test ran."`
 	// NullSize is the pooled null distribution size.
 	NullSize int `json:"nullSize" fold:"last" unit:"count" help:"Pooled null distribution size."`
 	// SimSeconds is the Phi and Hybrid engines' simulated device time

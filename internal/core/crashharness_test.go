@@ -15,11 +15,14 @@ import (
 // the checkpoint fresh-or-valid — the resumed run never sees a torn or
 // half-renamed file — and must finish bit-identical to an
 // uninterrupted reference. The harness sweeps the torn-write point k
-// across every write the run performs (checkpoint frames for the host
-// engine; spill panels and checkpoint frames for the out-of-core
-// engine), varying how many bytes of the torn write land on disk, for
-// both compute precisions. Each trial runs against a fresh fault plan,
-// so the schedule replays identically under -race and on re-runs.
+// across every write the run performs, in the observe pass and in the
+// test rounds (checkpoint frames for the host engine; spill panels and
+// checkpoint frames for the out-of-core engine), varying how many bytes
+// of the torn write land on disk, for both compute precisions, with DPI
+// off (every survivor tested as its tile is observed) and on (the DPI
+// test schedule, whose rounds run after observation). Each trial runs
+// against a fresh fault plan, so the schedule replays identically under
+// -race and on re-runs.
 func TestCrashConsistencyHarness(t *testing.T) {
 	const n, m = 36, 48
 	const maxWrites = 64 // trial-sweep backstop, far above any real count
@@ -30,6 +33,11 @@ func TestCrashConsistencyHarness(t *testing.T) {
 	}{
 		{"host", func(c *Config) {}},
 		{"ooc", func(c *Config) { c.Engine = OutOfCore; c.PanelRows = 12 }},
+		{"host-dpi", func(c *Config) { c.DPI, c.DPITolerance = true, DefaultDPITolerance }},
+		{"ooc-dpi", func(c *Config) {
+			c.Engine, c.PanelRows = OutOfCore, 12
+			c.DPI, c.DPITolerance = true, DefaultDPITolerance
+		}},
 	}
 	precisions := []struct {
 		name string
@@ -54,7 +62,7 @@ func TestCrashConsistencyHarness(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				boundaries := int64(0)
+				boundaries, testPass := int64(0), 0
 				completed := false
 				for k := int64(1); k <= maxWrites; k++ {
 					dir := t.TempDir()
@@ -93,8 +101,12 @@ func TestCrashConsistencyHarness(t *testing.T) {
 					// Fresh-or-valid: whatever the crash left behind must
 					// load cleanly (possibly as "no checkpoint") — never as
 					// a corrupt file.
-					if _, err := checkpoint.LoadFile(path); err != nil {
+					st, err := checkpoint.LoadFile(path)
+					if err != nil {
 						t.Fatalf("k=%d: checkpoint after crash not fresh-or-valid: %v", k, err)
+					}
+					if st != nil && st.Remaining() == 0 {
+						testPass++ // crashed in the test pass: every tile observed
 					}
 
 					// Resume on a healthy filesystem: bit-identical network,
@@ -119,7 +131,10 @@ func TestCrashConsistencyHarness(t *testing.T) {
 				if boundaries < 3 {
 					t.Fatalf("swept only %d write boundaries; the fault seam is not wired", boundaries)
 				}
-				t.Logf("swept %d write boundaries", boundaries)
+				if base.DPI && testPass == 0 {
+					t.Fatal("no crash landed in the test pass")
+				}
+				t.Logf("swept %d write boundaries, %d in the test pass", boundaries, testPass)
 			})
 		}
 	}

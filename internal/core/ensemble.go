@@ -72,13 +72,15 @@ func loadEnsembleLedger(cfg Config, genes, samples int, res *Result) (*ensembleL
 }
 
 // restore folds the ledger's completed-bootstrap snapshot into the
-// aggregate and the thresholds. next is the first pending bootstrap.
-// Like every resumed scan, the run counts only this session's work.
+// aggregate, the thresholds and the null size. next is the first
+// pending bootstrap. Like every resumed scan, the run counts only this
+// session's work.
 func (l *ensembleLedger) restore(res *Result, ens *grn.Ensemble, next int) {
 	ens.Restore(l.state.EnsembleEdges, next)
 	copy(res.EnsembleThresholds, l.state.EnsembleThresholds[:next])
 	if next > 0 {
 		res.Threshold = l.state.EnsembleThresholds[next-1]
+		res.NullSize = l.state.NullSize
 	}
 }
 
@@ -89,6 +91,7 @@ func (l *ensembleLedger) bootstrapDone(b int, bres *Result, ens *grn.Ensemble) e
 	s := l.state
 	s.Done[b] = true
 	s.EnsembleThresholds[b] = bres.Threshold
+	s.NullSize = bres.NullSize
 	s.EnsembleEdges = ens.Edges()
 	return checkpoint.SaveFileFS(l.fsys, l.path, s)
 }

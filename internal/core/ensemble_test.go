@@ -226,6 +226,17 @@ func TestEnsembleResume(t *testing.T) {
 			t.Fatalf("%v: pending bootstraps evaluated %d pairs, the whole run %d", eng, session.PairsEvaluated, want.PairsEvaluated)
 		}
 		identicalEnsembles(t, eng.String()+"/resume", res, &session)
+
+		// A rerun against the finished checkpoint runs nothing and
+		// reports the uninterrupted run's threshold and null size.
+		again, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.EnsembleBootstrapsRun != 0 || again.Threshold != want.Threshold || again.NullSize != want.NullSize {
+			t.Fatalf("%v finished rerun: %d bootstraps run, threshold %v null size %d; want 0, %v, %d",
+				eng, again.EnsembleBootstrapsRun, again.Threshold, again.NullSize, want.Threshold, want.NullSize)
+		}
 	}
 }
 
@@ -331,8 +342,8 @@ func TestEnsembleAmortization(t *testing.T) {
 	if dres.DPIEdgesRemoved <= 0 {
 		t.Fatalf("ensemble DPI removed nothing (raw %d edges)", dres.RawEdges)
 	}
-	if dres.RawEdges != four.RawEdges {
-		t.Fatalf("pre-filter edge totals differ: DPI run %d, plain run %d", dres.RawEdges, four.RawEdges)
+	if dres.PairsSurvived != four.PairsSurvived {
+		t.Fatalf("threshold survivor totals differ: DPI run %d, plain run %d", dres.PairsSurvived, four.PairsSurvived)
 	}
 }
 

@@ -6,15 +6,11 @@ import (
 	"repro/internal/panelstore"
 )
 
-// applyFilters is phase 5 for every engine: the parallel DPI prune
-// and, when enabled, the CMI successor filter, each timed into its own
-// phase ("dpi", "cmi") and surfaced through the Result counters. rows
-// supplies rank-normalized expression rows to the CMI filter (may be
-// nil when CMIFilter is off). Shard spilling is armed only on the
-// disk-backed path — the resident engines already hold the whole
+// filterOpts is the adjacency-shard configuration of the DPI test
+// schedule and of the phase-5 filters. Shard spilling is armed only on
+// the disk-backed paths — the resident engines already hold the whole
 // network, so a resident adjacency costs nothing extra there.
-func applyFilters(cfg Config, res *Result, rows grn.RowFunc) error {
-	res.RawEdges = res.Network.Len()
+func filterOpts(cfg Config) grn.FilterOpts {
 	opts := grn.FilterOpts{
 		Tolerance: cfg.DPITolerance,
 		Workers:   cfg.Workers,
@@ -24,12 +20,40 @@ func applyFilters(cfg Config, res *Result, rows grn.RowFunc) error {
 	if cfg.Engine == OutOfCore || (cfg.Engine == Host && cfg.MemoryBudget > 0) {
 		opts.MemoryBudget = cfg.MemoryBudget
 	}
-	var shard grn.FilterStats
+	return opts
+}
+
+// addFilterStats folds one adjacency-shard store's traffic (a filter
+// pass's, or the test schedule's) into the FilterShard counters:
+// the peak takes the max, the rest add.
+func (c *Counters) addFilterStats(st grn.FilterStats) {
+	c.FilterShardPeakBytes = max(c.FilterShardPeakBytes, st.ShardPeakBytes)
+	c.FilterShardHits += st.ShardHits
+	c.FilterShardLoads += st.ShardLoads
+	c.FilterShardEvictions += st.ShardEvictions
+	c.FilterShardBytesSpilled += st.ShardBytesSpilled
+	c.FilterShardBytesLoaded += st.ShardBytesLoaded
+	c.SpillReadRetries += st.ShardReadRetries
+}
+
+// applyFilters is phase 5 for every engine: the parallel DPI prune
+// and, when enabled, the CMI successor filter, each timed into its own
+// phase and trace span ("dpi", "cmi") and surfaced through the Result
+// counters. The network it filters holds the tested survivors that
+// passed, so DPI over it equals DPI over every survivor that would
+// pass (grn.TestSchedule). rows supplies rank-normalized expression
+// rows to the CMI filter (may be nil when CMIFilter is off).
+func applyFilters(cfg Config, res *Result, rows grn.RowFunc) error {
+	res.RawEdges = res.Network.Len()
+	opts := filterOpts(cfg)
 	if cfg.DPI {
 		var net *grn.Network
 		var st grn.FilterStats
 		var err error
 		res.Timer.Time("dpi", func() {
+			if cfg.Trace != nil {
+				defer cfg.Trace.Span(phaseRow(cfg), "dpi")()
+			}
 			net, st, err = res.Network.DPIParallel(opts)
 		})
 		if err != nil {
@@ -37,13 +61,16 @@ func applyFilters(cfg Config, res *Result, rows grn.RowFunc) error {
 		}
 		res.Network = net
 		res.DPIEdgesRemoved = st.Removed
-		shard.Merge(st)
+		res.addFilterStats(st)
 	}
 	if cfg.CMIFilter {
 		var net *grn.Network
 		var st grn.FilterStats
 		var err error
 		res.Timer.Time("cmi", func() {
+			if cfg.Trace != nil {
+				defer cfg.Trace.Span(phaseRow(cfg), "cmi")()
+			}
 			net, st, err = res.Network.CMIFilterParallel(rows, cfg.Bins, cfg.CMIRatio, opts)
 		})
 		if err != nil {
@@ -51,15 +78,8 @@ func applyFilters(cfg Config, res *Result, rows grn.RowFunc) error {
 		}
 		res.Network = net
 		res.CMIEdgesRemoved = st.Removed
-		shard.Merge(st)
+		res.addFilterStats(st)
 	}
-	res.FilterShardPeakBytes = shard.ShardPeakBytes
-	res.FilterShardHits = shard.ShardHits
-	res.FilterShardLoads = shard.ShardLoads
-	res.FilterShardEvictions = shard.ShardEvictions
-	res.FilterShardBytesSpilled = shard.ShardBytesSpilled
-	res.FilterShardBytesLoaded = shard.ShardBytesLoaded
-	res.SpillReadRetries += shard.ShardReadRetries
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/mi"
 )
 
@@ -54,6 +56,54 @@ func TestDPIGoldenAllEngines(t *testing.T) {
 				}
 				if got.Timer.Get("dpi") < 0 {
 					t.Fatalf("%s: missing dpi phase timing", label)
+				}
+			}
+		}
+	}
+}
+
+// TestDPIScheduleGoldenFailureHeavy pins the DPI test schedule where
+// it has the most to get wrong: at Alpha 0.5 about half of all pairs
+// clear the threshold and most of those fail their permutation test,
+// so many candidate triangles hold a failed edge. For both tolerances,
+// every engine, both precisions and 1, 2 and 4 workers, the DPI run
+// must emit exactly Network.DPI over the network of a DPI-off run —
+// the full tested set — while testing fewer survivors than it.
+func TestDPIScheduleGoldenFailureHeavy(t *testing.T) {
+	d := expr.MustGenerate(expr.GenConfig{Genes: 32, Experiments: 60, RootFraction: 0.5, Noise: 0.2, Seed: 21})
+	for _, prec := range []Precision{Float64, Float32} {
+		base := Config{Precision: prec, Seed: 21, Permutations: 8, Alpha: 0.5, TileSize: 8, Workers: 1}
+		plain, err := Infer(d.Expr, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed := plain.PairsTested - int64(plain.RawEdges); failed <= int64(plain.RawEdges) {
+			t.Fatalf("%v: %d of %d tested survivors failed; the case is not failure-heavy", prec, failed, plain.PairsTested)
+		}
+		for _, tol := range []float64{0, DefaultDPITolerance} {
+			want := plain.Network.DPI(tol)
+			for _, eng := range []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore} {
+				for _, workers := range []int{1, 2, 4} {
+					cfg := base
+					cfg.Engine, cfg.Workers, cfg.Ranks = eng, workers, workers
+					cfg.DPI, cfg.DPITolerance = true, tol
+					got, err := Infer(d.Expr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%v/%v tol=%v workers=%d", eng, prec, tol, workers)
+					ge, we := got.Network.Edges(), want.Edges()
+					if len(ge) != len(we) {
+						t.Fatalf("%s: %d edges, DPI over the full tested set keeps %d", label, len(ge), len(we))
+					}
+					for x := range ge {
+						if ge[x] != we[x] {
+							t.Fatalf("%s: edge %d = %+v, full tested set %+v", label, x, ge[x], we[x])
+						}
+					}
+					if got.PairsSurvived != plain.PairsSurvived || got.PairsTested >= plain.PairsTested {
+						t.Fatalf("%s: tested %d of %d survivors, DPI off tests %d", label, got.PairsTested, got.PairsSurvived, plain.PairsTested)
+					}
 				}
 			}
 		}

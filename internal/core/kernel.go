@@ -72,31 +72,22 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 	}
 }
 
-// decide evaluates pair (i, j) fully: the observed MI, the global
-// threshold cut, and — for survivors — the per-pair permutation check
-// with early exit (the observed value must strictly exceed every
-// permuted value, i.e. empirical p < 1/(q+1)).
-//
-// It returns the observed MI, whether the edge is significant, the
-// number of exact-kernel pair evaluations spent (always 1), the number
-// of permutation evaluations actually computed (the sweep stops at the
-// first permuted MI >= obs, exactly where a per-permutation loop
-// would), and the number of permutations the early exit skipped (q
-// minus the permutations computed, 0 for pairs cut by the threshold).
+// test runs the per-pair permutation check of threshold survivor
+// (i, j) from its observed MI obs, with early exit: the observed value
+// must strictly exceed every permuted value, i.e. empirical
+// p < 1/(q+1). It returns whether the edge is significant, the number
+// of permutation evaluations computed (the sweep stops at the first
+// permuted MI >= obs, exactly where a per-permutation loop would), and
+// the number the early exit skipped (q minus those computed).
 //
 // pc, when non-nil, is this goroutine's permuted-row cache; the sweep
 // kernels stream gene j's cached rows instead of gathering through the
 // permutation per evaluation. Results are bit-identical with or without
 // the cache.
-func (k *pairKernel) decide(i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs float64, significant bool, evals, permEvals, skipped int64) {
-	obs = k.miPair(i, j, ws)
-	evals = 1
-	if obs < k.thresh {
-		return obs, false, evals, 0, 0
-	}
+func (k *pairKernel) test(i, j int, obs float64, ws *mi.Workspace, pc *mi.PermCache) (significant bool, permEvals, skipped int64) {
 	q := k.pool.Q()
 	if q == 0 {
-		return obs, true, evals, 0, 0
+		return true, 0, 0
 	}
 	perms := k.pool.Perms()
 	var poffs []int32
@@ -124,7 +115,7 @@ func (k *pairKernel) decide(i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs f
 			done, significant = k.est.SweepBucketed(i, j, obs, perms, poffs, pw, ws)
 		}
 	}
-	return obs, significant, evals, int64(done), int64(q - done)
+	return significant, int64(done), int64(q - done)
 }
 
 // sampleNullPairs deterministically selects count distinct pairs (i<j)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -91,9 +92,10 @@ func TestPoolScanStopsAtFirstTileError(t *testing.T) {
 // still had a prescreen option carry Fingerprint.Prescreen and a
 // ScreenedPerTile array. The testdata pair was written by that version
 // with the option on: one finished scan and one canceled after 4 of its
-// 10 tiles. Both must load, validate against today's fingerprint, and
-// resume on every engine to the network an uninterrupted run emits,
-// computing only the tiles they lack.
+// 10 tiles. Their edges are survivors that passed their test, with no
+// verdict array. Both must load, validate against today's fingerprint,
+// and resume on every engine, with DPI off and on, to the network an
+// uninterrupted run emits, observing only the tiles they lack.
 func TestPrescreenEraCheckpointsResume(t *testing.T) {
 	d := testDataset(t, 32, 40, 14)
 	cfg := Config{Seed: 14, Permutations: 6, Workers: 1, TileSize: 8, Ranks: 2}
@@ -101,6 +103,7 @@ func TestPrescreenEraCheckpointsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantDPI := &Result{Threshold: want.Threshold, Network: want.Network.DPI(DefaultDPITolerance)}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +139,28 @@ func TestPrescreenEraCheckpointsResume(t *testing.T) {
 			pendingPairs += int64(tiles[ti].Pairs())
 		}
 		for _, eng := range []EngineKind{Host, Cluster, OutOfCore} {
-			path := filepath.Join(t.TempDir(), tc.file)
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			c := cfg
-			c.Engine, c.CheckpointPath = eng, path
-			got, err := Infer(d.Expr, c)
-			if err != nil {
-				t.Fatalf("%s on %v: %v", tc.file, eng, err)
-			}
-			identicalEdges(t, tc.file+" on "+eng.String(), want, got)
-			if got.PairsEvaluated != pendingPairs {
-				t.Fatalf("%s on %v: evaluated %d pairs, want the %d of the missing tiles",
-					tc.file, eng, got.PairsEvaluated, pendingPairs)
+			for _, dpi := range []bool{false, true} {
+				path := filepath.Join(t.TempDir(), tc.file)
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c := cfg
+				c.Engine, c.CheckpointPath = eng, path
+				c.DPI, c.DPITolerance = dpi, DefaultDPITolerance
+				got, err := Infer(d.Expr, c)
+				if err != nil {
+					t.Fatalf("%s on %v: %v", tc.file, eng, err)
+				}
+				label := fmt.Sprintf("%s on %v (dpi %v)", tc.file, eng, dpi)
+				if dpi {
+					identicalEdges(t, label, wantDPI, got)
+				} else {
+					identicalEdges(t, label, want, got)
+				}
+				if got.PairsEvaluated != pendingPairs {
+					t.Fatalf("%s: evaluated %d pairs, want the %d of the missing tiles",
+						label, got.PairsEvaluated, pendingPairs)
+				}
 			}
 		}
 	}

@@ -289,6 +289,17 @@ func TestPermutationsCertifiedCount(t *testing.T) {
 // with a private workspace and cache — the exact phase-4 sharing
 // pattern. Run with -race; it also cross-checks every goroutine's
 // decisions against a serial reference.
+// decide is one pair's whole phase-4 path: the observed MI, the
+// threshold cut, and the permutation test of a survivor.
+func decide(k *pairKernel, i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs float64, sig bool, evals, permEvals, skipped int64) {
+	obs = k.miPair(i, j, ws)
+	if obs < k.thresh {
+		return obs, false, 1, 0, 0
+	}
+	sig, permEvals, skipped = k.test(i, j, obs, ws, pc)
+	return obs, sig, 1, permEvals, skipped
+}
+
 func TestPermCacheConcurrentWorkers(t *testing.T) {
 	d := testDataset(t, 24, 80, 5)
 	cfg := Config{Seed: 9, Permutations: 12, Workers: 8, TileSize: 6}
@@ -315,7 +326,7 @@ func TestPermCacheConcurrentWorkers(t *testing.T) {
 	tiles := tile.Decompose(24, cfg.TileSize)
 	for _, tl := range tiles {
 		tl.ForEachPair(func(i, j int) {
-			obs, sig, ev, pe, sk := k.decide(i, j, refWS, refPC)
+			obs, sig, ev, pe, sk := decide(k, i, j, refWS, refPC)
 			ref[[2]int{i, j}] = verdict{obs, sig, ev, pe, sk}
 		})
 	}
@@ -333,7 +344,7 @@ func TestPermCacheConcurrentWorkers(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				for ti := w; ti < len(tiles); ti += cfg.Workers {
 					tiles[ti].ForEachPair(func(i, j int) {
-						obs, sig, ev, pe, sk := k.decide(i, j, ws, pc)
+						obs, sig, ev, pe, sk := decide(k, i, j, ws, pc)
 						want := ref[[2]int{i, j}]
 						if obs != want.obs || sig != want.sig || ev != want.evals || pe != want.permEvals || sk != want.skipped {
 							select {

@@ -33,6 +33,16 @@ type nullPhase struct {
 	timer *stats.Timer
 }
 
+// phaseRow is the trace row of the pipeline's phase spans (threshold,
+// select-<round>, dpi, cmi): the row after the last worker's, or the
+// last cluster rank's.
+func phaseRow(cfg Config) int {
+	if cfg.Engine == Cluster {
+		return cfg.Ranks
+	}
+	return cfg.Workers
+}
+
 // estimateThreshold is phase 3 of every engine: I_alpha from the pooled
 // permutation null over the seed-deterministic sample of null pairs.
 // Each sampled pair contributes its q permuted MIs from one sweep with
@@ -43,7 +53,7 @@ type nullPhase struct {
 //
 // When the outcome is already known — from a resumed checkpoint or
 // Config.KnownNull, passed as known by commitLog.threshold — no pair is
-// evaluated and no "threshold" phase is recorded.
+// evaluated and no "threshold" phase or trace span is recorded.
 func estimateThreshold(ctx context.Context, cfg Config, n int, known *PooledNull, ph nullPhase) (PooledNull, error) {
 	if known != nil {
 		return *known, nil
@@ -51,6 +61,9 @@ func estimateThreshold(ctx context.Context, cfg Config, n int, known *PooledNull
 	var out PooledNull
 	var err error
 	compute := func() { out, err = pooledNull(ctx, cfg, n, ph) }
+	if cfg.Trace != nil && ph.rank == 0 {
+		defer cfg.Trace.Span(phaseRow(cfg), "threshold")()
+	}
 	if ph.timer != nil {
 		ph.timer.Time("threshold", compute)
 	} else {

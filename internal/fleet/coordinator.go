@@ -156,13 +156,15 @@ type scan struct {
 	bootThresh []float64
 	bootDone   []bool
 	folded     int
-	attempts   []int         // per-chunk attempt counts
-	lastWorker []int         // per-chunk index of the last worker tried (-1 none)
-	sums       core.Counters // this session's chunks' counters, folded
-	watchers   int
-	created    time.Time
-	started    time.Time
-	finished   time.Time
+	attempts   []int // per-chunk attempt counts
+	lastWorker []int // per-chunk index of the last worker tried (-1 none)
+	// chunkCounters holds each chunk's counters, nil for chunks not run
+	// in this session; the merge folds them in ascending chunk order.
+	chunkCounters []*core.Counters
+	watchers      int
+	created       time.Time
+	started       time.Time
+	finished      time.Time
 
 	// Ledger persistence, serialized separately from mu so disk writes
 	// never stall commits. savedDone keeps snapshots monotonic.
@@ -502,6 +504,7 @@ func (c *Coordinator) prepare(s *scan) error {
 		// optimization, never worth failing a scan over.
 	}
 	s.attempts = make([]int, len(chunks))
+	s.chunkCounters = make([]*core.Counters, len(chunks))
 	s.lastWorker = make([]int, len(chunks))
 	for i := range s.lastWorker {
 		s.lastWorker[i] = -1
@@ -683,7 +686,8 @@ func (c *Coordinator) commitChunk(s *scan, ci int, res *server.ResultResponse) e
 	}
 	s.ledger.Done[ci] = true
 	s.ledger.Edges = append(s.ledger.Edges, edges...)
-	s.sums.Fold(&res.Counters)
+	counts := res.Counters
+	s.chunkCounters[ci] = &counts
 	done := len(s.chunks) - s.ledger.Remaining()
 	if p := progressOf(done, len(s.chunks)); p > s.progress {
 		s.progress = p
@@ -741,7 +745,8 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	s.bootDone[ci] = true
 	s.bootEdges[ci] = edges
 	s.bootThresh[ci] = res.EnsembleThresholds[0]
-	s.sums.Fold(&res.Counters)
+	counts := res.Counters
+	s.chunkCounters[ci] = &counts
 	// Advance the fold prefix: bootstraps must enter the aggregate in
 	// ascending order (WeightSum is order-sensitive), so results that
 	// arrived early wait in bootEdges until their turn.
@@ -795,6 +800,22 @@ func (c *Coordinator) commitBootstrap(s *scan, ci int, res *server.ResultRespons
 	return nil
 }
 
+// counters folds this session's chunk counters in ascending chunk
+// order, so the last-rule gauges (an imbalance, a hybrid split, an
+// ensemble's null size) come from the highest chunk that ran, whatever
+// order the chunks committed in.
+func (s *scan) counters() core.Counters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum core.Counters
+	for _, c := range s.chunkCounters {
+		if c != nil {
+			sum.Fold(c)
+		}
+	}
+	return sum
+}
+
 func progressOf(done, total int) float64 {
 	if total <= 0 {
 		return 0
@@ -831,7 +852,7 @@ func (c *Coordinator) merge(s *scan) {
 		c.finishScan(s, StateFailed, buildErr.Error())
 		return
 	}
-	res := &core.Result{Network: net, Threshold: s.ledger.Threshold, Timer: timer, Counters: s.sums}
+	res := &core.Result{Network: net, Threshold: s.ledger.Threshold, Timer: timer, Counters: s.counters()}
 	// The ledger holds the null of a scan resumed with no chunk left to run.
 	res.NullSize = s.ledger.NullSize
 	var rows grn.RowFunc
@@ -861,6 +882,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 	timer := stats.NewTimer()
 	var res *core.Result
 	var buildErr error
+	counters := s.counters()
 	timer.Time("merge", func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -879,7 +901,7 @@ func (c *Coordinator) mergeEnsemble(s *scan) {
 			EnsembleThresholds: append([]float64(nil), s.bootThresh...),
 			Threshold:          s.bootThresh[len(s.bootThresh)-1],
 			Timer:              timer,
-			Counters:           s.sums,
+			Counters:           counters,
 		}
 	})
 	if buildErr != nil {

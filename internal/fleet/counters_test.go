@@ -190,9 +190,9 @@ func TestCounterSchemaOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if merged.PairsEvaluated != want.PairsEvaluated || merged.RawEdges != want.RawEdges {
+		if fw := fleetReference(t, body, cfg); merged.PairsEvaluated != fw.PairsEvaluated || merged.RawEdges != fw.RawEdges {
 			t.Errorf("%s coordinator: %d pairs, %d raw edges; in-process %d, %d", label,
-				merged.PairsEvaluated, merged.RawEdges, want.PairsEvaluated, want.RawEdges)
+				merged.PairsEvaluated, merged.RawEdges, fw.PairsEvaluated, fw.RawEdges)
 		}
 		cstatus := getJSON(t, coord.URL+"/jobs/"+cid)
 		cresult := getJSON(t, coord.URL+"/jobs/"+cid+"/result")
@@ -222,5 +222,58 @@ func TestCounterSchemaOutputs(t *testing.T) {
 		if got, want := metrics[name], sumFields(t, &total, fields); got != want {
 			t.Errorf("/metrics legacy %s = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestFleetMergeIndependentOfCommitOrder: the coordinator folds the
+// chunks' counters in ascending chunk order at merge, so one scan whose
+// chunks commit in two different orders merges to identical Counters,
+// the last-rule gauges included.
+func TestFleetMergeIndependentOfCommitOrder(t *testing.T) {
+	body := fleetBody(t, 24, 16, 4)
+	cfg := scanConfig(t)
+	c := New(nil)
+	c.ChunksPerScan = 4
+	c.init()
+	plan := PlanChunks(24, cfg.TileSize, c.ChunksPerScan)
+	results := make([]*server.ResultResponse, len(plan))
+	for ci, ch := range plan {
+		cc := cfg
+		cc.DPI = false
+		cc.ChunkStart, cc.ChunkTiles = ch.TileStart, ch.TileCount
+		part := reference(t, body, cc)
+		// Distinct gauges per chunk make the last-rule fold order visible.
+		part.Imbalance = float64(ci + 1)
+		part.HybridPhiShare = float64(ci+1) / 8
+		var edges [][3]float64
+		for _, e := range part.Network.Edges() {
+			edges = append(edges, [3]float64{float64(e.I), float64(e.J), e.Weight})
+		}
+		results[ci] = &server.ResultResponse{Threshold: part.Threshold, Edges: edges, Counters: part.Counters}
+	}
+	merge := func(order ...int) core.Counters {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s := &scan{key: "order", cfg: cfg, ctx: ctx, cancel: cancel, done: make(chan struct{}), body: body}
+		if err := c.prepare(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, ci := range order {
+			if err := c.commitChunk(s, ci, results[ci]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.merge(s)
+		if s.result == nil {
+			t.Fatalf("merge failed: %s", s.err)
+		}
+		return s.result.Counters
+	}
+	a, b := merge(0, 1, 2, 3), merge(3, 1, 0, 2)
+	if a != b {
+		t.Fatalf("merged counters depend on commit order:\n%+v\n%+v", a, b)
+	}
+	if a.Imbalance != 4 || a.HybridPhiShare != 0.5 {
+		t.Fatalf("last-rule gauges %v, %v; want chunk 3's 4, 0.5", a.Imbalance, a.HybridPhiShare)
 	}
 }

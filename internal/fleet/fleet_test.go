@@ -100,6 +100,27 @@ func reference(t testing.TB, body []byte, cfg core.Config) *core.Result {
 	return res
 }
 
+// fleetReference is what a fleet scan of cfg must reproduce: the
+// threshold and network of a single-process run of cfg, and the counts
+// of a single-process run of its chunk config. Chunk jobs run with DPI
+// and CMI off and test every threshold survivor, and the merge filters
+// once, so a DPI-on fleet scan tests more pairs than the single
+// process, which tests only those the DPI schedule needs. An ensemble
+// fleet scan runs each bootstrap, filters included, on a worker, so its
+// reference is the single-process run.
+func fleetReference(t testing.TB, body []byte, cfg core.Config) *core.Result {
+	t.Helper()
+	want := reference(t, body, cfg)
+	if cfg.Ensemble.Enabled() {
+		return want
+	}
+	chunk := cfg
+	chunk.DPI, chunk.CMIFilter = false, false
+	out := *reference(t, body, chunk)
+	out.Network = want.Network
+	return &out
+}
+
 // assertBitIdentical fails unless got reproduces want exactly: same
 // threshold bits, same edge set, same weight bits, and the same pair
 // and permutation evaluation counts.
@@ -149,7 +170,7 @@ func TestFleetBitIdentity(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			want := reference(t, body, cfg)
+			want := fleetReference(t, body, cfg)
 
 			c, _ := newFleet(t, 3)
 			id, hit, err := c.Submit(body, cfg)
@@ -182,7 +203,7 @@ func TestFleetBitIdentity(t *testing.T) {
 func TestFleetThresholdOncePerWorker(t *testing.T) {
 	body := fleetBody(t, 24, 16, 4)
 	cfg := scanConfig(t)
-	want := reference(t, body, cfg)
+	want := fleetReference(t, body, cfg)
 
 	srvs := make([]*server.Server, 2)
 	urls := make([]string, len(srvs))
@@ -228,7 +249,7 @@ func TestFleetThresholdOncePerWorker(t *testing.T) {
 func TestFleetWorkerKillMidScan(t *testing.T) {
 	body := fleetBody(t, 24, 16, 4)
 	cfg := scanConfig(t)
-	want := reference(t, body, cfg)
+	want := fleetReference(t, body, cfg)
 
 	c, workers := newFleet(t, 3)
 	c.ChunksPerScan = 8
@@ -590,7 +611,7 @@ func TestFleetGone410(t *testing.T) {
 func TestFleetLedgerResume(t *testing.T) {
 	body := fleetBody(t, 24, 16, 4)
 	cfg := scanConfig(t)
-	want := reference(t, body, cfg)
+	want := fleetReference(t, body, cfg)
 	dir := t.TempDir()
 
 	const chunks = 4

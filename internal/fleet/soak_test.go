@@ -135,7 +135,7 @@ func TestFleetChaosSoak(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		variants = append(variants, variant{body, cfg, reference(t, body, cfg)})
+		variants = append(variants, variant{body, cfg, fleetReference(t, body, cfg)})
 	}
 	wantKeys := make(map[int]string, len(variants))
 	for i, v := range variants {

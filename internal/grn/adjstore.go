@@ -97,12 +97,13 @@ type adjStore struct {
 // independently spillable blocks.
 const defaultShardRows = 256
 
-// buildAdjStore shards the network's adjacency. Under a budget the
-// build itself is tiled: shards are filled in batches of consecutive
-// blocks that fit the budget, each batch taking one pass over the edge
-// list before being written to the spill file and freed, so the build
-// peak matches the sweep's ceiling instead of the whole adjacency.
-func buildAdjStore(g *Network, opts FilterOpts, workers int) (st *adjStore, err error) {
+// buildAdjStore shards the adjacency of edges over n genes; edge ids
+// are positions in edges. Under a budget the build itself is tiled:
+// shards are filled in batches of consecutive blocks that fit the
+// budget, each batch taking one pass over the edge list before being
+// written to the spill file and freed, so the build peak matches the
+// sweep's ceiling instead of the whole adjacency.
+func buildAdjStore(n int, edges []Edge, opts FilterOpts, workers int) (st *adjStore, err error) {
 	// The spill temp file must not outlive a failed build: every error
 	// return after CreateTemp — present or future — funnels through this
 	// cleanup instead of trusting each path to remember it.
@@ -112,24 +113,24 @@ func buildAdjStore(g *Network, opts FilterOpts, workers int) (st *adjStore, err 
 			st = nil
 		}
 	}()
-	if len(g.edges) > math.MaxInt32 {
-		return nil, fmt.Errorf("grn: %d edges exceed the filter's int32 edge-id space", len(g.edges))
+	if len(edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("grn: %d edges exceed the filter's int32 edge-id space", len(edges))
 	}
 	rows := opts.ShardRows
 	if rows <= 0 {
 		rows = defaultShardRows
 	}
-	if rows > g.n {
-		rows = g.n
+	if rows > n {
+		rows = n
 	}
 	if rows < 1 {
 		rows = 1
 	}
-	st = &adjStore{n: g.n, rows: rows, fsys: diskfault.OrOS(opts.FS)}
-	numShards := (g.n + rows - 1) / rows
+	st = &adjStore{n: n, rows: rows, fsys: diskfault.OrOS(opts.FS)}
+	numShards := (n + rows - 1) / rows
 
-	deg := make([]int32, g.n)
-	for _, e := range g.edges {
+	deg := make([]int32, n)
+	for _, e := range edges {
 		deg[e.I]++
 		deg[e.J]++
 	}
@@ -137,8 +138,8 @@ func buildAdjStore(g *Network, opts FilterOpts, workers int) (st *adjStore, err 
 	for si := 0; si < numShards; si++ {
 		lo := si * rows
 		hi := lo + rows
-		if hi > g.n {
-			hi = g.n
+		if hi > n {
+			hi = n
 		}
 		s := &adjShard{lo: lo, hi: hi, off: make([]int32, hi-lo+1)}
 		for gi := lo; gi < hi; gi++ {
@@ -169,12 +170,12 @@ func buildAdjStore(g *Network, opts FilterOpts, workers int) (st *adjStore, err 
 
 	// cur[g] is the next unfilled payload position of gene g's row,
 	// relative to its shard offsets.
-	cur := make([]int32, g.n)
+	cur := make([]int32, n)
 	if st.budget == 0 {
 		for _, s := range st.shards {
 			st.allocLocked(s)
 		}
-		for x, e := range g.edges {
+		for x, e := range edges {
 			st.place(e, int32(x), cur)
 		}
 		for _, s := range st.shards {
@@ -210,7 +211,7 @@ func buildAdjStore(g *Network, opts FilterOpts, workers int) (st *adjStore, err 
 			}
 		}
 		first, last := st.shards[lo].lo, st.shards[hi-1].hi
-		for x, e := range g.edges {
+		for x, e := range edges {
 			if (e.I >= first && e.I < last) || (e.J >= first && e.J < last) {
 				st.placeRange(e, int32(x), cur, first, last)
 			}

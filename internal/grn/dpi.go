@@ -6,11 +6,10 @@ package grn
 // the same triangle sweep over CSR-sharded adjacency, marked
 // concurrently and rebuilt in edge order, bit-identical to the
 // reference for every worker count and memory budget. Bit-identity
-// holds because the three marking cases of a triangle are mutually
-// exclusive (two edges of one triangle cannot both be strictly weakest
-// under a scale <= 1), so the parallel mark set is exactly the
-// sequential one regardless of sweep order, and the rebuild walks the
-// original edge list in insertion order.
+// holds because every triangle is decided once, from its smallest
+// vertex, by the reference's rule (dpiLoser), so the parallel mark set
+// is exactly the sequential one regardless of sweep order, and the
+// rebuild walks the original edge list in insertion order.
 
 import (
 	"fmt"
@@ -106,14 +105,14 @@ func (o FilterOpts) workers() int {
 // apex shard plus one lookup shard at a time (the neighbor row scan is
 // ascending, so lookups cross shard boundaries rarely) and marks doomed
 // edges in a shared atomic bitset keyed by edge id. Marking is
-// idempotent and the per-triangle cases are mutually exclusive, so the
-// mark set is schedule-independent.
+// idempotent and each triangle is decided once, so the mark set is
+// schedule-independent.
 func (g *Network) DPIParallel(opts FilterOpts) (*Network, FilterStats, error) {
 	if opts.Tolerance < 0 || opts.Tolerance >= 1 {
 		return nil, FilterStats{}, fmt.Errorf("grn: DPI tolerance %v out of [0,1)", opts.Tolerance)
 	}
 	workers := opts.workers()
-	st, err := buildAdjStore(g, opts, workers)
+	st, err := buildAdjStore(g.n, g.edges, opts, workers)
 	if err != nil {
 		return nil, FilterStats{}, err
 	}
@@ -162,15 +161,12 @@ func (g *Network) DPIParallel(opts FilterOpts) (*Network, FilterStats, error) {
 					}
 					wik := apex.wt[b]
 					wjk := look.wt[p]
-					// Weakest edge of the triangle loses (with tolerance) —
-					// the same mutually exclusive cases as the sequential
-					// reference.
-					switch {
-					case wij < wik*scale && wij < wjk*scale:
+					switch dpiLoser(wij, wik, wjk, scale) {
+					case 0:
 						markEdge(marks, apex.eid[a])
-					case wik < wij*scale && wik < wjk*scale:
+					case 1:
 						markEdge(marks, apex.eid[b])
-					case wjk < wij*scale && wjk < wik*scale:
+					case 2:
 						markEdge(marks, look.eid[p])
 					}
 				}
@@ -236,7 +232,7 @@ func (g *Network) CMIFilterParallel(rows RowFunc, bins int, ratio float64, opts 
 		return nil, FilterStats{}, fmt.Errorf("grn: CMI ratio %v out of [0,1]", ratio)
 	}
 	workers := opts.workers()
-	st, err := buildAdjStore(g, opts, workers)
+	st, err := buildAdjStore(g.n, g.edges, opts, workers)
 	if err != nil {
 		return nil, FilterStats{}, err
 	}

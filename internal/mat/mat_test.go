@@ -344,3 +344,40 @@ func TestSelectRows(t *testing.T) {
 	mustPanic(t, func() { m.SelectRows([]int{4}) })
 	mustPanic(t, func() { m.SelectRows([]int{-1}) })
 }
+
+// TestRankNormalizeMatchesStableSort: the integer-key sort ranks every
+// row exactly as a stable comparison sort does, bit for bit — rows with
+// ties, signed zeros, subnormals, infinities and magnitudes across the
+// float32 range, and rows holding NaN, across the insertion-sort block
+// boundary (20) and the paper's sample counts.
+func TestRankNormalizeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 1e-45, -1e-45,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32, -math.MaxFloat32}
+	for _, n := range []int{1, 2, 19, 20, 21, 41, 128, 337} {
+		for trial := 0; trial < 50; trial++ {
+			r := make([]float32, n)
+			for j := range r {
+				switch rng.Intn(4) {
+				case 0:
+					r[j] = specials[rng.Intn(len(specials))]
+				case 1:
+					r[j] = float32(rng.Intn(3))
+				default:
+					r[j] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10)))
+				}
+				if trial%5 == 0 && rng.Intn(7) == 0 {
+					r[j] = float32(math.NaN())
+				}
+			}
+			got, want := append([]float32(nil), r...), append([]float32(nil), r...)
+			RankNormalizeValues(got)
+			rankNormalizeStable(want)
+			for j := range got {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("n=%d trial %d: position %d ranks %v, stable sort %v (row %v)", n, trial, j, got[j], want[j], r)
+				}
+			}
+		}
+	}
+}

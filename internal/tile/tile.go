@@ -88,6 +88,21 @@ func Decompose(n, size int) []Tile {
 	return tiles
 }
 
+// IndexOf returns the index in Decompose(n, size) of the tile that
+// holds pair (i, j), 0 <= i < j < n.
+func IndexOf(n, size, i, j int) int {
+	blocks := (n + size - 1) / size
+	bi, bj := i/size, j/size
+	at := bi*blocks - bi*(bi-1)/2 + bj - bi
+	if size == 1 {
+		// Every diagonal block is a single gene with no pair, and
+		// Decompose skips it. For larger sizes only a last block one
+		// gene wide has an empty diagonal, and no pair's row lies in it.
+		at -= bi + 1
+	}
+	return at
+}
+
 // TotalPairs returns n(n-1)/2.
 func TotalPairs(n int) int { return n * (n - 1) / 2 }
 

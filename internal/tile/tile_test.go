@@ -79,6 +79,20 @@ func TestDecomposeProperty(t *testing.T) {
 	}
 }
 
+// TestIndexOfMatchesDecompose: IndexOf names the Decompose tile that
+// holds each pair.
+func TestIndexOfMatchesDecompose(t *testing.T) {
+	for _, tc := range []struct{ n, size int }{{10, 3}, {10, 10}, {10, 100}, {100, 7}, {2, 1}, {7, 1}, {9, 2}, {33, 8}} {
+		for ti, tl := range Decompose(tc.n, tc.size) {
+			tl.ForEachPair(func(i, j int) {
+				if got := IndexOf(tc.n, tc.size, i, j); got != ti {
+					t.Fatalf("n=%d size=%d: IndexOf(%d,%d) = %d, want %d", tc.n, tc.size, i, j, got, ti)
+				}
+			})
+		}
+	}
+}
+
 func TestDecomposePanics(t *testing.T) {
 	mustPanic(t, func() { Decompose(-1, 4) })
 	mustPanic(t, func() { Decompose(4, 0) })
