@@ -225,15 +225,12 @@ func BenchmarkT3_EstimatorAccuracyKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkPermSweep contrasts the seed per-permutation decide loop
-// (a fresh counting sort and permutation gather per evaluation) with
-// the amortized sweep engine (i-side keys loaded once per pair; cached
-// variant additionally streams precomputed permuted offset+weight
-// rows). The observed MI is set above every permuted value so all q
-// permutations run — the worst case, and the regime where surviving
-// edges spend their time. The end-to-end counterpart (and the
-// BENCH_permsweep.json artifact) comes from
-// `go run ./cmd/benchsuite -exp PS`.
+// BenchmarkPermSweep contrasts the no-early-exit null sweep (every
+// permutation filled and finished with its entropy pass) with the
+// early-exit sweep the permutation test runs. The observed MI is set
+// above every permuted value, so the sweep evaluates all q
+// permutations and the certificate decides each of them without an
+// entropy pass — the regime where surviving edges spend their time.
 func BenchmarkPermSweep(b *testing.B) {
 	const m, q = 337, 30
 	d := benchDataset(b, 16, m)
@@ -241,18 +238,13 @@ func BenchmarkPermSweep(b *testing.B) {
 	norm.RankNormalize()
 	est := mi.NewEstimator(bspline.Precompute(bspline.MustNew(3, 10), norm))
 	ws := mi.NewWorkspace(est)
-	pool := perm.MustNewPool(1, m, q)
-	perms := pool.Perms()
+	perms := perm.MustNewPool(1, m, q).Perms()
 	const obs = 1e9 // never exceeded: full q-permutation sweeps
-	b.Run("legacy", func(b *testing.B) {
+	b.Run("null", func(b *testing.B) {
+		out := make([]float64, q)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			j := 1 + i%15
-			for p := 0; p < q; p++ {
-				if est.PairPermutedBucketed(0, j, pool.Perm(p), ws) >= obs {
-					b.Fatal("unexpected early exit")
-				}
-			}
+			est.NullBucketed(0, 1+i%15, perms, out, ws)
 		}
 	})
 	b.Run("sweep", func(b *testing.B) {
@@ -264,19 +256,52 @@ func BenchmarkPermSweep(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sweep-cached", func(b *testing.B) {
-		cache := mi.NewPermCache(est, perms, 16)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := 1 + i%15
-			poffs, pw := cache.Gene(j)
-			if _, survived := est.SweepBucketed(0, j, obs, perms, poffs, pw, ws); !survived {
-				b.Fatal("unexpected early exit")
-			}
+}
+
+// BenchmarkObserveTile times the observe pass's kernel over the 32×32
+// pair tiles of a generated 200-gene × 337-experiment input, cycling
+// through the tiles: "exact" computes every pair's MI (PairBlocked),
+// "certified" lets the certificate decide the pairs below the input's
+// pooled-null threshold without their entropy pass (PairBlockedCut).
+// One op is one tile; certified/pair is the share the certificate
+// decided.
+func BenchmarkObserveTile(b *testing.B) {
+	d := benchDataset(b, 200, 337)
+	res, err := tinge.InferDataset(d, tinge.Config{Seed: 1, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cut := res.Threshold
+	norm := d.Expr.Clone()
+	norm.RankNormalize()
+	est := mi.NewEstimator(bspline.Precompute(bspline.MustNew(3, 10), norm))
+	ws := mi.NewWorkspace(est)
+	tiles := tile.Decompose(200, 32)
+	b.Run("exact", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			tiles[n%len(tiles)].ForEachPair(func(i, j int) {
+				benchSink += est.PairBlocked(i, j, ws)
+			})
 		}
 	})
+	b.Run("certified", func(b *testing.B) {
+		var pairs, below int
+		for n := 0; n < b.N; n++ {
+			tiles[n%len(tiles)].ForEachPair(func(i, j int) {
+				v, certified := est.PairBlockedCut(i, j, cut, ws)
+				benchSink += v
+				pairs++
+				if certified {
+					below++
+				}
+			})
+		}
+		b.ReportMetric(float64(below)/float64(pairs), "certified/pair")
+	})
 }
+
+// benchSink keeps benchmarked kernel results live.
+var benchSink float64
 
 // BenchmarkPermutationReuse is the ablation DESIGN.md calls out:
 // permuting precomputed weights vs recomputing weights on permuted raw
@@ -290,8 +315,9 @@ func BenchmarkPermutationReuse(b *testing.B) {
 	p := perm.MustNewPool(1, 1024, 1).Perm(0)
 	b.Run("reuse-weights", func(b *testing.B) {
 		b.ReportAllocs()
+		out := make([]float64, 1)
 		for i := 0; i < b.N; i++ {
-			est.PairPermutedBucketed(0, 1, p, ws)
+			est.NullBucketed(0, 1, [][]int32{p}, out, ws)
 		}
 	})
 	b.Run("recompute-weights", func(b *testing.B) {

@@ -17,8 +17,7 @@ import (
 // scans (one Start/Count partial run per bootstrap, each paying its own
 // rank normalization, B-spline precompute, estimator arenas, and
 // permutation pool) — the amortization the ensemble engine exists to
-// capture. StencilsReused and PermCacheHits quantify where the win
-// comes from.
+// capture. StencilsReused quantifies where the win comes from.
 type enRow struct {
 	Genes           int     `json:"genes"`
 	Samples         int     `json:"samples"`
@@ -29,7 +28,6 @@ type enRow struct {
 	EnsembleSeconds float64 `json:"ensemble_seconds"`
 	Speedup         float64 `json:"speedup"`
 	StencilsReused  int64   `json:"stencils_reused"`
-	PermCacheHits   int64   `json:"perm_cache_hits"`
 	SupportEdges    int     `json:"support_edges"`
 	ConsensusEdges  int     `json:"consensus_edges"`
 }
@@ -154,8 +152,8 @@ func (s *suite) en() {
 		perms = 10
 		reps = 3
 	}
-	fmt.Printf("%7s %7s %4s %12s %12s %9s %12s %11s %9s %9s\n",
-		"genes", "m", "B", "naive(s)", "ensemble(s)", "speedup", "stencilHits", "permHits", "support", "consensus")
+	fmt.Printf("%7s %7s %4s %12s %12s %9s %12s %9s %9s\n",
+		"genes", "m", "B", "naive(s)", "ensemble(s)", "speedup", "stencilHits", "support", "consensus")
 	var rows []enRow
 	for _, sz := range sizes {
 		n, m := sz.n, sz.m
@@ -188,14 +186,13 @@ func (s *suite) en() {
 			EnsembleSeconds: med.ensSec,
 			Speedup:         med.naiveSec / med.ensSec,
 			StencilsReused:  med.ens.EnsembleStencilsReused,
-			PermCacheHits:   med.ens.PermCacheHits,
 			SupportEdges:    med.ens.Ensemble.Len(),
 			ConsensusEdges:  med.ens.Network.Len(),
 		}
 		rows = append(rows, r)
-		fmt.Printf("%7d %7d %4d %12.3f %12.3f %8.2fx %12d %11d %9d %9d\n",
+		fmt.Printf("%7d %7d %4d %12.3f %12.3f %8.2fx %12d %9d %9d\n",
 			n, m, boots, r.NaiveSeconds, r.EnsembleSeconds, r.Speedup,
-			r.StencilsReused, r.PermCacheHits, r.SupportEdges, r.ConsensusEdges)
+			r.StencilsReused, r.SupportEdges, r.ConsensusEdges)
 	}
 
 	// Load the baseline before writing the fresh file: a full-size run

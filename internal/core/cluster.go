@@ -61,8 +61,7 @@ func (r *clusterRecorder) traffic() (msgs, bytes int64) {
 
 // rankOut is what one rank of a successful world reports back.
 type rankOut struct {
-	threshold              float64
-	cacheHits, cacheMisses int64
+	threshold float64
 	// busy is the time the rank spent in the pass's tile loop, set by
 	// the world's body: collectives and barriers would even it out.
 	busy      float64
@@ -80,10 +79,8 @@ type clusterRun struct {
 	res   *Result
 	rec   clusterRecorder
 	alive int
-	// busy and the cache counters accumulate the successful worlds'
-	// per-rank reports.
-	busy                   []float64
-	cacheHits, cacheMisses int64
+	// busy accumulates the successful worlds' per-rank reports.
+	busy []float64
 }
 
 // world runs body on every alive rank, each with its own scanner over
@@ -106,18 +103,12 @@ func (cr *clusterRun) world(ctx context.Context, pending func() []int, body func
 				return err
 			}
 			o.tileBytes = int64(sc.ws.Bytes())
-			if sc.pc != nil {
-				o.cacheHits, o.cacheMisses = sc.pc.Hits(), sc.pc.Misses()
-				o.tileBytes += int64(sc.pc.Bytes())
-			}
 			return nil
 		})
 		cr.rec.foldAttempt()
 		if err == nil {
 			for r, o := range out {
 				cr.busy[r] += o.busy
-				cr.cacheHits += o.cacheHits
-				cr.cacheMisses += o.cacheMisses
 				cr.res.PeakTileBytes = max(cr.res.PeakTileBytes, o.tileBytes)
 			}
 			return out, nil
@@ -203,9 +194,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		// Without DPI every survivor is tested as its tile is observed
 		// (see poolScan).
 		c.Phase("tile-scan")
-		if testAll {
-			sc.pc = sc.k.newPermCache(cfg)
-		}
 		start := time.Now()
 		var survivors []grn.Edge
 		for idx := c.Rank(); idx < len(pending); idx += c.Size() {
@@ -268,7 +256,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 		edges := log.survivors()
 		_, err = cr.world(ctx, log.pendingTests, func(c *mpi.Comm, sc *tileScanner, pending []int, o *rankOut) error {
 			c.Phase("test-scan")
-			sc.pc = sc.k.newPermCache(cfg)
 			start := time.Now()
 			for idx := c.Rank(); idx < len(pending); idx += c.Size() {
 				if err := c.Err(); err != nil {
@@ -293,7 +280,6 @@ func runCluster(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *
 
 	log.report(res)
 	res.Timer.Add("threshold+mi(cluster)", scanSpan)
-	res.PermCacheHits, res.PermCacheMisses = cr.cacheHits, cr.cacheMisses
 	res.Imbalance = tile.Imbalance(cr.busy[:cr.alive])
 	res.Messages, res.TrafficBytes = cr.rec.traffic()
 	fault := cfg.Fault.Stats()

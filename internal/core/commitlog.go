@@ -14,16 +14,18 @@ import (
 	"repro/internal/tile"
 )
 
-// tileCounts is the work one tile's pass did: exact-kernel pair
-// evaluations and threshold survivors (observe), and survivors tested,
-// permutation evaluations, permutations the early exit skipped, and
-// permutation evaluations the Jensen certificate decided (test).
+// tileCounts is the work one tile's pass did: pair evaluations, the
+// ones the certificate decided below the threshold, and threshold
+// survivors (observe), and survivors tested, permutation evaluations,
+// permutations the early exit skipped, and permutation evaluations the
+// certificate decided (test).
 type tileCounts struct {
-	pairEvals, survived, tested, permEvals, skipped, certified int64
+	pairEvals, pairsCertified, survived, tested, permEvals, skipped, certified int64
 }
 
 func (c *tileCounts) add(o tileCounts) {
 	c.pairEvals += o.pairEvals
+	c.pairsCertified += o.pairsCertified
 	c.survived += o.survived
 	c.tested += o.tested
 	c.permEvals += o.permEvals
@@ -368,6 +370,7 @@ func (l *commitLog) report(res *Result) {
 	defer l.mu.Unlock()
 	res.Threshold, res.NullSize = l.state.Threshold, l.state.NullSize
 	res.PairsEvaluated = l.session.pairEvals
+	res.PairsCertified = l.session.pairsCertified
 	res.PairsSurvived = l.session.survived
 	res.PairsTested = l.session.tested
 	res.PermEvaluations = l.session.permEvals

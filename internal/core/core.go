@@ -174,7 +174,7 @@ const (
 // the consensus network keeps edges whose frequency reaches
 // SupportCutoff. The expensive whole-genome apparatus — rank
 // normalization, the B-spline stencil precompute, the permutation
-// pool, and each worker's estimator arenas and permuted-row cache — is
+// pool, and each worker's estimator arenas and workspace — is
 // built once and shared across all bootstraps; each bootstrap only
 // gathers a column view of the precomputed weights.
 //
@@ -344,8 +344,8 @@ type Config struct {
 
 	// MemoryBudget caps the out-of-core scan's total in-memory working
 	// set in bytes: resident store panels plus every worker's scratch
-	// (workspace, permuted-row cache arena, panel weight matrix, and
-	// the store's fixed ingest buffers). Result.PeakTileBytes reports
+	// (workspace, panel weight matrix, and the store's fixed ingest
+	// buffers). Result.PeakTileBytes reports
 	// the realized ceiling, which stays <= the budget. Used by the
 	// OutOfCore engine (default 64 MiB there); setting it > 0 on the
 	// Host engine routes the run through the same disk-backed scan.

@@ -42,6 +42,11 @@ func TestConfigValidateDefaults(t *testing.T) {
 	if cfg.Workers < 1 || cfg.TileSize != 32 {
 		t.Fatalf("defaults: workers=%d tile=%d", cfg.Workers, cfg.TileSize)
 	}
+	// A caller that leaves the policy unset schedules dynamically, as
+	// Config.Policy documents.
+	if name := tile.NewScheduler(cfg.Policy, 1, 1).Name(); name != "dynamic" {
+		t.Fatalf("default policy schedules %s, want dynamic", name)
+	}
 	phiCfg := Config{Engine: Phi}
 	if err := phiCfg.Validate(); err != nil {
 		t.Fatal(err)

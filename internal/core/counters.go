@@ -89,24 +89,30 @@ type Counters struct {
 	HybridPhiShare float64 `json:"hybridPhiShare" fold:"last" unit:"ratio" help:"Share of MI evaluations the hybrid split gave the coprocessor."`
 	// Imbalance is max/mean per-worker busy time for phase 4.
 	Imbalance float64 `json:"imbalance" fold:"last" unit:"ratio" help:"Max over mean per-worker busy time of the pair scan."`
-	// PermCacheHits and PermCacheMisses count lookups of the worker
-	// permuted-row caches during phase 4 (0 for the vectorized kernel,
-	// which does not use the cache). A miss materializes a gene's q
-	// permuted offset+weight rows; a hit reuses them.
-	PermCacheHits   int64 `json:"permCacheHits" fold:"sum" unit:"count" metric:"tinge_permcache_hits_total" help:"Permuted-row cache hits."`
-	PermCacheMisses int64 `json:"permCacheMisses" fold:"sum" unit:"count" metric:"tinge_permcache_misses_total" help:"Permuted-row cache misses."`
+	// PermCacheHits and PermCacheMisses counted lookups of the worker
+	// permuted-row caches the scan no longer builds, so they read 0.
+	// They stay in the schema while the repository benchmark still
+	// reads them.
+	PermCacheHits   int64 `json:"permCacheHits" fold:"sum" unit:"count" metric:"tinge_permcache_hits_total" help:"Permuted-row cache hits (always 0: the scan has no cache)."`
+	PermCacheMisses int64 `json:"permCacheMisses" fold:"sum" unit:"count" metric:"tinge_permcache_misses_total" help:"Permuted-row cache misses (always 0: the scan has no cache)."`
 	// PermutationsSkipped counts permutation evaluations avoided by the
 	// early exit during phase 4 in this session (summed over pairs that
 	// entered the permutation test).
 	PermutationsSkipped int64 `json:"permutationsSkipped" fold:"sum" unit:"count" metric:"tinge_permutations_skipped_total" help:"Permutation evaluations avoided by early exit."`
+	// PairsCertified counts the observed pairs (a subset of
+	// PairsEvaluated) the certificate proved below the threshold
+	// without an entropy pass, in this session; 0 for the scalar and
+	// vectorized kernels.
+	PairsCertified int64 `json:"pairsCertified" fold:"sum" unit:"count" metric:"tinge_pairs_certified_total" help:"Observed pairs decided below the threshold by the certificate without an entropy pass."`
 	// PermutationsCertified counts the phase-4 permutation evaluations
-	// (a subset of PermEvaluations) the Jensen certificate decided
-	// without an entropy pass, in this session.
-	PermutationsCertified int64 `json:"permutationsCertified" fold:"sum" unit:"count" metric:"tinge_permutations_certified_total" help:"Permutation evaluations decided by the Jensen certificate without an entropy pass."`
+	// (a subset of PermEvaluations) the certificate decided without an
+	// entropy pass, in this session; 0 for the scalar and vectorized
+	// kernels.
+	PermutationsCertified int64 `json:"permutationsCertified" fold:"sum" unit:"count" metric:"tinge_permutations_certified_total" help:"Permutation evaluations decided by the certificate without an entropy pass."`
 	// PeakTileBytes is the largest per-worker tile working set of phase
-	// 4: workspace scratch plus the permuted-row cache arena (on the
-	// out-of-core path, the whole budgeted working set). It is the
-	// number the memory budget must bound.
+	// 4: the workspace scratch (on the out-of-core path, the whole
+	// budgeted working set). It is the number the memory budget must
+	// bound.
 	PeakTileBytes int64 `json:"peakTileBytes" fold:"max" unit:"bytes" help:"Peak per-worker tile working set of the pair scan."`
 	// PanelHits and PanelLoads count pins of spill-store panels during
 	// the out-of-core scan that were served resident vs. re-read from

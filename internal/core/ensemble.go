@@ -16,21 +16,17 @@ import (
 )
 
 // rebindKit points the resident ensemble loop's shared scanners at a
-// refilled weight-matrix view. The kernel, workspaces, and permuted-row
-// caches are built once for the first bootstrap and rebound — never
-// reallocated — for every subsequent one: marginal entropies are
-// recomputed and every index-dependent cache is invalidated (a stale
-// row key or permuted-row entry would alias the previous bootstrap's
-// gene values). The permutation pool never rebinds at all: the
+// refilled weight-matrix view. The kernel and workspaces are built once
+// for the first bootstrap and rebound — never reallocated — for every
+// subsequent one: marginal entropies are recomputed and every cached
+// row key is invalidated (a stale one would alias the previous
+// bootstrap's gene values). The permutation pool never rebinds at all: the
 // subsample size is constant across bootstraps, so the same permuted
 // index sets apply to every bootstrap's view.
 func rebindKit(kit []*tileScanner, wm *bspline.WeightMatrix) {
 	kit[0].k.est.Reset(wm)
 	for _, sc := range kit {
 		sc.ws.InvalidateRowKeys()
-		if sc.pc != nil {
-			sc.pc.Rebind(sc.k.est)
-		}
 	}
 }
 

@@ -299,9 +299,8 @@ func TestEnsemblePartialRanges(t *testing.T) {
 }
 
 // TestEnsembleAmortization pins the sharing the ensemble exists for:
-// permuted-row cache hits and reused stencils grow with the bootstrap
-// count, and the filters run per bootstrap (removal counters
-// accumulate across bootstraps).
+// reused stencils grow with the bootstrap count, and the filters run
+// per bootstrap (removal counters accumulate across bootstraps).
 func TestEnsembleAmortization(t *testing.T) {
 	d := testDataset(t, 20, 48, 9)
 	run := func(b int) *Result {
@@ -314,13 +313,6 @@ func TestEnsembleAmortization(t *testing.T) {
 		return res
 	}
 	one, four := run(1), run(4)
-	if one.PermCacheHits <= 0 {
-		t.Fatalf("single bootstrap recorded no perm-cache hits (%d)", one.PermCacheHits)
-	}
-	if four.PermCacheHits <= one.PermCacheHits {
-		t.Fatalf("perm-cache hits did not grow across bootstraps: B=1 %d, B=4 %d",
-			one.PermCacheHits, four.PermCacheHits)
-	}
 	mSub := 36 // round(0.75 * 48)
 	if want := int64(1 * 20 * mSub); one.EnsembleStencilsReused != want {
 		t.Fatalf("B=1 reused %d stencils, want %d", one.EnsembleStencilsReused, want)

@@ -31,7 +31,6 @@ type rowSource interface {
 type tileScanner struct {
 	k   *pairKernel
 	ws  *mi.Workspace
-	pc  *mi.PermCache
 	src rowSource
 	// sum is this worker's running count of permutation-test work since
 	// its scan began, reported as the per-worker trace counters.
@@ -44,9 +43,11 @@ type tileScanner struct {
 // survivors carry the global ones.
 func (k *pairKernel) observeTile(t tile.Tile, iOff, jOff int, ws *mi.Workspace) (survivors []grn.Edge, c tileCounts) {
 	t.ForEachPair(func(i, j int) {
-		obs := k.miPair(i-iOff, j-jOff, ws)
+		obs, below := k.observe(i-iOff, j-jOff, ws)
 		c.pairEvals++
-		if obs >= k.thresh {
+		if below {
+			c.pairsCertified++
+		} else if obs >= k.thresh {
 			survivors = append(survivors, grn.Edge{I: i, J: j, Weight: obs})
 		}
 	})
@@ -56,11 +57,11 @@ func (k *pairKernel) observeTile(t tile.Tile, iOff, jOff int, ws *mi.Workspace) 
 
 // testTile runs the permutation test of each survivor in pairs, all of
 // one tile, from its stored observed MI.
-func (k *pairKernel) testTile(pairs []grn.Edge, iOff, jOff int, ws *mi.Workspace, pc *mi.PermCache) (pass []bool, c tileCounts) {
+func (k *pairKernel) testTile(pairs []grn.Edge, iOff, jOff int, ws *mi.Workspace) (pass []bool, c tileCounts) {
 	cert0 := ws.Certified()
 	pass = make([]bool, len(pairs))
 	for y, e := range pairs {
-		sig, pe, sk := k.test(e.I-iOff, e.J-jOff, e.Weight, ws, pc)
+		sig, pe, sk := k.test(e.I-iOff, e.J-jOff, e.Weight, ws)
 		pass[y] = sig
 		c.permEvals += pe
 		c.skipped += sk
@@ -110,7 +111,7 @@ func (sc *tileScanner) observe(cfg Config, log *commitLog, row, ti int, t tile.T
 	var pass []bool
 	if test {
 		var tc tileCounts
-		pass, tc = sc.k.testTile(survivors, iOff, jOff, sc.ws, sc.pc)
+		pass, tc = sc.k.testTile(survivors, iOff, jOff, sc.ws)
 		c.add(tc)
 		sc.sum.add(tc)
 	}
@@ -141,7 +142,7 @@ func (sc *tileScanner) test(cfg Config, log *commitLog, row int, edges []grn.Edg
 	if err != nil {
 		return err
 	}
-	pass, c := sc.k.testTile(pairs, iOff, jOff, sc.ws, sc.pc)
+	pass, c := sc.k.testTile(pairs, iOff, jOff, sc.ws)
 	log.commitTest(x, pass, c)
 	sc.sum.add(c)
 	if endSpan != nil {
@@ -153,14 +154,10 @@ func (sc *tileScanner) test(cfg Config, log *commitLog, row int, edges []grn.Edg
 
 // traceCounters samples the worker's amortization counter tracks on
 // trace row `row` at a tile boundary: permutations skipped by early
-// exit, permutations the certificate decided, and permuted-row cache
-// hits.
+// exit and permutations the certificate decided.
 func (sc *tileScanner) traceCounters(cfg Config, row int) {
 	cfg.Trace.Counter(row, "perm_skipped", float64(sc.sum.skipped))
 	cfg.Trace.Counter(row, "perm_certified", float64(sc.sum.certified))
-	if sc.pc != nil {
-		cfg.Trace.Counter(row, "permcache_hits", float64(sc.pc.Hits()))
-	}
 }
 
 // poolScan runs phases 3 and 4 into log on a goroutine pool, one
@@ -177,9 +174,8 @@ func (sc *tileScanner) traceCounters(cfg Config, row int) {
 // survivors a resumed checkpoint holds untested. The first tile error
 // (or ctx's cancellation) stops every worker at its next tile
 // boundary; the work committed by then is still flushed to the
-// checkpoint. It fills Imbalance, PeakTileBytes, and this scan's
-// permuted-row cache hits and misses into res; the caller then
-// publishes the log (commitLog.report).
+// checkpoint. It fills Imbalance and PeakTileBytes into res; the
+// caller then publishes the log (commitLog.report).
 func poolScan(ctx context.Context, cfg Config, res *Result, log *commitLog, tiles []tile.Tile, scanners []*tileScanner) error {
 	nulls := make([]func(i, j int, out []float64) error, len(scanners))
 	for w, sc := range scanners {
@@ -189,28 +185,11 @@ func poolScan(ctx context.Context, cfg Config, res *Result, log *commitLog, tile
 	if err != nil {
 		return err
 	}
-	hits0 := make([]int64, len(scanners))
-	misses0 := make([]int64, len(scanners))
-	for w, sc := range scanners {
+	for _, sc := range scanners {
 		sc.k.thresh = null.Threshold
 		sc.sum = tileCounts{}
-		if sc.pc != nil {
-			hits0[w], misses0[w] = sc.pc.Hits(), sc.pc.Misses()
-		}
-	}
-	// Phase 3 never reads the permuted-row caches, and with DPI they are
-	// built only after the selection's adjacency is released.
-	newCaches := func() {
-		for _, sc := range scanners {
-			if sc.pc == nil {
-				sc.pc = sc.k.newPermCache(cfg)
-			}
-		}
 	}
 	testAll := !cfg.DPI
-	if testAll {
-		newCaches()
-	}
 
 	busy := make([]float64, len(scanners))
 	res.Timer.Time("mi", func() {
@@ -223,7 +202,6 @@ func poolScan(ctx context.Context, cfg Config, res *Result, log *commitLog, tile
 			if work, err = log.selectTests(cfg, round); err != nil || len(work) == 0 {
 				break
 			}
-			newCaches()
 			edges := log.survivors()
 			err = runPass(ctx, cfg, log, scanners, busy, log.pendingTests(), func(sc *tileScanner, w, x int) error {
 				return sc.test(cfg, log, w, edges, x, work[x], tiles[work[x].ti])
@@ -237,14 +215,8 @@ func poolScan(ctx context.Context, cfg Config, res *Result, log *commitLog, tile
 	if err != nil {
 		return err
 	}
-	for w, sc := range scanners {
-		b := int64(sc.ws.Bytes())
-		if sc.pc != nil {
-			b += int64(sc.pc.Bytes())
-			res.PermCacheHits += sc.pc.Hits() - hits0[w]
-			res.PermCacheMisses += sc.pc.Misses() - misses0[w]
-		}
-		res.PeakTileBytes = max(res.PeakTileBytes, b)
+	for _, sc := range scanners {
+		res.PeakTileBytes = max(res.PeakTileBytes, int64(sc.ws.Bytes()))
 	}
 	res.Imbalance = tile.Imbalance(busy)
 	return nil
@@ -283,7 +255,7 @@ func runPass(ctx context.Context, cfg Config, log *commitLog, scanners []*tileSc
 }
 
 // newScanKit builds the resident scan's per-worker scanners over one
-// shared kernel; poolScan adds their permuted-row caches.
+// shared kernel.
 func newScanKit(wm *bspline.WeightMatrix, cfg Config) []*tileScanner {
 	k := newPairKernel(wm, cfg)
 	kit := make([]*tileScanner, cfg.Workers)
@@ -312,10 +284,6 @@ func hostScan(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Re
 	if err := poolScan(ctx, cfg, res, log, tiles, kit); err != nil {
 		return nil, nil, err
 	}
-	// Building the network only after poolScan returns lets a fresh
-	// kit's permuted-row caches be collected during the build; holding
-	// them through it adds about 5 MB to the peak RSS at n = 1000,
-	// m = 337.
 	log.report(res)
 	return log.state.EvalsPerTile, tiles, nil
 }

@@ -9,8 +9,7 @@ import (
 
 // pairKernel bundles the estimator, permutation pool, and kernel choice
 // shared by all engines. It is immutable during a scan and safe for
-// concurrent use with per-goroutine workspaces (and per-goroutine
-// permutation caches).
+// concurrent use with per-goroutine workspaces.
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
@@ -33,19 +32,6 @@ func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
 // accumulator (half the bytes), the float64 path a float64 one.
 func (k *pairKernel) newWorkspace() *mi.Workspace {
 	return mi.NewWorkspacePrec(k.est, k.prec)
-}
-
-// newPermCache builds the worker-local permuted-row cache for the sweep
-// path. It returns nil when the cache cannot pay off: with no
-// permutations, or for the vectorized kernel (whose sweep amortizes the
-// dense-row resolution instead of offset rows). Capacity is one tile's
-// worth of column genes — a tile touches at most TileSize distinct j
-// genes, so entries live exactly as long as they are useful.
-func (k *pairKernel) newPermCache(cfg Config) *mi.PermCache {
-	if k.pool.Q() == 0 || k.kind == KernelVec {
-		return nil
-	}
-	return mi.NewPermCache(k.est, k.pool.Perms(), cfg.TileSize)
 }
 
 // miPair computes the unpermuted MI of pair (i, j).
@@ -72,47 +58,53 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 	}
 }
 
+// observe computes the observed MI of pair (i, j) for the observe
+// pass, which keeps it only when it reaches I_alpha. The bucketed
+// kernel certifies pairs below I_alpha without their entropy pass
+// (mi.PairBlockedCut): below is then true and obs 0. Otherwise obs is
+// miPair's value.
+func (k *pairKernel) observe(i, j int, ws *mi.Workspace) (obs float64, below bool) {
+	if k.kind != KernelBucketed {
+		return k.miPair(i, j, ws), false
+	}
+	if k.prec == Float32 {
+		return k.est.PairBlockedCut32(i, j, k.thresh, ws)
+	}
+	return k.est.PairBlockedCut(i, j, k.thresh, ws)
+}
+
 // test runs the per-pair permutation check of threshold survivor
 // (i, j) from its observed MI obs, with early exit: the observed value
 // must strictly exceed every permuted value, i.e. empirical
 // p < 1/(q+1). It returns whether the edge is significant, the number
 // of permutation evaluations computed (the sweep stops at the first
 // permuted MI >= obs, exactly where a per-permutation loop would), and
-// the number the early exit skipped (q minus those computed).
-//
-// pc, when non-nil, is this goroutine's permuted-row cache; the sweep
-// kernels stream gene j's cached rows instead of gathering through the
-// permutation per evaluation. Results are bit-identical with or without
-// the cache.
-func (k *pairKernel) test(i, j int, obs float64, ws *mi.Workspace, pc *mi.PermCache) (significant bool, permEvals, skipped int64) {
+// the number the early exit skipped (q minus those computed). Gene j
+// is gathered through each permutation.
+func (k *pairKernel) test(i, j int, obs float64, ws *mi.Workspace) (significant bool, permEvals, skipped int64) {
 	q := k.pool.Q()
 	if q == 0 {
 		return true, 0, 0
 	}
 	perms := k.pool.Perms()
-	var poffs []int32
-	var pw []float32
-	if pc != nil {
-		poffs, pw = pc.Gene(j)
-	}
 	var done int
 	if k.prec == Float32 {
 		switch k.kind {
 		case KernelScalar:
-			done, significant = k.est.SweepScalar32(i, j, obs, perms, poffs, pw, ws)
+			done, significant = k.est.SweepScalar32(i, j, obs, perms, ws)
 		case KernelVec:
 			done, significant = k.est.SweepVec32(i, j, obs, perms, ws)
 		default:
-			done, significant = k.est.SweepBucketed32(i, j, obs, perms, poffs, pw, ws)
+			done, significant = k.est.SweepBucketed32(i, j, obs, perms, nil, nil, ws)
 		}
 	} else {
 		switch k.kind {
 		case KernelScalar:
-			done, significant = k.est.SweepScalar(i, j, obs, perms, poffs, pw, ws)
+			done, significant = k.est.SweepScalar(i, j, obs, perms, ws)
 		case KernelVec:
 			done, significant = k.est.SweepVec(i, j, obs, perms, ws)
 		default:
-			done, significant = k.est.SweepBucketed(i, j, obs, perms, poffs, pw, ws)
+			done, significant = k.est.SweepBucketed(i, j, obs, perms, nil, nil, ws)
 		}
 	}
 	return significant, int64(done), int64(q - done)

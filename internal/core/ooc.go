@@ -56,8 +56,7 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 // oocWorker is one worker's fixed-size apparatus for the out-of-core
 // scan: a tileScanner whose row source is the worker itself, staging
 // rows from the panel store. Nothing in it scales with the gene count:
-// the weight matrix, estimator, workspace, and permuted-row cache are
-// all sized to one tile (at most 2·TileSize genes), and every tile
+// the weight matrix, estimator, and workspace are all sized to one tile (at most 2·TileSize genes), and every tile
 // re-fills them in place. Bit-identity with the resident engines
 // follows from the shared building blocks: the same rank transform per
 // row, the same stencil precompute per gene, the same kernels — only
@@ -92,7 +91,7 @@ func newOOCWorker(store *panelstore.Store, basis *bspline.Basis, pool *perm.Pool
 	est := mi.NewEstimator(tileWM)
 	k := &pairKernel{est: est, pool: pool, kind: cfg.Kernel, prec: cfg.Precision}
 	w := &oocWorker{
-		tileScanner: tileScanner{k: k, ws: k.newWorkspace(), pc: k.newPermCache(cfg)},
+		tileScanner: tileScanner{k: k, ws: k.newWorkspace()},
 		store:       store,
 		tileWM:      tileWM,
 		normBuf:     make([]float32, 2*cfg.TileSize*width),
@@ -112,9 +111,6 @@ func newOOCWorker(store *panelstore.Store, basis *bspline.Basis, pool *perm.Pool
 func (w *oocWorker) bytes(basis *bspline.Basis, cfg Config) int64 {
 	b := bspline.PanelBytes(basis, 2*cfg.TileSize, w.samples)
 	b += int64(w.ws.Bytes())
-	if w.pc != nil {
-		b += int64(w.pc.Bytes())
-	}
 	b += int64(len(w.normBuf)) * 4
 	b += int64(len(w.fullBuf)) * 4
 	// Estimator marginal entropies (8+4 bytes) and certificate
@@ -144,17 +140,13 @@ func (w *oocWorker) stage(p *panelstore.Panel, g, r int) {
 	w.rows = append(w.rows, dst)
 }
 
-// rebind re-derives weights, marginal entropies, and cache bindings for
-// the currently staged rows. Every index-dependent cache is
-// invalidated: local indices mean a stale row key or permuted-row entry
-// would alias a different gene.
+// rebind re-derives weights and marginal entropies for the currently
+// staged rows and invalidates the cached row keys: local indices mean
+// a stale one would alias a different gene.
 func (w *oocWorker) rebind() {
 	w.tileWM.FillPanel(w.rows)
 	w.k.est.Reset(w.tileWM)
 	w.ws.InvalidateRowKeys()
-	if w.pc != nil {
-		w.pc.Rebind(w.k.est)
-	}
 }
 
 // stageTile pins the tile's panels, stages its i-rows as local genes

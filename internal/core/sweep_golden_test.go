@@ -62,26 +62,33 @@ func (k *pairKernel) miObserved(i, j int, ws *mi.Workspace) float64 {
 
 // miPermuted computes MI of (i, j) under pool permutation p with a
 // fresh per-permutation kernel call (setup and permutation gather
-// included) — one evaluation of the reference decide loop.
+// included) — one evaluation of the reference decide loop. The
+// bucketed and vectorized kernels evaluate it as a one-permutation null
+// sweep, which has no early exit and no certificate; the mi tests pin
+// every null value to that formulation's per-permutation kernel.
 func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
+	perm := k.pool.Perms()[p : p+1]
+	out := make([]float64, 1)
 	if k.prec == Float32 {
 		switch k.kind {
 		case KernelScalar:
-			return k.est.PairPermutedScalar32(i, j, k.pool.Perm(p), ws)
+			return k.est.PairPermutedScalar32(i, j, perm[0], ws)
 		case KernelVec:
-			return k.est.PairPermutedVec32(i, j, k.pool.Perm(p), ws)
+			k.est.NullVec32(i, j, perm, out, ws)
 		default:
-			return k.est.PairPermutedBlocked32(i, j, k.pool.Perm(p), ws)
+			k.est.NullBucketed32(i, j, perm, out, ws)
 		}
+		return out[0]
 	}
 	switch k.kind {
 	case KernelScalar:
-		return k.est.PairPermutedScalar(i, j, k.pool.Perm(p), ws)
+		return k.est.PairPermutedScalar(i, j, perm[0], ws)
 	case KernelVec:
-		return k.est.PairPermutedVec(i, j, k.pool.Perm(p), ws)
+		k.est.NullVec(i, j, perm, out, ws)
 	default:
-		return k.est.PairPermutedBucketed(i, j, k.pool.Perm(p), ws)
+		k.est.NullBucketed(i, j, perm, out, ws)
 	}
+	return out[0]
 }
 
 // referenceKernel builds the kernel of Infer's resident path for the
@@ -220,45 +227,50 @@ func TestKnownNullSkipsPhase3(t *testing.T) {
 }
 
 // TestSweepAmortizationCounters checks the counters the sweep engine
-// exposes: cache hits dominate misses on a multi-row tile, and early
-// exits skip permutations on uncorrelated survivors.
+// exposes: early exits skip permutations on uncorrelated survivors, the
+// certificate decides observed pairs and permutations of the bucketed
+// kernel only, and the permuted-row cache counters read 0 because the
+// scan builds no cache.
 func TestSweepAmortizationCounters(t *testing.T) {
 	d := testDataset(t, 30, 100, 2)
 	// A generous alpha drops I_alpha low enough that marginal pairs enter
 	// the permutation test and fail it part-way — exercising the early
-	// exit alongside the cache reuse.
+	// exit.
 	res, err := Infer(d.Expr, Config{Seed: 4, Permutations: 16, Workers: 4, TileSize: 8, Alpha: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PermCacheMisses == 0 {
-		t.Fatal("sweep run materialized no cache entries")
-	}
-	if res.PermCacheHits == 0 {
-		t.Fatal("no cache hits: tile-level reuse is not happening")
-	}
 	if res.PermutationsSkipped == 0 {
 		t.Fatal("no permutations skipped: early exit is not reported")
 	}
-	// The vec kernel does not use the permuted-row cache.
-	vres, err := Infer(d.Expr, Config{Seed: 4, Permutations: 16, Workers: 4, TileSize: 8, Kernel: KernelVec})
+	if res.PairsCertified == 0 || res.PermutationsCertified == 0 {
+		t.Fatalf("bucketed kernel certified %d pairs and %d permutations, want both > 0",
+			res.PairsCertified, res.PermutationsCertified)
+	}
+	vres, err := Infer(d.Expr, Config{Seed: 4, Permutations: 16, Workers: 4, TileSize: 8, Alpha: 0.4, Kernel: KernelVec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vres.PermCacheHits != 0 || vres.PermCacheMisses != 0 {
-		t.Fatalf("vec kernel touched the perm cache (%d/%d)", vres.PermCacheHits, vres.PermCacheMisses)
+	if vres.PairsCertified != 0 || vres.PermutationsCertified != 0 {
+		t.Fatalf("vec kernel certified %d pairs and %d permutations", vres.PairsCertified, vres.PermutationsCertified)
+	}
+	for _, r := range []*Result{res, vres} {
+		if r.PermCacheHits != 0 || r.PermCacheMisses != 0 {
+			t.Fatalf("scan reported permuted-row cache lookups (%d/%d)", r.PermCacheHits, r.PermCacheMisses)
+		}
 	}
 }
 
-// TestPermutationsCertifiedCount pins the Jensen-certificate counter:
+// TestPermutationsCertifiedCount pins the certificate counters:
 // positive on a genexpr fixture, never above the permutation
-// evaluations, and identical across engines and worker (or rank)
+// evaluations (PermutationsCertified) or the pairs below the threshold
+// (PairsCertified), and identical across engines and worker (or rank)
 // counts — a pair's certified evaluations depend only on the pair, not
 // on which worker decided it.
 func TestPermutationsCertifiedCount(t *testing.T) {
 	d := testDataset(t, 40, 100, 6)
 	for _, prec := range []Precision{Float64, Float32} {
-		want := int64(-1)
+		var want [2]int64
 		for _, eng := range []EngineKind{Host, OutOfCore, Cluster, Phi, Hybrid} {
 			for _, workers := range []int{1, 2, 4} {
 				cfg := Config{
@@ -270,37 +282,40 @@ func TestPermutationsCertifiedCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%v/%v/%d workers", eng, prec, workers)
-				got := res.PermutationsCertified
-				if got <= 0 || got > res.PermEvaluations {
-					t.Fatalf("%s: %d certified of %d permutation evaluations", label, got, res.PermEvaluations)
+				got := [2]int64{res.PermutationsCertified, res.PairsCertified}
+				if got[0] <= 0 || got[0] > res.PermEvaluations {
+					t.Fatalf("%s: %d certified of %d permutation evaluations", label, got[0], res.PermEvaluations)
 				}
-				if want < 0 {
+				if below := res.PairsEvaluated - res.PairsSurvived; got[1] <= 0 || got[1] > below {
+					t.Fatalf("%s: %d pairs certified of %d below the threshold", label, got[1], below)
+				}
+				if want == [2]int64{} {
 					want = got
 				} else if got != want {
-					t.Fatalf("%s: %d certified, first run %d", label, got, want)
+					t.Fatalf("%s: %d permutations and %d pairs certified, first run %d and %d", label, got[0], got[1], want[0], want[1])
 				}
 			}
 		}
 	}
 }
 
-// TestPermCacheConcurrentWorkers hammers the sweep path from
-// cfg.Workers goroutines sharing one immutable estimator and pool, each
-// with a private workspace and cache — the exact phase-4 sharing
-// pattern. Run with -race; it also cross-checks every goroutine's
-// decisions against a serial reference.
-// decide is one pair's whole phase-4 path: the observed MI, the
-// threshold cut, and the permutation test of a survivor.
-func decide(k *pairKernel, i, j int, ws *mi.Workspace, pc *mi.PermCache) (obs float64, sig bool, evals, permEvals, skipped int64) {
-	obs = k.miPair(i, j, ws)
-	if obs < k.thresh {
+// decide is one pair's whole phase-4 path: the certified observation,
+// the threshold cut, and the permutation test of a survivor.
+func decide(k *pairKernel, i, j int, ws *mi.Workspace) (obs float64, sig bool, evals, permEvals, skipped int64) {
+	obs, below := k.observe(i, j, ws)
+	if below || obs < k.thresh {
 		return obs, false, 1, 0, 0
 	}
-	sig, permEvals, skipped = k.test(i, j, obs, ws, pc)
+	sig, permEvals, skipped = k.test(i, j, obs, ws)
 	return obs, sig, 1, permEvals, skipped
 }
 
-func TestPermCacheConcurrentWorkers(t *testing.T) {
+// TestSweepConcurrentWorkers hammers the observe and sweep paths from
+// cfg.Workers goroutines sharing one immutable estimator and pool, each
+// with a private workspace — the exact phase-4 sharing pattern. Run
+// with -race; it also cross-checks every goroutine's decisions against
+// a serial reference.
+func TestSweepConcurrentWorkers(t *testing.T) {
 	d := testDataset(t, 24, 80, 5)
 	cfg := Config{Seed: 9, Permutations: 12, Workers: 8, TileSize: 6}
 	if err := cfg.Validate(); err != nil {
@@ -322,11 +337,10 @@ func TestPermCacheConcurrentWorkers(t *testing.T) {
 	// Serial reference over all pairs.
 	ref := make(map[[2]int]verdict)
 	refWS := mi.NewWorkspace(k.est)
-	refPC := k.newPermCache(cfg)
 	tiles := tile.Decompose(24, cfg.TileSize)
 	for _, tl := range tiles {
 		tl.ForEachPair(func(i, j int) {
-			obs, sig, ev, pe, sk := decide(k, i, j, refWS, refPC)
+			obs, sig, ev, pe, sk := decide(k, i, j, refWS)
 			ref[[2]int{i, j}] = verdict{obs, sig, ev, pe, sk}
 		})
 	}
@@ -338,13 +352,12 @@ func TestPermCacheConcurrentWorkers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			ws := mi.NewWorkspace(k.est)
-			pc := k.newPermCache(cfg)
 			// Each worker scans a cyclic share of the tiles, twice, so
-			// caches churn through evictions under load.
+			// its cached row keys change genes under load.
 			for round := 0; round < 2; round++ {
 				for ti := w; ti < len(tiles); ti += cfg.Workers {
 					tiles[ti].ForEachPair(func(i, j int) {
-						obs, sig, ev, pe, sk := decide(k, i, j, ws, pc)
+						obs, sig, ev, pe, sk := decide(k, i, j, ws)
 						want := ref[[2]int{i, j}]
 						if obs != want.obs || sig != want.sig || ev != want.evals || pe != want.permEvals || sk != want.skipped {
 							select {

@@ -67,7 +67,7 @@ type Estimator struct {
 	// single-precision log — the marginal term of the float32 path.
 	hMarginal32 []float32
 	// rinv[g·bins+a] is 1/p_g(a) for the float64 marginal p_g (0 where
-	// p_g(a) is 0): the reciprocal marginals of the Jensen certificate
+	// p_g(a) is 0): the reciprocal marginals of the certificate
 	// (certificate.go).
 	rinv []float64
 	// slack[prec] is the certificate slack in bits at each precision.
@@ -183,15 +183,21 @@ type Workspace struct {
 	counts []int32
 	starts []int32
 	order  []int32
-	// jointClean tracks the invariant "joint is all zeros". The bucketed
-	// and blocked kernels restore it before returning by clearing only
-	// the blocks they touched, so consecutive calls skip the full b²
-	// reset; kernels that leave residue mark the joint dirty instead.
+	// jointClean tracks the invariant "joint is all zeros". The
+	// counting-sort kernel restores it before returning by clearing only
+	// the blocks it touched, so consecutive calls skip the full b²
+	// reset; kernels that leave residue mark the joint dirty instead
+	// (the blocked and vectorized ones assign every cell, so they never
+	// need it clean).
 	jointClean bool
-	// Sweep-kernel scratch: keyI caches gene i's scaled bucket keys
-	// (offs·nOff) for the row gene keyIGene, and blockAcc holds one k×k
-	// float32 accumulator block per (offI, offJ) bucket. blockAcc is
-	// all-zero between calls (same style of invariant as jointClean).
+	// Sweep-kernel scratch: keyI caches gene i's bucket keys for the
+	// row gene keyIGene, and blockAcc holds one k×k float32 accumulator
+	// block per (offI, offJ) bucket, in a grid padded with k-1 rows and
+	// columns of blocks on every side that stay zero, so every joint
+	// cell is covered by exactly k×k blocks (mergeBlocks). Bucket
+	// (offI, offJ) is block (offI+k-1, offJ+k-1) of the
+	// (bins+k-1)×(bins+k-1) grid. blockAcc is all-zero between calls
+	// (same style of invariant as jointClean).
 	keyI     []int32
 	keyIGene int
 	blockAcc []float32
@@ -200,9 +206,9 @@ type Workspace struct {
 }
 
 // Certified returns the number of permutation evaluations this
-// workspace's early-exit sweeps decided by the Jensen certificate
+// workspace's early-exit sweeps decided by the certificate
 // (certificate.go), without an entropy pass. The count only grows;
-// scans read it as a per-scan delta, like PermCache hits.
+// scans read it as a per-tile delta.
 func (ws *Workspace) Certified() int64 { return ws.certified }
 
 // InvalidateRowKeys drops the cached row-key gene so the next sweep
@@ -242,7 +248,7 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 		jointClean: true,
 		keyI:       make([]int32, m),
 		keyIGene:   -1,
-		blockAcc:   make([]float32, nOff*nOff*k*k),
+		blockAcc:   make([]float32, (bins+k-1)*(bins+k-1)*k*k),
 	}
 	if prec == Float32 {
 		ws.joint32 = make([]float32, bins*bins)
@@ -371,61 +377,6 @@ func (e *Estimator) PairPermutedScalar(i, j int, perm []int32, ws *Workspace) fl
 	return e.miFromJoint(i, j, ws.joint, float64(m))
 }
 
-// GatherPermuted fills ws.permuted with gene g's dense weight rows
-// gathered through perm: permuted[u][s] = dense[u][perm[s]]. After the
-// gather, every permuted MI against gene g is a plain vectorized pair
-// computation, so one gather (O(b·m)) is amortized over all bin pairs
-// (O(b²·m)).
-func (e *Estimator) GatherPermuted(g int, perm []int32, ws *Workspace) {
-	if len(perm) != e.wm.Samples {
-		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
-	}
-	rows := e.wm.GeneDenseRows(g)
-	for u := range rows {
-		src := rows[u]
-		dst := ws.permuted[u]
-		for s, p := range perm {
-			dst[s] = src[p]
-		}
-	}
-}
-
-// PairPermutedVec computes MI(X_i, permuted X_j) with the vectorized
-// kernel. It gathers gene j's rows through perm once, then runs the
-// dot-product formulation against gene i's unpermuted rows.
-func (e *Estimator) PairPermutedVec(i, j int, perm []int32, ws *Workspace) float64 {
-	e.GatherPermuted(j, perm, ws)
-	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = float64(simd.FusedWeightedCount(ru, ws.permuted[v]))
-		}
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
-}
-
-// PairVecAgainstGathered runs the vectorized kernel for gene i against
-// whatever rows are currently gathered in ws.permuted (from a prior
-// GatherPermuted call). This lets the permutation loop hoist the gather
-// out of the i loop when testing one permuted gene against many others.
-func (e *Estimator) PairVecAgainstGathered(i, j int, ws *Workspace) float64 {
-	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = float64(simd.FusedWeightedCount(ru, ws.permuted[v]))
-		}
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
-}
-
 // PairBucketed computes MI(gene i, gene j) with the sample-bucketing
 // formulation — the restructuring that makes the joint-histogram update
 // vector-friendly without inflating the flop count. Samples are
@@ -439,15 +390,6 @@ func (e *Estimator) PairVecAgainstGathered(i, j int, ws *Workspace) float64 {
 // updates.
 func (e *Estimator) PairBucketed(i, j int, ws *Workspace) float64 {
 	return e.pairBucketed(i, j, nil, ws)
-}
-
-// PairPermutedBucketed is PairBucketed with gene j's samples permuted
-// through perm (weights reused, indices remapped).
-func (e *Estimator) PairPermutedBucketed(i, j int, perm []int32, ws *Workspace) float64 {
-	if len(perm) != e.wm.Samples {
-		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
-	}
-	return e.pairBucketed(i, j, perm, ws)
 }
 
 func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 {

@@ -135,157 +135,44 @@ func (e *Estimator) PairPermutedScalar32(i, j int, perm []int32, ws *Workspace) 
 	return e.miFromJoint32(i, j, ws.joint32, float32(m))
 }
 
-// PairPermutedVec32 is PairPermutedVec on the float32 accumulator: one
-// gather of gene j's dense rows through perm, then the dot-product
-// formulation.
-func (e *Estimator) PairPermutedVec32(i, j int, perm []int32, ws *Workspace) float64 {
-	e.GatherPermuted(j, perm, ws)
-	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint32[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = simd.FusedWeightedCount(ru, ws.permuted[v])
-		}
-	}
-	return e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
-}
-
 // PairBlocked32 computes MI(gene i, gene j) with the single-pass
 // block-scatter formulation on the float32 path. The scatter pass is
 // shared verbatim with the float64 kernel (scatterBlocked); only the
-// merge and entropy differ.
+// merge folds into the float32 joint — no float32→float64 widening per
+// cell — and the entropy pass runs in single precision.
 func (e *Estimator) PairBlocked32(i, j int, ws *Workspace) float64 {
 	e.prepareRowKeys(i, ws)
-	return e.pairBlocked32(i, j, nil, nil, nil, ws)
+	return e.pairBlocked(i, j, nil, Float32, ws)
 }
 
-// PairPermutedBlocked32 is PairBlocked32 with gene j's samples permuted
-// through perm. It is the float32 path's bucketed permuted kernel (the
-// blocked formulation subsumes the counting-sort one).
-func (e *Estimator) PairPermutedBlocked32(i, j int, perm []int32, ws *Workspace) float64 {
-	if len(perm) != e.wm.Samples {
-		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
-	}
-	e.prepareRowKeys(i, ws)
-	return e.pairBlocked32(i, j, perm, nil, nil, ws)
-}
-
-// pairBlocked32 is pairBlocked with the merge folding into the float32
-// joint — no float32→float64 widening per cell — and the entropy pass
-// running in single precision.
-func (e *Estimator) pairBlocked32(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) float64 {
-	e.fillBlocked32(i, j, perm, poffs, pw, ws)
-	return e.finishBlocked32(i, j, ws)
-}
-
-// fillBlocked32 is the fill half of pairBlocked32: the shared scatter
-// pass and the merge into ws.joint32, left filled for finishBlocked32
-// or the certificate.
-func (e *Estimator) fillBlocked32(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
-	k := e.wm.Basis.Order()
-	bins := ws.bins
-	nOff := bins - k + 1
-	acc := ws.blockAcc
-
-	e.scatterBlocked(i, j, perm, poffs, pw, ws)
-
-	if !ws.jointClean {
-		ws.resetJoint32()
-	}
-	if k == 3 {
-		for b := 0; b < nOff*nOff; b++ {
-			oa := b / nOff
-			ob := b % nOff
-			blk := acc[b*9 : b*9+9 : b*9+9]
-			row0 := ws.joint32[oa*bins+ob:]
-			row1 := ws.joint32[(oa+1)*bins+ob:]
-			row2 := ws.joint32[(oa+2)*bins+ob:]
-			row0[0] += blk[0]
-			row0[1] += blk[1]
-			row0[2] += blk[2]
-			row1[0] += blk[3]
-			row1[1] += blk[4]
-			row1[2] += blk[5]
-			row2[0] += blk[6]
-			row2[1] += blk[7]
-			row2[2] += blk[8]
-		}
-	} else {
-		kk := k * k
-		for b := 0; b < nOff*nOff; b++ {
-			oa := b / nOff
-			ob := b % nOff
-			blk := acc[b*kk:]
-			for u := 0; u < k; u++ {
-				row := ws.joint32[(oa+u)*bins+ob:]
-				for v := 0; v < k; v++ {
-					row[v] += blk[u*k+v]
-				}
-			}
-		}
-	}
-	clear(acc)
-	ws.jointClean = false
-}
-
-// finishBlocked32 is the entropy half of pairBlocked32: the
-// single-precision MI of the filled joint, which it then returns to
-// all-zero.
-func (e *Estimator) finishBlocked32(i, j int, ws *Workspace) float64 {
-	v := e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
-	ws.resetJoint32()
-	ws.jointClean = true
-	return v
+// PairBlockedCut32 is PairBlockedCut on the float32 path: PairBlocked32's
+// value and false, or (0, true) when the certificate proves the MI below
+// cut.
+func (e *Estimator) PairBlockedCut32(i, j int, cut float64, ws *Workspace) (v float64, below bool) {
+	return e.pairBlockedCut(i, j, cut, Float32, ws)
 }
 
 // SweepBucketed32 is SweepBucketed on the float32 path: permutations in
 // pool order, early exit on the first permuted MI >= obs, j-side rows
-// streamed from the PermCache when provided.
+// streamed from a PermCache when provided.
 func (e *Estimator) SweepBucketed32(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
 	return e.sweepBlocked(i, j, obs, perms, poffs, pw, nil, Float32, ws)
 }
 
 // NullBucketed32 is NullBucketed on the float32 path; each value is
-// bit-identical to PairPermutedBlocked32.
+// bit-identical to PairBlocked32's kernel under perms[p].
 func (e *Estimator) NullBucketed32(i, j int, perms [][]int32, out []float64, ws *Workspace) {
 	e.sweepBlocked(i, j, 0, perms, nil, nil, out, Float32, ws)
 }
 
 // SweepScalar32 is SweepScalar on the float32 path.
-func (e *Estimator) SweepScalar32(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepScalar(i, j, obs, perms, poffs, pw, nil, Float32, ws)
+func (e *Estimator) SweepScalar32(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
+	return e.sweepScalar(i, j, obs, perms, nil, Float32, ws)
 }
 
 // NullScalar32 is NullScalar on the float32 path.
 func (e *Estimator) NullScalar32(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepScalar(i, j, 0, perms, nil, nil, out, Float32, ws)
-}
-
-// pairScalarCached32 is PairPermutedScalar32 with the j side streamed
-// from cached permuted offset/weight rows.
-func (e *Estimator) pairScalarCached32(i, j int, poffs []int32, pw []float32, ws *Workspace) float64 {
-	if !ws.jointClean {
-		ws.resetJoint32()
-	}
-	ws.jointClean = false
-	bins := ws.bins
-	k := e.wm.Basis.Order()
-	m := e.wm.Samples
-	for s := 0; s < m; s++ {
-		offI, wI := e.wm.Stencil(i, s)
-		offJ := poffs[s]
-		wJ := pw[s*k : (s+1)*k]
-		for u, a := range wI {
-			row := ws.joint32[(int(offI)+u)*bins+int(offJ):]
-			for v, b := range wJ {
-				row[v] += a * b
-			}
-		}
-	}
-	return e.miFromJoint32(i, j, ws.joint32, float32(m))
+	e.sweepScalar(i, j, 0, perms, out, Float32, ws)
 }
 
 // SweepVec32 is SweepVec on the float32 path: both genes' dense rows

@@ -127,7 +127,7 @@ func TestSweepScalarVec32AgreeWithBucketed32(t *testing.T) {
 			// permutation only if values agree; here we just check the
 			// full-sweep survival decision with a far-above threshold.
 			evB, survB := e.SweepBucketed32(i, j, obs+1, perms, nil, nil, ws)
-			evS, survS := e.SweepScalar32(i, j, obs+1, perms, nil, nil, ws)
+			evS, survS := e.SweepScalar32(i, j, obs+1, perms, ws)
 			evV, survV := e.SweepVec32(i, j, obs+1, perms, ws)
 			if evB != len(perms) || !survB || evS != evB || survS != survB || evV != evB || survV != survB {
 				t.Fatalf("sweep32 disagreement at (%d,%d): bucketed(%d,%v) scalar(%d,%v) vec(%d,%v)",

@@ -10,12 +10,13 @@ package mi
 //
 // The cache is worker-local (the Workspace rule: one per goroutine).
 // All entries live in a single arena allocated up front and sized to
-// capacity genes, so a worker's memory footprint is fixed for the whole
-// scan: evicting re-points slots into the same arena instead of handing
-// dead entries to the garbage collector. Eviction is wholesale when the
-// capacity is exceeded, which in practice never happens mid-tile:
-// capacity is sized to the tile width, and a tile touches at most
-// tileSize distinct j genes.
+// capacity genes, so its footprint is fixed: evicting re-points slots
+// into the same arena instead of handing dead entries to the garbage
+// collector. Eviction is wholesale when the capacity is exceeded.
+//
+// The scan does not use it (see sweep.go); the repository benchmark's
+// permutation-kernel timing still streams its rows through
+// SweepBucketed.
 type PermCache struct {
 	est      *Estimator
 	perms    [][]int32
@@ -93,21 +94,6 @@ func (c *PermCache) Gene(g int) (offs []int32, w []float32) {
 	}
 	c.entries[g] = idx
 	return offs, w
-}
-
-// Rebind re-points the cache at est and invalidates every entry while
-// keeping the arena. The out-of-core scan calls it per tile: gene keys
-// become tile-local after each FillPanel/Reset, so cached rows from the
-// previous tile would alias the wrong genes — but the arena's size
-// depends only on (q, m, k), which a Reset never changes, so the
-// worker's fixed-footprint guarantee survives the rebind.
-func (c *PermCache) Rebind(est *Estimator) {
-	if est.wm.Samples != c.est.wm.Samples || est.wm.Basis.Order() != c.est.wm.Basis.Order() {
-		panic("mi: Rebind with incompatible estimator")
-	}
-	c.est = est
-	clear(c.entries)
-	c.next = 0
 }
 
 // Bytes reports the cache's arena footprint — fixed at construction,

@@ -6,7 +6,7 @@
 // fresh three-pass counting sort per permutation, with every j-side
 // access paying the double indirection offs[baseJ+perm[s]].
 //
-// This file removes that redundancy at three levels:
+// This file removes that redundancy at two levels:
 //
 //   - PairBlocked is a single-pass reformulation of the bucketed
 //     kernel: instead of counting-sorting samples and then accumulating
@@ -15,20 +15,21 @@
 //     per-bucket accumulator blocks. Because the counting sort is
 //     stable, both formulations add the same float32 products into the
 //     same per-bucket partial sums in the same (ascending sample)
-//     order; merging every bucket block into the joint histogram in
-//     ascending bucket order then matches the legacy bucket loop
-//     exactly (folding an untouched all-zero block adds +0.0 to cells
-//     that start at +0.0, which is exact) — the results are
-//     bit-identical.
+//     order; summing each joint cell's block entries in ascending
+//     bucket order then matches the legacy bucket loop exactly (an
+//     untouched all-zero block adds +0.0 to a sum that starts at +0.0,
+//     which is exact) — the results are bit-identical.
 //   - The i side of a pair is permutation-invariant: its bucket keys
 //     offs[baseI+s]·nOff are loaded and scaled once per pair (and
 //     reused across a tile row via the Workspace keyI cache), not once
 //     per permutation.
-//   - The j side's permuted offset and stencil-weight rows can be
-//     materialized once per (gene, permutation) by a PermCache and then
-//     streamed sequentially, turning the permuted evaluation's random
-//     gather into a pure streaming pass shared by every row i of a
-//     tile.
+//
+// The j side is gathered through each permutation. A PermCache can
+// materialize gene j's permuted rows once per tile instead, and
+// SweepBucketed still streams them when given, but the scan does not
+// use one: with the DPI test schedule a tile tests few pairs per
+// column gene, so a miss (one gather per permutation, q·m rows) costs
+// more than the hits save (EXPERIMENTS.md CT).
 //
 // SweepBucketed / SweepScalar / SweepVec batch the q permutations of
 // one pair behind those reuses while preserving the strict early-exit
@@ -40,18 +41,21 @@ import (
 	"repro/internal/simd"
 )
 
-// prepareRowKeys fills ws.keyI with gene i's scaled bucket keys
-// (offs[i·m+s]·nOff). The rows are cached by gene so the row-major tile
-// scan recomputes them only when the pair's i side changes.
+// prepareRowKeys fills ws.keyI with gene i's bucket keys: the index in
+// the padded block grid (see Workspace.blockAcc) of bucket
+// (offs[i·m+s], 0), to which the scatter adds gene j's offset. The rows
+// are cached by gene so the row-major tile scan recomputes them only
+// when the pair's i side changes.
 func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 	if ws.keyIGene == i {
 		return
 	}
 	m := e.wm.Samples
-	nOff := int32(ws.bins - e.wm.Basis.Order() + 1)
+	pad := int32(e.wm.Basis.Order() - 1)
+	stride := int32(ws.bins) + pad
 	offs := e.wm.Offsets[i*m : (i+1)*m]
 	for s, o := range offs {
-		ws.keyI[s] = o * nOff
+		ws.keyI[s] = (o+pad)*stride + pad
 	}
 	ws.keyIGene = i
 }
@@ -63,12 +67,40 @@ func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 // passes over the samples.
 func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 	e.prepareRowKeys(i, ws)
-	return e.pairBlocked(i, j, nil, nil, nil, ws)
+	return e.pairBlocked(i, j, nil, Float64, ws)
 }
 
-// pairBlocked is the shared single-pass kernel. ws.keyI must hold gene
-// i's scaled bucket keys (prepareRowKeys). The j side comes from, in
-// priority order:
+// PairBlockedCut is PairBlocked for a caller that needs the MI only
+// when it reaches cut, such as the observe pass against I_α: when the
+// certificate (certificate.go) proves MI(i, j) < cut, it returns
+// (0, true) without the entropy pass; otherwise it returns PairBlocked's
+// value and false. It certifies nothing when cut ≤ 0.
+func (e *Estimator) PairBlockedCut(i, j int, cut float64, ws *Workspace) (v float64, below bool) {
+	return e.pairBlockedCut(i, j, cut, Float64, ws)
+}
+
+// pairBlocked is the shared single-pass kernel of both precisions.
+// ws.keyI must hold gene i's scaled bucket keys (prepareRowKeys). Gene
+// j is gathered through perm, or unpermuted when perm is nil.
+func (e *Estimator) pairBlocked(i, j int, perm []int32, prec Precision, ws *Workspace) float64 {
+	e.fillBlocked(i, j, perm, nil, nil, prec, ws)
+	return e.finishBlocked(i, j, prec, ws)
+}
+
+// pairBlockedCut is PairBlockedCut at either precision.
+func (e *Estimator) pairBlockedCut(i, j int, cut float64, prec Precision, ws *Workspace) (float64, bool) {
+	e.prepareRowKeys(i, ws)
+	e.fillBlocked(i, j, nil, nil, nil, prec, ws)
+	if c, ok := e.certCut(cut, prec); ok && e.certSum(i, j, prec, ws) < c {
+		return 0, true
+	}
+	return e.finishBlocked(i, j, prec, ws), false
+}
+
+// fillBlocked is the fill half of the block-scatter kernels: the
+// scatter pass, then the merge of the bucket blocks into the joint of
+// precision prec, which it leaves filled for finishBlocked or the
+// certificate. The j side comes from, in priority order:
 //
 //   - poffs+pw: cached permuted offset and stencil-weight rows for one
 //     permutation (from PermCache) — fully sequential access;
@@ -77,75 +109,84 @@ func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 //
 // On entry ws.blockAcc is all-zero (the invariant every call
 // re-establishes before returning). No occupancy is tracked: with
-// m >> nOff² the bucket grid is dense, so the merge folds every block
+// m >> nOff² the bucket grid is dense, so the merge reads every block
 // unconditionally — straight-line streaming code with no per-sample
 // bookkeeping — and the cleanup is a single memclr.
-func (e *Estimator) pairBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) float64 {
-	e.fillBlocked(i, j, perm, poffs, pw, ws)
-	return e.finishBlocked(i, j, ws)
-}
-
-// fillBlocked is the fill half of pairBlocked: the scatter pass, then
-// the merge of every bucket block into ws.joint. It leaves the joint
-// filled for finishBlocked or the certificate.
-func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
+func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, prec Precision, ws *Workspace) {
 	k := e.wm.Basis.Order()
-	bins := ws.bins
-	nOff := bins - k + 1
-	acc := ws.blockAcc
-
 	e.scatterBlocked(i, j, perm, poffs, pw, ws)
-
-	// Merge pass: fold every bucket block into the float64 joint
-	// histogram in ascending bucket order (identical to the counting
-	// sort's bucket loop; untouched blocks add exact zeros), then wipe
-	// the accumulator in one memclr.
-	if !ws.jointClean {
-		ws.resetJoint()
-	}
-	if k == 3 {
-		for b := 0; b < nOff*nOff; b++ {
-			oa := b / nOff
-			ob := b % nOff
-			blk := acc[b*9 : b*9+9 : b*9+9]
-			row0 := ws.joint[oa*bins+ob:]
-			row1 := ws.joint[(oa+1)*bins+ob:]
-			row2 := ws.joint[(oa+2)*bins+ob:]
-			row0[0] += float64(blk[0])
-			row0[1] += float64(blk[1])
-			row0[2] += float64(blk[2])
-			row1[0] += float64(blk[3])
-			row1[1] += float64(blk[4])
-			row1[2] += float64(blk[5])
-			row2[0] += float64(blk[6])
-			row2[1] += float64(blk[7])
-			row2[2] += float64(blk[8])
-		}
+	if prec == Float32 {
+		mergeBlocks(ws.blockAcc, ws.joint32, ws.bins, k)
 	} else {
-		kk := k * k
-		for b := 0; b < nOff*nOff; b++ {
-			oa := b / nOff
-			ob := b % nOff
-			blk := acc[b*kk:]
-			for u := 0; u < k; u++ {
-				row := ws.joint[(oa+u)*bins+ob:]
-				for v := 0; v < k; v++ {
-					row[v] += float64(blk[u*k+v])
-				}
-			}
-		}
+		mergeBlocks(ws.blockAcc, ws.joint, ws.bins, k)
 	}
-	clear(acc)
+	// Only the bucket rows can hold sums; the border rows stay zero.
+	rowLen := (ws.bins + k - 1) * k * k
+	clear(ws.blockAcc[(k-1)*rowLen : ws.bins*rowLen])
 	ws.jointClean = false
 }
 
-// finishBlocked is the entropy half of pairBlocked: the MI of the
-// filled joint, which it then returns to all-zero.
-func (e *Estimator) finishBlocked(i, j int, ws *Workspace) float64 {
-	v := e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
-	ws.resetJoint()
-	ws.jointClean = true
-	return v
+// finishBlocked is the entropy half of the block-scatter kernels: the
+// MI of the filled joint at precision prec.
+func (e *Estimator) finishBlocked(i, j int, prec Precision, ws *Workspace) float64 {
+	if prec == Float32 {
+		return e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
+	}
+	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
+}
+
+// mergeBlocks assigns each cell of the bins×bins joint the sum of the
+// k×k bucket-block entries that cover it, one joint row at a time, with
+// each cell's sum held in a register and stored once. A cell's entries
+// are added in ascending bucket order (block row, then block column)
+// onto a zero start — the order and the start of the counting sort's
+// bucket loop, which adds each block into a zeroed joint — so the
+// result is bit-identical to PairBucketed's joint. The grid's zero
+// border blocks let every cell add exactly k² entries: a zero entry
+// before a cell's first real one keeps the sum at +0, and one after
+// its last leaves the sum unchanged (no entry is −0, as every block
+// accumulates nonnegative products onto +0).
+func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
+	stride := bins + k - 1
+	kk := k * k
+	// In the padded grid, block (a, b) holds cell (a, b) at its entry
+	// (k-1, k-1); each next block along a block row holds the cell one
+	// column earlier (kk-1 entries on), and the next block row one row
+	// earlier (stride·kk - k entries on from the previous row's first).
+	rowStep := stride*kk - k
+	if k == 3 {
+		for a := 0; a < bins; a++ {
+			row := joint[a*bins : (a+1)*bins]
+			p := a*stride*9 + 8
+			for b := range row {
+				q, r := p+rowStep, p+2*rowStep
+				s := T(acc[p]) + T(acc[p+8]) + T(acc[p+16])
+				s += T(acc[q])
+				s += T(acc[q+8])
+				s += T(acc[q+16])
+				s += T(acc[r])
+				s += T(acc[r+8])
+				s += T(acc[r+16])
+				row[b] = s
+				p += 9
+			}
+		}
+		return
+	}
+	for a := 0; a < bins; a++ {
+		row := joint[a*bins : (a+1)*bins]
+		for b := range row {
+			var s T
+			p := (a*stride+b)*kk + kk - 1
+			for u := 0; u < k; u++ {
+				for v := 0; v < k; v++ {
+					s += T(acc[p+v*(kk-1)])
+				}
+				p += rowStep
+			}
+			row[b] = s
+		}
+	}
 }
 
 // scatterBlocked is the scatter pass shared by the float64 and float32
@@ -263,8 +304,8 @@ func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, 
 // when non-nil, are gene j's cached permuted offset and stencil-weight
 // rows from a PermCache (q rows of m and m·k respectively); otherwise
 // each evaluation gathers through perms[p] directly. Every permuted MI
-// it computes is bit-identical to PairPermutedBucketed(i, j, perms[p],
-// ws); a permutation the Jensen certificate proves below obs is decided
+// it computes is bit-identical to the counting-sort kernel under
+// perms[p]; a permutation the certificate proves below obs is decided
 // without its entropy pass (certificate.go), so the result equals the
 // per-permutation loop's.
 //
@@ -277,9 +318,8 @@ func (e *Estimator) SweepBucketed(i, j int, obs float64, perms [][]int32, poffs 
 // NullBucketed is SweepBucketed without the early exit: out[p] receives
 // the MI of (i, j) under perms[p] for every p — one pooled-null pair in
 // a single sweep, with gene i's row keys prepared once and gene j
-// gathered through each permutation. Each value is bit-identical to
-// PairPermutedBucketed(i, j, perms[p], ws). out must hold len(perms)
-// values.
+// gathered through each permutation. Each value is bit-identical to the
+// counting-sort kernel under perms[p]. out must hold len(perms) values.
 func (e *Estimator) NullBucketed(i, j int, perms [][]int32, out []float64, ws *Workspace) {
 	e.sweepBlocked(i, j, 0, perms, nil, nil, out, Float64, ws)
 }
@@ -289,7 +329,7 @@ func (e *Estimator) NullBucketed(i, j int, perms [][]int32, out []float64, ws *W
 // the early-exit permutation test; with out != nil it records every
 // permuted MI and never exits early (obs is then ignored).
 //
-// In early-exit mode each permutation's joint is filled, and the Jensen
+// In early-exit mode each permutation's joint is filled, and the
 // certificate (certificate.go) decides it when the bound proves the
 // permuted MI < obs; the entropy pass runs only for the rest. The
 // verdicts are those of the exact values, so evals and survived are
@@ -299,36 +339,20 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 	k := e.wm.Basis.Order()
 	e.prepareRowKeys(i, ws)
 	cached := poffs != nil && pw != nil
-	var cut float64 // 0 certifies nothing: the null mode needs every value
-	if out == nil {
-		cut = e.certCut(obs, prec)
-	}
+	cut, armed := e.certCut(obs, prec)
+	armed = armed && out == nil // the null mode needs every value
 	for p := range perms {
 		evals++
 		perm, po, pwp := perms[p], []int32(nil), []float32(nil)
 		if cached {
 			perm, po, pwp = nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k]
 		}
-		var v float64
-		if prec == Float32 {
-			e.fillBlocked32(i, j, perm, po, pwp, ws)
-			if cut > 0 && e.jensenSum32(i, j, ws.joint32, ws.bins) < cut {
-				ws.resetJoint32()
-				ws.jointClean = true
-				ws.certified++
-				continue
-			}
-			v = e.finishBlocked32(i, j, ws)
-		} else {
-			e.fillBlocked(i, j, perm, po, pwp, ws)
-			if cut > 0 && e.jensenSum(i, j, ws.joint, ws.bins) < cut {
-				ws.resetJoint()
-				ws.jointClean = true
-				ws.certified++
-				continue
-			}
-			v = e.finishBlocked(i, j, ws)
+		e.fillBlocked(i, j, perm, po, pwp, prec, ws)
+		if armed && e.certSum(i, j, prec, ws) < cut {
+			ws.certified++
+			continue
 		}
+		v := e.finishBlocked(i, j, prec, ws)
 		if out != nil {
 			out[p] = v
 		} else if v >= obs {
@@ -338,37 +362,28 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 	return evals, true
 }
 
-// SweepScalar is the scalar-kernel permutation sweep: the same
-// scatter-histogram arithmetic as PairPermutedScalar, with the j-side
-// stencils streamed from the cached permuted rows when available, and
-// early exit on the first permuted MI >= obs.
-func (e *Estimator) SweepScalar(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepScalar(i, j, obs, perms, poffs, pw, nil, Float64, ws)
+// SweepScalar is the scalar-kernel permutation sweep: PairPermutedScalar
+// per permutation in pool order, with early exit on the first permuted
+// MI >= obs.
+func (e *Estimator) SweepScalar(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
+	return e.sweepScalar(i, j, obs, perms, nil, Float64, ws)
 }
 
 // NullScalar is SweepScalar without the early exit (see NullBucketed);
 // each value is bit-identical to PairPermutedScalar.
 func (e *Estimator) NullScalar(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepScalar(i, j, 0, perms, nil, nil, out, Float64, ws)
+	e.sweepScalar(i, j, 0, perms, out, Float64, ws)
 }
 
 // sweepScalar is the scalar sweep loop of both precisions; out has
 // sweepBlocked's meaning.
-func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
-	m := e.wm.Samples
-	k := e.wm.Basis.Order()
-	cached := poffs != nil && pw != nil
+func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
 	for p := range perms {
 		evals++
 		var v float64
-		switch {
-		case cached && prec == Float32:
-			v = e.pairScalarCached32(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		case cached:
-			v = e.pairScalarCached(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-		case prec == Float32:
+		if prec == Float32 {
 			v = e.PairPermutedScalar32(i, j, perms[p], ws)
-		default:
+		} else {
 			v = e.PairPermutedScalar(i, j, perms[p], ws)
 		}
 		if out != nil {
@@ -378,32 +393,6 @@ func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, poffs []
 		}
 	}
 	return evals, true
-}
-
-// pairScalarCached is PairPermutedScalar with the j side read from
-// cached permuted offset/weight rows (identical values, sequential
-// access), so the results are bit-identical.
-func (e *Estimator) pairScalarCached(i, j int, poffs []int32, pw []float32, ws *Workspace) float64 {
-	if !ws.jointClean {
-		ws.resetJoint()
-	}
-	ws.jointClean = false
-	bins := ws.bins
-	k := e.wm.Basis.Order()
-	m := e.wm.Samples
-	for s := 0; s < m; s++ {
-		offI, wI := e.wm.Stencil(i, s)
-		offJ := poffs[s]
-		wJ := pw[s*k : (s+1)*k]
-		for u, a := range wI {
-			row := ws.joint[(int(offI)+u)*bins+int(offJ):]
-			au := float64(a)
-			for v, b := range wJ {
-				row[v] += au * float64(b)
-			}
-		}
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(m))
 }
 
 // SweepVec is the vectorized-kernel permutation sweep. The dense row

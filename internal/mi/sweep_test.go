@@ -47,7 +47,7 @@ func TestPairBlockedBitIdentical(t *testing.T) {
 				for p := 0; p < pool.Q(); p++ {
 					want := e.PairPermutedBucketed(i, j, pool.Perm(p), ws)
 					e.prepareRowKeys(i, ws)
-					got := e.pairBlocked(i, j, pool.Perm(p), nil, nil, ws)
+					got := e.pairBlocked(i, j, pool.Perm(p), Float64, ws)
 					if got != want {
 						t.Fatalf("order %d pair (%d,%d) perm %d: blocked %v != bucketed %v", order, i, j, p, got, want)
 					}
@@ -106,7 +106,7 @@ func TestSweepsMatchLegacyPerPermLoop(t *testing.T) {
 					wantEv, wantOK = legacy(func(i, j int, p []int32) float64 {
 						return e.PairPermutedScalar(i, j, p, ws)
 					}, i, j, obs)
-					gotEv, gotOK = e.SweepScalar(i, j, obs, perms, poffs, pw, ws)
+					gotEv, gotOK = e.SweepScalar(i, j, obs, perms, ws)
 					if gotEv != wantEv || gotOK != wantOK {
 						t.Fatalf("order %d (%d,%d) obs=%v scalar sweep (%d,%v) != legacy (%d,%v)",
 							order, i, j, obs, gotEv, gotOK, wantEv, wantOK)
@@ -144,15 +144,10 @@ func TestSweepCachedMatchesUncached(t *testing.T) {
 			}
 			e.prepareRowKeys(i, ws)
 			for p := 0; p < pool.Q(); p++ {
-				want := e.pairBlocked(i, j, pool.Perm(p), nil, nil, ws)
-				got := e.pairBlocked(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-				if got != want {
+				want := e.pairBlocked(i, j, pool.Perm(p), Float64, ws)
+				e.fillBlocked(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], Float64, ws)
+				if got := e.finishBlocked(i, j, Float64, ws); got != want {
 					t.Fatalf("pair (%d,%d) perm %d: cached %v != uncached %v", i, j, p, got, want)
-				}
-				wantS := e.PairPermutedScalar(i, j, pool.Perm(p), ws)
-				gotS := e.pairScalarCached(i, j, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
-				if gotS != wantS {
-					t.Fatalf("pair (%d,%d) perm %d: scalar cached %v != uncached %v", i, j, p, gotS, wantS)
 				}
 			}
 		}

@@ -466,12 +466,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, scrape, "tinge_queue_capacity"); v != 9 {
 		t.Fatalf("queue capacity = %v", v)
 	}
-	// PermCache counters exist (hits may be 0 on tiny runs, misses > 0
-	// whenever any pair entered the permutation test).
-	metricValue(t, scrape, "tinge_permcache_hits_total")
-	metricValue(t, scrape, "tinge_permcache_misses_total")
+	// The permuted-row cache counters are still exported and read 0:
+	// the scan builds no cache.
+	for _, name := range []string{"tinge_permcache_hits_total", "tinge_permcache_misses_total"} {
+		if v := metricValue(t, scrape, name); v != 0 {
+			t.Fatalf("%s = %v, want 0", name, v)
+		}
+	}
 	metricValue(t, scrape, "tinge_permutations_skipped_total")
 	metricValue(t, scrape, "tinge_permutations_certified_total")
+	metricValue(t, scrape, "tinge_pairs_certified_total")
 	// Fault-tolerance counters are pre-registered (zero on a healthy
 	// run — their absence would hide a recovery from the dashboards).
 	if v := metricValue(t, scrape, "tinge_rank_failures_total"); v != 0 {

@@ -119,16 +119,18 @@ type Scheduler interface {
 // Policy selects a scheduling strategy.
 type Policy int
 
-// Scheduling policies compared in the paper's load-balancing discussion.
+// Scheduling policies compared in the paper's load-balancing
+// discussion. Dynamic is the zero value, so a caller that leaves a
+// policy unset schedules dynamically.
 const (
+	// Dynamic is a shared atomic counter: workers grab the next
+	// unclaimed tile (the paper's choice on the Phi).
+	Dynamic Policy = iota
 	// StaticBlock gives worker w the w-th contiguous chunk of tiles.
-	StaticBlock Policy = iota
+	StaticBlock
 	// StaticCyclic deals tiles round-robin: worker w gets tiles
 	// w, w+P, w+2P, ….
 	StaticCyclic
-	// Dynamic is a shared atomic counter: workers grab the next
-	// unclaimed tile (the paper's choice on the Phi).
-	Dynamic
 	// Stealing gives each worker a private deque and lets idle workers
 	// steal from the busiest victim.
 	Stealing
