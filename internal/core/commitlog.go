@@ -65,8 +65,6 @@ type commitLog struct {
 	sched     *grn.TestSchedule
 	round     []roundTile
 	roundDone []bool
-	// shard is the finished schedule's adjacency-shard traffic.
-	shard grn.FilterStats
 	// session sums the counts of the work committed in this session.
 	// Progress counts in tiles: one unit per observe tile pending when
 	// the session began and one test unit per tile of the range, done
@@ -243,7 +241,7 @@ func (l *commitLog) selectTests(cfg Config, round int) ([]roundTile, error) {
 	edges := l.state.Edges
 	if l.sched == nil {
 		var err error
-		if l.sched, err = grn.NewTestSchedule(l.state.Fingerprint.Genes, edges, cfg.DPI, filterOpts(cfg)); err != nil {
+		if l.sched, err = grn.NewTestSchedule(l.state.Fingerprint.Genes, edges, cfg.DPI, cfg.DPITolerance); err != nil {
 			return nil, err
 		}
 	}
@@ -272,7 +270,6 @@ func (l *commitLog) selectTests(cfg Config, round int) ([]roundTile, error) {
 	}
 	l.round, l.roundDone = work, make([]bool, len(work))
 	if len(work) == 0 {
-		l.shard = l.sched.Stats()
 		l.sched = nil
 		if l.done < l.total {
 			l.done = l.total
@@ -362,8 +359,7 @@ func (l *commitLog) flush() error {
 
 // report publishes the scan into res: the phase-3 outcome, the counts
 // of the work done in this session (a resumed scan's committed tiles
-// and verdicts are not re-counted), the test schedule's adjacency-shard
-// traffic, and the network of every survivor
+// and verdicts are not re-counted), and the network of every survivor
 // that passed its test, across sessions.
 func (l *commitLog) report(res *Result) {
 	l.mu.Lock()
@@ -376,7 +372,6 @@ func (l *commitLog) report(res *Result) {
 	res.PermEvaluations = l.session.permEvals
 	res.PermutationsSkipped = l.session.skipped
 	res.PermutationsCertified = l.session.certified
-	res.addFilterStats(l.shard)
 	net := grn.New(l.state.Fingerprint.Genes)
 	for x, e := range l.state.Edges {
 		if l.state.Verdicts[x] == grn.Passed {

@@ -349,6 +349,10 @@ type Config struct {
 	// the realized ceiling, which stays <= the budget. Used by the
 	// OutOfCore engine (default 64 MiB there); setting it > 0 on the
 	// Host engine routes the run through the same disk-backed scan.
+	// Outside the budget sit the threshold survivors with their MI
+	// (24 B each), resident on every engine for the test pass, and,
+	// with DPI, the test schedule's adjacency of them (32 B per
+	// survivor, grn.TestSchedule).
 	MemoryBudget int64
 	// PanelRows is the spill-store panel height in gene rows (default
 	// TileSize; must be a positive multiple of TileSize so every tile's

@@ -46,12 +46,12 @@ type Counters struct {
 	DPIEdgesRemoved int `json:"dpiEdgesRemoved" fold:"sum" unit:"count" metric:"tinge_dpi_edges_removed_total" help:"Edges pruned by the DPI filter."`
 	CMIEdgesRemoved int `json:"cmiEdgesRemoved" fold:"sum" unit:"count" metric:"tinge_cmi_edges_removed_total" help:"Edges pruned by the CMI successor filter."`
 	// FilterShardPeakBytes is the resident adjacency-shard high-water
-	// mark of the DPI test schedule and the filter phase; on a budgeted
-	// run it stays under the effective shard budget. The other
+	// mark of the filter phase; on a budgeted run it stays under the
+	// effective shard budget. The other
 	// FilterShard counters mirror the panel-store counters for their
 	// shard stores, summed (all 0 on unbudgeted runs except the peak and
 	// hits).
-	FilterShardPeakBytes    int64 `json:"filterShardPeakBytes" fold:"max" unit:"bytes" help:"Peak resident adjacency-shard bytes of the DPI test schedule and the filter phase."`
+	FilterShardPeakBytes    int64 `json:"filterShardPeakBytes" fold:"max" unit:"bytes" help:"Peak resident adjacency-shard bytes of the filter phase."`
 	FilterShardHits         int64 `json:"filterShardHits" fold:"sum" unit:"count" metric:"tinge_filter_shard_hits_total" help:"Adjacency-shard pins served resident."`
 	FilterShardLoads        int64 `json:"filterShardLoads" fold:"sum" unit:"count" metric:"tinge_filter_shard_loads_total" help:"Adjacency-shard pins re-read from the spill file."`
 	FilterShardEvictions    int64 `json:"filterShardEvictions" fold:"sum" unit:"count" metric:"tinge_filter_shard_evictions_total" help:"Adjacency shards dropped to stay under budget."`

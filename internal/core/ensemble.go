@@ -182,6 +182,59 @@ func wrapEnsembleProgress(outer func(done, total int), sessionDone, runTotal int
 	}
 }
 
+// bootstrapScan runs bootstrap b, over the subsample's sample indices
+// idx, under bcfg into bres, and returns the CMI filter's row source
+// for that bootstrap.
+type bootstrapScan func(b int, idx []int32, bcfg Config, bres *Result) (grn.RowFunc, error)
+
+// runBootstraps is the bootstrap loop of both ensemble drivers: it
+// resumes from the ledger when checkpointing, runs scan for every
+// pending bootstrap of the range with its own config (no checkpoint
+// path, progress scaled into the run's), filters each bootstrap's
+// network, folds it into the aggregate, persists the ledger after
+// every bootstrap, and publishes the aggregate. n and m are the genes
+// and samples of the full set, mSub the subsample width.
+func runBootstraps(ctx context.Context, cfg Config, n, m, mSub int, res *Result, scan bootstrapScan) error {
+	lo, hi, partial := ensembleRange(cfg, res)
+	ens := grn.NewEnsemble(n)
+	var led *ensembleLedger
+	if cfg.CheckpointPath != "" {
+		var next int
+		var err error
+		led, next, err = loadEnsembleLedger(cfg, n, m, res)
+		if err != nil {
+			return err
+		}
+		led.restore(res, ens, next)
+		lo = next
+	}
+	for b := lo; b < hi; b++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		idx := perm.SubsampleIndices(cfg.Ensemble.Seed, uint64(b), m, mSub)
+		bcfg := cfg
+		bcfg.CheckpointPath = ""
+		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, b-lo, hi-lo)
+		bres := &Result{Timer: res.Timer}
+		rows, err := scan(b, idx, bcfg, bres)
+		if err != nil {
+			return err
+		}
+		if err := applyFilters(bcfg, bres, rows); err != nil {
+			return err
+		}
+		recordBootstrap(res, bres, ens, b, partial)
+		if led != nil {
+			if err := led.bootstrapDone(b, bres, ens); err != nil {
+				return err
+			}
+		}
+	}
+	finishEnsemble(cfg, res, ens)
+	return nil
+}
+
 // ensembleResident is the bootstrap-consensus driver for the resident
 // engines (host, phi, hybrid, cluster). The whole-genome apparatus is
 // shared across bootstraps: norm and full are the full-set rank
@@ -193,33 +246,13 @@ func wrapEnsembleProgress(outer func(done, total int), sessionDone, runTotal int
 // still shares the normalization, precompute, and view.
 func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.WeightMatrix, basis *bspline.Basis, cfg Config, res *Result) error {
 	n, m := full.Genes, full.Samples
-	ec := cfg.Ensemble
-	mSub, err := ec.sampleCount(m)
+	mSub, err := cfg.Ensemble.sampleCount(m)
 	if err != nil {
 		return err
 	}
-	lo, hi, partial := ensembleRange(cfg, res)
-	ens := grn.NewEnsemble(n)
-
-	var led *ensembleLedger
-	if cfg.CheckpointPath != "" {
-		var next int
-		led, next, err = loadEnsembleLedger(cfg, n, m, res)
-		if err != nil {
-			return err
-		}
-		led.restore(res, ens, next)
-		lo = next
-	}
-
 	view := bspline.NewPanelWeights(basis, n, mSub)
 	var kit []*tileScanner
-	sessionDone := 0
-	for b := lo; b < hi; b++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		idx := perm.SubsampleIndices(ec.Seed, uint64(b), m, mSub)
+	return runBootstraps(ctx, cfg, n, m, mSub, res, func(b int, idx []int32, bcfg Config, bres *Result) (grn.RowFunc, error) {
 		res.Timer.Time("view", func() {
 			view.FillView(full, idx)
 		})
@@ -231,11 +264,7 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 			rebindKit(kit, view)
 		}
 		res.EnsembleStencilsReused += int64(n) * int64(mSub)
-
-		bcfg := cfg
-		bcfg.CheckpointPath = ""
-		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, sessionDone, hi-lo)
-		bres := &Result{Timer: res.Timer}
+		var err error
 		switch cfg.Engine {
 		case Cluster:
 			err = runCluster(ctx, view, bcfg, bres)
@@ -246,26 +275,8 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 		default:
 			_, _, err = hostScan(ctx, view, bcfg, bres, kit)
 		}
-		if err != nil {
-			return err
-		}
-		var rows grn.RowFunc
-		if cfg.CMIFilter {
-			rows = viewRows(norm, idx)
-		}
-		if err := applyFilters(bcfg, bres, rows); err != nil {
-			return err
-		}
-		recordBootstrap(res, bres, ens, b, partial)
-		sessionDone++
-		if led != nil {
-			if err := led.bootstrapDone(b, bres, ens); err != nil {
-				return err
-			}
-		}
-	}
-	finishEnsemble(cfg, res, ens)
-	return nil
+		return viewRows(norm, idx), err
+	})
 }
 
 // oocEnsemble is the bootstrap-consensus driver for the disk-backed
@@ -278,8 +289,7 @@ func ensembleResident(ctx context.Context, norm *mat.Dense, full *bspline.Weight
 func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer *stats.Timer) (*Result, error) {
 	res := &Result{Timer: timer}
 	n, m := store.Rows(), store.Cols()
-	ec := cfg.Ensemble
-	mSub, err := ec.sampleCount(m)
+	mSub, err := cfg.Ensemble.sampleCount(m)
 	if err != nil {
 		return nil, err
 	}
@@ -299,50 +309,14 @@ func oocEnsemble(ctx context.Context, store *panelstore.Store, cfg Config, timer
 	}
 	ingestPeak := store.ResetPeak()
 
-	lo, hi, partial := ensembleRange(cfg, res)
-	ens := grn.NewEnsemble(n)
-	var led *ensembleLedger
-	if cfg.CheckpointPath != "" {
-		var next int
-		led, next, err = loadEnsembleLedger(cfg, n, m, res)
-		if err != nil {
-			return nil, err
-		}
-		led.restore(res, ens, next)
-		lo = next
-	}
-
-	sessionDone := 0
-	for b := lo; b < hi; b++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		idx := perm.SubsampleIndices(ec.Seed, uint64(b), m, mSub)
+	err = runBootstraps(ctx, cfg, n, m, mSub, res, func(b int, idx []int32, bcfg Config, bres *Result) (grn.RowFunc, error) {
 		copy(idxBuf, idx)
-
-		bcfg := cfg
-		bcfg.CheckpointPath = ""
-		bcfg.Progress = wrapEnsembleProgress(cfg.Progress, sessionDone, hi-lo)
-		bres := &Result{Timer: timer}
-		if err := oocScanPass(ctx, store, bcfg, bres, workers, tiles); err != nil {
-			return nil, err
-		}
-		var rows grn.RowFunc
-		if cfg.CMIFilter {
-			rows = storeRowsView(store, idx)
-		}
-		if err := applyFilters(bcfg, bres, rows); err != nil {
-			return nil, err
-		}
-		recordBootstrap(res, bres, ens, b, partial)
-		sessionDone++
-		if led != nil {
-			if err := led.bootstrapDone(b, bres, ens); err != nil {
-				return nil, err
-			}
-		}
+		err := oocScanPass(ctx, store, bcfg, bres, workers, tiles)
+		return storeRowsView(store, idx), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	finishEnsemble(cfg, res, ens)
 
 	// Store and budget accounting once over the whole ensemble — the
 	// panel cache persists across bootstraps, so these are cumulative

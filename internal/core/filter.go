@@ -6,10 +6,10 @@ import (
 	"repro/internal/panelstore"
 )
 
-// filterOpts is the adjacency-shard configuration of the DPI test
-// schedule and of the phase-5 filters. Shard spilling is armed only on
-// the disk-backed paths — the resident engines already hold the whole
-// network, so a resident adjacency costs nothing extra there.
+// filterOpts is the adjacency-shard configuration of the phase-5
+// filters. Shard spilling is armed only on the disk-backed paths — the
+// resident engines already hold the whole network, so a resident
+// adjacency costs nothing extra there.
 func filterOpts(cfg Config) grn.FilterOpts {
 	opts := grn.FilterOpts{
 		Tolerance: cfg.DPITolerance,
@@ -23,9 +23,8 @@ func filterOpts(cfg Config) grn.FilterOpts {
 	return opts
 }
 
-// addFilterStats folds one adjacency-shard store's traffic (a filter
-// pass's, or the test schedule's) into the FilterShard counters:
-// the peak takes the max, the rest add.
+// addFilterStats folds one filter pass's adjacency-shard traffic into
+// the FilterShard counters: the peak takes the max, the rest add.
 func (c *Counters) addFilterStats(st grn.FilterStats) {
 	c.FilterShardPeakBytes = max(c.FilterShardPeakBytes, st.ShardPeakBytes)
 	c.FilterShardHits += st.ShardHits

@@ -9,7 +9,9 @@ import (
 
 // pairKernel bundles the estimator, permutation pool, and kernel choice
 // shared by all engines. It is immutable during a scan and safe for
-// concurrent use with per-goroutine workspaces.
+// concurrent use with per-goroutine workspaces. Every kernel runs at
+// the precision of the workspace it is passed; prec only sizes the
+// workspaces newWorkspace allocates.
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
@@ -36,24 +38,14 @@ func (k *pairKernel) newWorkspace() *mi.Workspace {
 
 // miPair computes the unpermuted MI of pair (i, j).
 func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
-	if k.prec == Float32 {
-		switch k.kind {
-		case KernelScalar:
-			return k.est.PairScalar32(i, j, ws)
-		case KernelVec:
-			return k.est.PairVec32(i, j, ws)
-		default:
-			return k.est.PairBlocked32(i, j, ws)
-		}
-	}
 	switch k.kind {
 	case KernelScalar:
 		return k.est.PairScalar(i, j, ws)
 	case KernelVec:
 		return k.est.PairVec(i, j, ws)
 	default:
-		// Bit-identical to PairBucketed, the counting-sort formulation
-		// (the sweep golden test pins this).
+		// At float64 bit-identical to PairBucketed, the counting-sort
+		// formulation (the sweep golden test pins this).
 		return k.est.PairBlocked(i, j, ws)
 	}
 }
@@ -66,9 +58,6 @@ func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
 func (k *pairKernel) observe(i, j int, ws *mi.Workspace) (obs float64, below bool) {
 	if k.kind != KernelBucketed {
 		return k.miPair(i, j, ws), false
-	}
-	if k.prec == Float32 {
-		return k.est.PairBlockedCut32(i, j, k.thresh, ws)
 	}
 	return k.est.PairBlockedCut(i, j, k.thresh, ws)
 }
@@ -88,24 +77,13 @@ func (k *pairKernel) test(i, j int, obs float64, ws *mi.Workspace) (significant 
 	}
 	perms := k.pool.Perms()
 	var done int
-	if k.prec == Float32 {
-		switch k.kind {
-		case KernelScalar:
-			done, significant = k.est.SweepScalar32(i, j, obs, perms, ws)
-		case KernelVec:
-			done, significant = k.est.SweepVec32(i, j, obs, perms, ws)
-		default:
-			done, significant = k.est.SweepBucketed32(i, j, obs, perms, nil, nil, ws)
-		}
-	} else {
-		switch k.kind {
-		case KernelScalar:
-			done, significant = k.est.SweepScalar(i, j, obs, perms, ws)
-		case KernelVec:
-			done, significant = k.est.SweepVec(i, j, obs, perms, ws)
-		default:
-			done, significant = k.est.SweepBucketed(i, j, obs, perms, nil, nil, ws)
-		}
+	switch k.kind {
+	case KernelScalar:
+		done, significant = k.est.SweepScalar(i, j, obs, perms, ws)
+	case KernelVec:
+		done, significant = k.est.SweepVec(i, j, obs, perms, ws)
+	default:
+		done, significant = k.est.SweepBucketed(i, j, obs, perms, nil, nil, ws)
 	}
 	return significant, int64(done), int64(q - done)
 }
@@ -149,17 +127,6 @@ func sampleNullPairs(seed uint64, n, count int) [][2]int {
 // (mi.PairPermuted*) under pool permutation p.
 func (k *pairKernel) null(i, j int, out []float64, ws *mi.Workspace) {
 	perms := k.pool.Perms()
-	if k.prec == Float32 {
-		switch k.kind {
-		case KernelScalar:
-			k.est.NullScalar32(i, j, perms, out, ws)
-		case KernelVec:
-			k.est.NullVec32(i, j, perms, out, ws)
-		default:
-			k.est.NullBucketed32(i, j, perms, out, ws)
-		}
-		return
-	}
 	switch k.kind {
 	case KernelScalar:
 		k.est.NullScalar(i, j, perms, out, ws)

@@ -69,17 +69,6 @@ func (k *pairKernel) miObserved(i, j int, ws *mi.Workspace) float64 {
 func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
 	perm := k.pool.Perms()[p : p+1]
 	out := make([]float64, 1)
-	if k.prec == Float32 {
-		switch k.kind {
-		case KernelScalar:
-			return k.est.PairPermutedScalar32(i, j, perm[0], ws)
-		case KernelVec:
-			k.est.NullVec32(i, j, perm, out, ws)
-		default:
-			k.est.NullBucketed32(i, j, perm, out, ws)
-		}
-		return out[0]
-	}
 	switch k.kind {
 	case KernelScalar:
 		return k.est.PairPermutedScalar(i, j, perm[0], ws)

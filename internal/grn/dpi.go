@@ -72,23 +72,6 @@ type FilterStats struct {
 // returned slice is read-only to the filter.
 type RowFunc func(g int) ([]float32, error)
 
-// Merge folds another pass's shard traffic into s (peaks take the max,
-// counters add) — how the pipeline combines DPI and CMI stats.
-func (s *FilterStats) Merge(o FilterStats) {
-	if o.EffectiveBudget > s.EffectiveBudget {
-		s.EffectiveBudget = o.EffectiveBudget
-	}
-	if o.ShardPeakBytes > s.ShardPeakBytes {
-		s.ShardPeakBytes = o.ShardPeakBytes
-	}
-	s.ShardHits += o.ShardHits
-	s.ShardLoads += o.ShardLoads
-	s.ShardEvictions += o.ShardEvictions
-	s.ShardBytesSpilled += o.ShardBytesSpilled
-	s.ShardBytesLoaded += o.ShardBytesLoaded
-	s.ShardReadRetries += o.ShardReadRetries
-}
-
 func (o FilterOpts) workers() int {
 	if o.Workers > 0 {
 		return o.Workers

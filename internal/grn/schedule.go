@@ -72,39 +72,34 @@ func dpiLoser(wab, wac, wbc, scale float64) int {
 // candidate without a failed edge, so the full set keeps it too. The
 // walk order only decides how many survivors are tested.
 //
-// Each round builds a CSR adjacency of the survivors the way the DPI
-// filter does, under the filter's options (so on a budgeted path its
-// shards spill, and under a budget smaller than the adjacency the walk
-// re-reads them from the spill file in LRU order), and releases it on
-// return; Stats reports the shard traffic of every round. Between
-// rounds the schedule keeps one flag per survivor, set once the
-// survivor's outcome can no longer change (a candidate of two passed
-// edges, or every candidate holding a failed edge), and later rounds
-// skip those survivors. Every requested survivor must be decided
-// before the next round.
+// The first DPI round builds a CSR adjacency of the survivors with the
+// filter's buildAdjStore (32 B per survivor), later rounds reuse it,
+// and the fixpoint drops it. It is always resident, whatever budget
+// the scan runs under: the walk visits survivors by MI, not by gene,
+// so a spilled adjacency would be re-read on nearly every step, and
+// the survivor list it indexes is resident anyway. Between rounds the
+// schedule also keeps one flag per survivor, set once the survivor's
+// outcome can no longer change (a candidate of two passed edges, or
+// every candidate holding a failed edge), and later rounds skip those
+// survivors. Every requested survivor must be decided before the next
+// round.
 type TestSchedule struct {
 	n       int
 	edges   []Edge
 	dpi     bool
-	opts    FilterOpts
+	tol     float64
 	settled []bool
-	stats   FilterStats
+	adj     *adjStore
 }
 
 // NewTestSchedule starts the schedule over survivors edges, with DPI
-// at tolerance opts.Tolerance and the adjacency under opts' budget,
-// spill directory, filesystem and shard height (opts is ignored
-// without DPI; its worker count always is).
-func NewTestSchedule(n int, edges []Edge, dpi bool, opts FilterOpts) (*TestSchedule, error) {
-	if dpi && (opts.Tolerance < 0 || opts.Tolerance >= 1) {
-		return nil, fmt.Errorf("grn: DPI tolerance %v out of [0,1)", opts.Tolerance)
+// at tolerance tol (ignored without DPI).
+func NewTestSchedule(n int, edges []Edge, dpi bool, tol float64) (*TestSchedule, error) {
+	if dpi && (tol < 0 || tol >= 1) {
+		return nil, fmt.Errorf("grn: DPI tolerance %v out of [0,1)", tol)
 	}
-	return &TestSchedule{n: n, edges: edges, dpi: dpi, opts: opts, settled: make([]bool, len(edges))}, nil
+	return &TestSchedule{n: n, edges: edges, dpi: dpi, tol: tol, settled: make([]bool, len(edges))}, nil
 }
-
-// Stats returns the adjacency-shard traffic and high-water mark of
-// every round so far (Removed stays 0).
-func (s *TestSchedule) Stats() FilterStats { return s.stats }
 
 // Next runs one round over the survivors' verdicts so far.
 func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
@@ -127,16 +122,15 @@ func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
 		}
 	}
 	if len(order) == 0 {
+		s.adj = nil
 		return nil, nil
 	}
-	st, err := buildAdjStore(s.n, edges, s.opts, 1)
-	if err != nil {
-		return nil, err
+	if s.adj == nil {
+		if s.adj, err = buildAdjStore(s.n, edges, FilterOpts{}, 1); err != nil {
+			return nil, err
+		}
 	}
-	defer func() {
-		st.close()
-		s.stats.Merge(st.stats)
-	}()
+	st := s.adj
 	slices.SortFunc(order, func(a, b int32) int {
 		ea, eb := edges[a], edges[b]
 		if c := cmp.Compare(eb.Weight, ea.Weight); c != 0 {
@@ -148,7 +142,7 @@ func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
 		return cmp.Compare(ea.J, eb.J)
 	})
 	status := slices.Clone(verdicts)
-	scale := 1 - s.opts.Tolerance
+	scale := 1 - s.tol
 
 	request := func(x int32) {
 		if status[x] == Untested {
@@ -159,15 +153,7 @@ func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
 	for _, x := range order {
 		e := edges[x]
 		i, j, w := e.I, e.J, e.Weight
-		si, err := st.pin(i / st.rows)
-		if err != nil {
-			return nil, err
-		}
-		sj, err := st.pin(j / st.rows)
-		if err != nil {
-			st.release(si)
-			return nil, err
-		}
+		si, sj := st.shards[i/st.rows], st.shards[j/st.rows]
 		a, az := si.row(i)
 		b, bz := sj.row(j)
 		covered := false
@@ -211,8 +197,6 @@ func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
 			a++
 			b++
 		}
-		st.release(sj)
-		st.release(si)
 		switch {
 		case covered:
 			s.settled[x] = status[best[0]] == Passed && status[best[1]] == Passed
@@ -223,6 +207,9 @@ func (s *TestSchedule) Next(verdicts []Verdict) (out []int32, err error) {
 			request(x)
 			s.settled[x] = true
 		}
+	}
+	if len(out) == 0 {
+		s.adj = nil // the fixpoint: no later round reads it
 	}
 	return out, nil
 }

@@ -2,8 +2,6 @@ package grn
 
 import (
 	"math"
-	"math/rand/v2"
-	"os"
 	"slices"
 	"testing"
 )
@@ -62,9 +60,10 @@ func scheduleCase(nb, tolMode uint8, tolRaw float64, failRate uint8, seed uint64
 // FuzzDPITestSchedule pins the test schedule to ARACNE's rule over the
 // full tested set: for random survivor graphs, tolerances and verdict
 // oracles, the rounds reach a fixpoint within |R| requests, never
-// request a survivor twice or request a decided one, and DPIParallel
-// over the passed requested edges equals Network.DPI over every
-// survivor that passes, edge for edge and in weight bits.
+// request a survivor twice or request a decided one, build the
+// adjacency once and drop it at the fixpoint, and DPIParallel over the
+// passed requested edges equals Network.DPI over every survivor that
+// passes, edge for edge and in weight bits.
 func FuzzDPITestSchedule(f *testing.F) {
 	f.Add(uint8(4), uint8(0), 0.0, uint8(0), uint64(1), []byte{0xF1, 0x21, 0x11, 0xE1, 0x31, 0x41})
 	f.Add(uint8(6), uint8(1), 0.0, uint8(128), uint64(2), []byte{0xFD, 0xF1, 0xE5, 0x05, 0x09, 0xC1, 0x81, 0x41, 0x45, 0x49, 0x4D, 0x51, 0x55, 0x59, 0x5D})
@@ -79,7 +78,7 @@ func FuzzDPITestSchedule(f *testing.F) {
 		n, edges, tol, pass := scheduleCase(nb, tolMode, tolRaw, failRate, seed, graph)
 		verdicts := make([]Verdict, len(edges))
 
-		plain, err := NewTestSchedule(n, edges, false, FilterOpts{Tolerance: tol})
+		plain, err := NewTestSchedule(n, edges, false, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +86,12 @@ func FuzzDPITestSchedule(f *testing.F) {
 			t.Fatalf("without DPI: %d of %d survivors requested, err %v", len(all), len(edges), err)
 		}
 
-		sched, err := NewTestSchedule(n, edges, true, FilterOpts{Tolerance: tol})
+		sched, err := NewTestSchedule(n, edges, true, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requests := 0
+		var adj *adjStore
 		for round := 1; ; round++ {
 			req, err := sched.Next(verdicts)
 			if err != nil {
@@ -99,13 +99,20 @@ func FuzzDPITestSchedule(f *testing.F) {
 			}
 			// The flags a schedule keeps between rounds only skip work: a
 			// fresh schedule requests the same survivors.
-			fresh, _ := NewTestSchedule(n, edges, true, FilterOpts{Tolerance: tol})
+			fresh, _ := NewTestSchedule(n, edges, true, tol)
 			if again, _ := fresh.Next(verdicts); !slices.Equal(again, req) {
 				t.Fatalf("round %d requested %v, a fresh schedule %v", round, req, again)
 			}
 			if len(req) == 0 {
+				if sched.adj != nil {
+					t.Fatalf("round %d: the fixpoint kept the adjacency", round)
+				}
 				break
 			}
+			if sched.adj == nil || adj != nil && sched.adj != adj {
+				t.Fatalf("round %d: adjacency %p after round %d's %p; want one built once per scan", round, sched.adj, round-1, adj)
+			}
+			adj = sched.adj
 			for _, x := range req {
 				if verdicts[x] != Untested {
 					t.Fatalf("round %d requested survivor %d again (verdict %d)", round, x, verdicts[x])
@@ -153,7 +160,7 @@ func TestScheduleSkipsExplainedEdges(t *testing.T) {
 	edges := []Edge{{0, 1, 1.0}, {0, 2, 1.0}, {1, 2, 0.2}}
 	round := func(verdicts ...Verdict) []int32 {
 		t.Helper()
-		s, err := NewTestSchedule(3, edges, true, FilterOpts{Tolerance: 0.1})
+		s, err := NewTestSchedule(3, edges, true, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,74 +179,11 @@ func TestScheduleSkipsExplainedEdges(t *testing.T) {
 	if req := round(Passed, Failed, Untested); !slices.Equal(req, []int32{2}) {
 		t.Fatalf("after a strong edge failed, requested %v, want [2]", req)
 	}
-	s, _ := NewTestSchedule(3, edges, true, FilterOpts{Tolerance: 0.1})
+	s, _ := NewTestSchedule(3, edges, true, 0.1)
 	if _, err := s.Next(make([]Verdict, 2)); err == nil {
 		t.Fatal("verdict length mismatch accepted")
 	}
-	if _, err := NewTestSchedule(3, edges, true, FilterOpts{Tolerance: 1}); err == nil {
+	if _, err := NewTestSchedule(3, edges, true, 1); err == nil {
 		t.Fatal("tolerance 1 accepted")
-	}
-}
-
-// TestScheduleBudgetSpills: under a memory budget the schedule's
-// adjacency spills like the DPI filter's — its resident shard bytes
-// stay under the effective budget, shards are re-read from the spill
-// file, the file is gone after each round — and every round requests
-// exactly what the resident adjacency requests.
-func TestScheduleBudgetSpills(t *testing.T) {
-	const n = 64
-	rng := rand.New(rand.NewPCG(7, 8))
-	var edges []Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.IntN(3) == 0 {
-				edges = append(edges, Edge{I: i, J: j, Weight: float64(rng.IntN(50)) / 10})
-			}
-		}
-	}
-	dir := t.TempDir()
-	resident, err := NewTestSchedule(n, edges, true, FilterOpts{Tolerance: 0.1, ShardRows: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted, err := NewTestSchedule(n, edges, true, FilterOpts{Tolerance: 0.1, ShardRows: 4, MemoryBudget: 1, SpillDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts := make([]Verdict, len(edges))
-	for round := 1; ; round++ {
-		want, err := resident.Next(verdicts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := budgeted.Next(verdicts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: budgeted schedule requested %v, resident %v", round, got, want)
-		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Fatalf("round %d left %d spill files", round, len(left))
-		}
-		if len(want) == 0 {
-			break
-		}
-		for _, x := range want {
-			verdicts[x] = Passed
-			if x%4 == 0 {
-				verdicts[x] = Failed
-			}
-		}
-	}
-	st, all := budgeted.Stats(), resident.Stats()
-	if st.ShardLoads == 0 || st.ShardBytesSpilled == 0 {
-		t.Fatalf("budgeted schedule never spilled: %+v", st)
-	}
-	if st.ShardPeakBytes > st.EffectiveBudget || st.EffectiveBudget >= all.ShardPeakBytes {
-		t.Fatalf("peak %d, effective budget %d, whole adjacency %d", st.ShardPeakBytes, st.EffectiveBudget, all.ShardPeakBytes)
-	}
-	if all.ShardLoads != 0 || all.ShardHits == 0 {
-		t.Fatalf("resident schedule traffic %+v", all)
 	}
 }

@@ -152,14 +152,13 @@ func (e *Estimator) setReciprocals(g int, p []float64) {
 	}
 }
 
-// certSum returns S = Σ_ab J·g(d) over the filled joint of precision
-// prec.
-func (e *Estimator) certSum(i, j int, prec Precision, ws *Workspace) float64 {
+// certSum returns S = Σ_ab J·g(d) over the workspace's filled joint.
+func (e *Estimator) certSum(i, j int, ws *Workspace) float64 {
 	bins := ws.bins
 	ri := e.rinv[i*bins : (i+1)*bins]
 	rj := e.rinv[j*bins : (j+1)*bins]
 	inv := 1 / float64(e.wm.Samples)
-	if prec == Float32 {
+	if ws.prec == Float32 {
 		return certSumJoint(ri, rj, ws.joint32, inv)
 	}
 	return certSumJoint(ri, rj, ws.joint, inv)

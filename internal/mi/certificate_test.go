@@ -133,35 +133,32 @@ func FuzzSweepCertificate(f *testing.F) {
 			// requires the exact kernel's value.
 			bounded := func(what string, i, j int, v float64) {
 				t.Helper()
-				if bound := e.certSum(i, j, prec, ws)/scale + slack; !(v <= bound) {
+				if bound := e.certSum(i, j, ws)/scale + slack; !(v <= bound) {
 					t.Fatalf("%v order %d bins %d m %d pair (%d,%d) %s: MI %v > bound %v (slack %v)",
 						prec, order, bins, m, i, j, what, v, bound, slack)
 				}
-				if got := e.finishBlocked(i, j, prec, ws); got != v {
+				if got := e.miFromWorkspace(i, j, ws); got != v {
 					t.Fatalf("%v pair (%d,%d) %s: fill+finish %v != kernel %v", prec, i, j, what, got, v)
 				}
+			}
+			// At float64 the permuted values come from the counting-sort
+			// reference, which the block fill must match bit for bit.
+			permuted := e.PairPermutedBlocked
+			if prec == Float64 {
+				permuted = e.PairPermutedBucketed
 			}
 			observed := make([]float64, 0, n*(n-1)/2)
 			vals := make([]float64, q)
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					var v float64
-					if prec == Float32 {
-						v = e.PairBlocked32(i, j, ws)
-					} else {
-						v = e.PairBlocked(i, j, ws)
-					}
+					v := e.PairBlocked(i, j, ws)
 					observed = append(observed, v)
-					e.fillBlocked(i, j, nil, nil, nil, prec, ws)
+					e.fillBlocked(i, j, nil, nil, nil, ws)
 					bounded("observed", i, j, v)
 					for p := range perms {
-						if prec == Float32 {
-							vals[p] = e.PairPermutedBlocked32(i, j, perms[p], ws)
-						} else {
-							vals[p] = e.PairPermutedBucketed(i, j, perms[p], ws)
-						}
+						vals[p] = permuted(i, j, perms[p], ws)
 						e.prepareRowKeys(i, ws)
-						e.fillBlocked(i, j, perms[p], nil, nil, prec, ws)
+						e.fillBlocked(i, j, perms[p], nil, nil, ws)
 						bounded(fmt.Sprintf("perm %d", p), i, j, vals[p])
 					}
 					offs, w := pc.Gene(j)
@@ -172,13 +169,7 @@ func FuzzSweepCertificate(f *testing.F) {
 							if cached {
 								po, pw = offs, w
 							}
-							var gotEvals int
-							var gotSurv bool
-							if prec == Float32 {
-								gotEvals, gotSurv = e.SweepBucketed32(i, j, obs, perms, po, pw, ws)
-							} else {
-								gotEvals, gotSurv = e.SweepBucketed(i, j, obs, perms, po, pw, ws)
-							}
+							gotEvals, gotSurv := e.SweepBucketed(i, j, obs, perms, po, pw, ws)
 							if gotEvals != wantEvals || gotSurv != wantSurv {
 								t.Fatalf("%v pair (%d,%d) obs %v cached %v: sweep (%d,%v) != per-permutation loop (%d,%v); values %v",
 									prec, i, j, obs, cached, gotEvals, gotSurv, wantEvals, wantSurv, vals)
@@ -193,13 +184,7 @@ func FuzzSweepCertificate(f *testing.F) {
 					for j := i + 1; j < n; j++ {
 						want := observed[x]
 						x++
-						var v float64
-						var below bool
-						if prec == Float32 {
-							v, below = e.PairBlockedCut32(i, j, cut, ws)
-						} else {
-							v, below = e.PairBlockedCut(i, j, cut, ws)
-						}
+						v, below := e.PairBlockedCut(i, j, cut, ws)
 						if below && !(want < cut) || !below && v != want {
 							t.Fatalf("%v pair (%d,%d) cut %v: certified observation (%v, below %v), exact MI %v",
 								prec, i, j, cut, v, below, want)

@@ -168,12 +168,15 @@ func (e *Estimator) MarginalEntropy(g int) float64 { return e.hMarginal[g] }
 
 // Workspace holds per-goroutine scratch buffers so the hot pair loop
 // allocates nothing. A Workspace must not be shared between goroutines.
+// Its precision, fixed at allocation, is the precision of every kernel
+// it is passed to.
 type Workspace struct {
-	bins  int
-	joint []float64 // bins×bins joint distribution accumulator (float64 path)
-	// joint32 is the float32 path's joint accumulator. Exactly one of
-	// joint/joint32 is allocated (NewWorkspacePrec), so Bytes reflects
-	// the precision actually in use.
+	prec Precision
+	bins int
+	// joint and joint32 are the bins×bins joint distribution
+	// accumulators of the two precisions. Exactly one is allocated
+	// (NewWorkspacePrec), so Bytes reflects the precision in use.
+	joint   []float64
 	joint32 []float32
 	// permuted holds gene rows gathered through a permutation for the
 	// vectorized permuted kernel: bins rows × samples, lane-padded.
@@ -224,10 +227,11 @@ func NewWorkspace(e *Estimator) *Workspace {
 	return NewWorkspacePrec(e, Float64)
 }
 
-// NewWorkspacePrec allocates scratch for the given compute precision.
-// Only the selected precision's joint accumulator is allocated — the
-// float32 workspace is genuinely smaller (b²·4 bytes of joint instead of
-// b²·8), which is what Result.PeakTileBytes measures.
+// NewWorkspacePrec allocates scratch for the given compute precision,
+// which every kernel run on the workspace then uses. Only that
+// precision's joint accumulator is allocated — the float32 workspace
+// is genuinely smaller (b²·4 bytes of joint instead of b²·8), which is
+// what Result.PeakTileBytes measures.
 func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 	bins := e.wm.Basis.Bins()
 	k := e.wm.Basis.Order()
@@ -240,6 +244,7 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 	}
 	nOff := bins - k + 1
 	ws := &Workspace{
+		prec:       prec,
 		bins:       bins,
 		permuted:   rows,
 		counts:     make([]int32, nOff*nOff),
@@ -272,31 +277,35 @@ func (ws *Workspace) Bytes() int {
 	return b
 }
 
+// resetJoint zeroes the allocated joint.
 func (ws *Workspace) resetJoint() {
-	for i := range ws.joint {
-		ws.joint[i] = 0
-	}
+	clear(ws.joint)
+	clear(ws.joint32)
 }
 
-func (ws *Workspace) resetJoint32() {
-	for i := range ws.joint32 {
-		ws.joint32[i] = 0
-	}
-}
-
-// miFromJoint converts the (unnormalized, weighted-count) joint
-// accumulator into MI using MI = H(X) + H(Y) - H(X,Y). total is the
-// normalization constant (the sample count).
-func (e *Estimator) miFromJoint(i, j int, joint []float64, total float64) float64 {
-	inv := 1 / total
-	var hxy float64
-	for _, c := range joint {
-		if c > 0 {
-			p := c * inv
-			hxy -= p * math.Log2(p)
+// miFromWorkspace converts the workspace's filled (unnormalized,
+// weighted-count) joint into MI = H(X) + H(Y) - H(X,Y), normalized by
+// the sample count and clamped at zero, at the workspace's precision:
+// float64 cells with math.Log2 and the float64 marginals, or one
+// batched pass over the float32 cells (simd.EntropyDot — single-
+// precision terms summed in float64, same rationale as Entropy32) with
+// the float32 marginals.
+func (e *Estimator) miFromWorkspace(i, j int, ws *Workspace) float64 {
+	var mi float64
+	if ws.prec == Float32 {
+		hxy := -simd.EntropyDot(ws.joint32, 1/float32(e.wm.Samples))
+		mi = float64(e.hMarginal32[i]) + float64(e.hMarginal32[j]) - hxy
+	} else {
+		inv := 1 / float64(e.wm.Samples)
+		var hxy float64
+		for _, c := range ws.joint {
+			if c > 0 {
+				p := c * inv
+				hxy -= p * math.Log2(p)
+			}
 		}
+		mi = e.hMarginal[i] + e.hMarginal[j] - hxy
 	}
-	mi := e.hMarginal[i] + e.hMarginal[j] - hxy
 	if mi < 0 {
 		// Clamp tiny negative values arising from float roundoff.
 		mi = 0
@@ -310,18 +319,31 @@ func (e *Estimator) miFromJoint(i, j int, joint []float64, total float64) float6
 // the kernel the paper maps onto the Phi's 16-lane VPU: contiguous
 // streaming loads, no scatter.
 func (e *Estimator) PairVec(i, j int, ws *Workspace) float64 {
+	ws.fillDense(e.wm.GeneDenseRows(i), e.wm.GeneDenseRows(j))
+	return e.miFromWorkspace(i, j, ws)
+}
+
+// fillDense assigns the joint cell (u, v) the dot product of rowsI[u]
+// and rowsJ[v] at the workspace's precision.
+func (ws *Workspace) fillDense(rowsI, rowsJ [][]float32) {
 	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	rowsJ := e.wm.GeneDenseRows(j)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = float64(simd.FusedWeightedCount(ru, rowsJ[v]))
+	if ws.prec == Float32 {
+		denseJoint(rowsI, rowsJ, ws.joint32)
+	} else {
+		denseJoint(rowsI, rowsJ, ws.joint)
+	}
+}
+
+// denseJoint is the dot-product fill of either joint: each float32 dot
+// product is stored as is, or widened once on the store.
+func denseJoint[T float32 | float64](rowsI, rowsJ [][]float32, joint []T) {
+	bins := len(rowsJ)
+	for u, ru := range rowsI {
+		out := joint[u*bins : (u+1)*bins]
+		for v := range out {
+			out[v] = T(simd.FusedWeightedCount(ru, rowsJ[v]))
 		}
 	}
-	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
 }
 
 // PairScalar computes the same MI with the scalar scatter formulation:
@@ -329,52 +351,51 @@ func (e *Estimator) PairVec(i, j int, ws *Workspace) float64 {
 // stencil into the joint histogram. This is the paper's unvectorized
 // baseline kernel (data-dependent scatter defeats SIMD).
 func (e *Estimator) PairScalar(i, j int, ws *Workspace) float64 {
-	if !ws.jointClean {
-		ws.resetJoint()
-	}
-	ws.jointClean = false
-	bins := ws.bins
-	m := e.wm.Samples
-	for s := 0; s < m; s++ {
-		offI, wI := e.wm.Stencil(i, s)
-		offJ, wJ := e.wm.Stencil(j, s)
-		for u, a := range wI {
-			row := ws.joint[(int(offI)+u)*bins+int(offJ):]
-			au := float64(a)
-			for v, b := range wJ {
-				row[v] += au * float64(b)
-			}
-		}
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(m))
+	return e.PairPermutedScalar(i, j, nil, ws)
 }
 
 // PairPermutedScalar computes MI(X_i, permuted X_j) where perm maps
-// sample s of gene i to sample perm[s] of gene j. Weights are reused —
-// only the pairing of stencils changes, which is the paper's
-// "permute indices, not data" optimization.
+// sample s of gene i to sample perm[s] of gene j (nil: unpermuted).
+// Weights are reused — only the pairing of stencils changes, which is
+// the paper's "permute indices, not data" optimization.
 func (e *Estimator) PairPermutedScalar(i, j int, perm []int32, ws *Workspace) float64 {
-	if len(perm) != e.wm.Samples {
+	if perm != nil && len(perm) != e.wm.Samples {
 		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
 	}
 	if !ws.jointClean {
 		ws.resetJoint()
 	}
 	ws.jointClean = false
-	bins := ws.bins
-	m := e.wm.Samples
-	for s := 0; s < m; s++ {
-		offI, wI := e.wm.Stencil(i, s)
-		offJ, wJ := e.wm.Stencil(j, int(perm[s]))
+	if ws.prec == Float32 {
+		scatterScalar(e.wm, i, j, perm, ws.joint32)
+	} else {
+		scatterScalar(e.wm, i, j, perm, ws.joint)
+	}
+	return e.miFromWorkspace(i, j, ws)
+}
+
+// scatterScalar adds every sample's k×k stencil outer product into the
+// zeroed joint, gene j's sample taken through perm when it is non-nil.
+// Each product is formed at the joint's precision: the float32 path
+// multiplies the float32 weights directly, the float64 path widens them
+// first.
+func scatterScalar[T float32 | float64](wm *bspline.WeightMatrix, i, j int, perm []int32, joint []T) {
+	bins := wm.Basis.Bins()
+	for s := 0; s < wm.Samples; s++ {
+		sj := s
+		if perm != nil {
+			sj = int(perm[s])
+		}
+		offI, wI := wm.Stencil(i, s)
+		offJ, wJ := wm.Stencil(j, sj)
 		for u, a := range wI {
-			row := ws.joint[(int(offI)+u)*bins+int(offJ):]
-			au := float64(a)
+			row := joint[(int(offI)+u)*bins+int(offJ):]
+			au := T(a)
 			for v, b := range wJ {
-				row[v] += au * float64(b)
+				row[v] += au * T(b)
 			}
 		}
 	}
-	return e.miFromJoint(i, j, ws.joint, float64(m))
 }
 
 // PairBucketed computes MI(gene i, gene j) with the sample-bucketing
@@ -388,7 +409,14 @@ func (e *Estimator) PairPermutedScalar(i, j int, perm []int32, ws *Workspace) fl
 // executes at full rate. Total work is m·k² fused multiply-adds plus an
 // O(m) bucketing pass, versus the scalar kernel's m·k² scattered
 // updates.
+//
+// PairBucketed is float64 only: it is the counting-sort reference the
+// block-scatter kernels are pinned to, and it panics on a float32
+// workspace.
 func (e *Estimator) PairBucketed(i, j int, ws *Workspace) float64 {
+	if ws.prec != Float64 {
+		panic("mi: PairBucketed needs a float64 workspace")
+	}
 	return e.pairBucketed(i, j, nil, ws)
 }
 
@@ -519,7 +547,7 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 			}
 		}
 	}
-	v := e.miFromJoint(i, j, ws.joint, float64(m))
+	v := e.miFromWorkspace(i, j, ws)
 	// Restore the all-zero invariant: clear just the occupied blocks
 	// when that beats the full b² wipe.
 	if occupied*k*k < len(ws.joint) {

@@ -28,11 +28,12 @@ func f32Fixture(t *testing.T, n, m int) (*Estimator, *Workspace, *Workspace) {
 	return e, NewWorkspacePrec(e, Float64), NewWorkspacePrec(e, Float32)
 }
 
-// The float32 kernels consume the identical float32 weight products as
-// the float64 kernels; only accumulation and log width differ. At the
-// default order-3/10-bin settings the MI drift stays well under 1e-4
-// bits — this constant is the documented kernel-level tolerance that
-// the engine-level golden test (internal/core) builds on.
+// On a float32 workspace the kernels consume the identical float32
+// weight products as on a float64 one; only accumulation and log width
+// differ. At the default order-3/10-bin settings the MI drift stays
+// well under 1e-4 bits — this constant is the documented kernel-level
+// tolerance that the engine-level golden test (internal/core) builds
+// on.
 const f32MITolerance = 1e-4
 
 func TestFloat32KernelsMatchFloat64(t *testing.T) {
@@ -42,9 +43,9 @@ func TestFloat32KernelsMatchFloat64(t *testing.T) {
 		for j := i + 1; j < n; j++ {
 			want := e.PairBlocked(i, j, ws64)
 			kernels := map[string]float64{
-				"blocked32": e.PairBlocked32(i, j, ws32),
-				"scalar32":  e.PairScalar32(i, j, ws32),
-				"vec32":     e.PairVec32(i, j, ws32),
+				"blocked32": e.PairBlocked(i, j, ws32),
+				"scalar32":  e.PairScalar(i, j, ws32),
+				"vec32":     e.PairVec(i, j, ws32),
 			}
 			for name, got := range kernels {
 				if math.Abs(got-want) > f32MITolerance {
@@ -65,9 +66,9 @@ func TestFloat32PermutedKernelsMatchFloat64(t *testing.T) {
 				pm := pool.Perm(p)
 				want := e.PairPermutedBucketed(i, j, pm, ws64)
 				for name, got := range map[string]float64{
-					"blocked32": e.PairPermutedBlocked32(i, j, pm, ws32),
-					"scalar32":  e.PairPermutedScalar32(i, j, pm, ws32),
-					"vec32":     e.PairPermutedVec32(i, j, pm, ws32),
+					"blocked32": e.PairPermutedBlocked(i, j, pm, ws32),
+					"scalar32":  e.PairPermutedScalar(i, j, pm, ws32),
+					"vec32":     e.PairPermutedVec(i, j, pm, ws32),
 				} {
 					if math.Abs(got-want) > f32MITolerance {
 						t.Fatalf("%s(%d,%d,p%d) = %v, float64 = %v", name, i, j, p, got, want)
@@ -90,23 +91,23 @@ func TestSweep32CachedMatchesUncached(t *testing.T) {
 	wsB := NewWorkspacePrec(e, Float32)
 	for i := 0; i < 16; i++ {
 		for j := i + 1; j < 16; j++ {
-			obs := e.PairBlocked32(i, j, ws32)
+			obs := e.PairBlocked(i, j, ws32)
 			// Ground truth: per-permutation kernel with manual early exit.
 			wantEvals, wantSurvived := 0, true
 			for p := range perms {
 				wantEvals++
-				if e.PairPermutedBlocked32(i, j, perms[p], ws32) >= obs {
+				if e.PairPermutedBlocked(i, j, perms[p], ws32) >= obs {
 					wantSurvived = false
 					break
 				}
 			}
 			poffs, pw := pc.Gene(j)
 			for name, got := range map[string][2]any{
-				"cached":   sweep32Result(e.SweepBucketed32(i, j, obs, perms, poffs, pw, wsB)),
-				"uncached": sweep32Result(e.SweepBucketed32(i, j, obs, perms, nil, nil, wsB)),
+				"cached":   sweep32Result(e.SweepBucketed(i, j, obs, perms, poffs, pw, wsB)),
+				"uncached": sweep32Result(e.SweepBucketed(i, j, obs, perms, nil, nil, wsB)),
 			} {
 				if got[0].(int) != wantEvals || got[1].(bool) != wantSurvived {
-					t.Fatalf("SweepBucketed32 %s (%d,%d): evals=%v survived=%v, want %d %v",
+					t.Fatalf("float32 SweepBucketed %s (%d,%d): evals=%v survived=%v, want %d %v",
 						name, i, j, got[0], got[1], wantEvals, wantSurvived)
 				}
 			}
@@ -116,19 +117,19 @@ func TestSweep32CachedMatchesUncached(t *testing.T) {
 
 func sweep32Result(evals int, survived bool) [2]any { return [2]any{evals, survived} }
 
-func TestSweepScalarVec32AgreeWithBucketed32(t *testing.T) {
+func TestFloat32SweepScalarVecAgreeWithBucketed(t *testing.T) {
 	e, _, ws := f32Fixture(t, 10, 96)
 	pool := perm.MustNewPool(3, 96, 5)
 	perms := pool.Perms()
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
-			obs := e.PairBlocked32(i, j, ws)
+			obs := e.PairBlocked(i, j, ws)
 			// Use a slack threshold so early exit fires on the same
 			// permutation only if values agree; here we just check the
 			// full-sweep survival decision with a far-above threshold.
-			evB, survB := e.SweepBucketed32(i, j, obs+1, perms, nil, nil, ws)
-			evS, survS := e.SweepScalar32(i, j, obs+1, perms, ws)
-			evV, survV := e.SweepVec32(i, j, obs+1, perms, ws)
+			evB, survB := e.SweepBucketed(i, j, obs+1, perms, nil, nil, ws)
+			evS, survS := e.SweepScalar(i, j, obs+1, perms, ws)
+			evV, survV := e.SweepVec(i, j, obs+1, perms, ws)
 			if evB != len(perms) || !survB || evS != evB || survS != survB || evV != evB || survV != survB {
 				t.Fatalf("sweep32 disagreement at (%d,%d): bucketed(%d,%v) scalar(%d,%v) vec(%d,%v)",
 					i, j, evB, survB, evS, survS, evV, survV)
@@ -186,7 +187,7 @@ func BenchmarkPairBlocked337x64(b *testing.B) {
 	benchPairPrec(b, 337, Float64, (*Estimator).PairBlocked)
 }
 func BenchmarkPairBlocked337x32(b *testing.B) {
-	benchPairPrec(b, 337, Float32, (*Estimator).PairBlocked32)
+	benchPairPrec(b, 337, Float32, (*Estimator).PairBlocked)
 }
 
 func benchSweepPrec(b *testing.B, prec Precision) {
@@ -206,16 +207,12 @@ func benchSweepPrec(b *testing.B, prec Precision) {
 	perms := pool.Perms()
 	cache := NewPermCache(e, perms, n)
 	const obs = 1e9 // never exceeded: full q-permutation sweeps
-	sweep := e.SweepBucketed
-	if prec == Float32 {
-		sweep = e.SweepBucketed32
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := 1 + i%(n-1)
 		poffs, pw := cache.Gene(j)
-		if _, survived := sweep(0, j, obs, perms, poffs, pw, ws); !survived {
+		if _, survived := e.SweepBucketed(0, j, obs, perms, poffs, pw, ws); !survived {
 			b.Fatal("unexpected early exit")
 		}
 	}

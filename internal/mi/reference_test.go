@@ -1,10 +1,6 @@
 package mi
 
-import (
-	"fmt"
-
-	"repro/internal/simd"
-)
+import "fmt"
 
 // The per-permutation kernels below are the references the sweep and
 // null tests compare against: each evaluates one permutation with its
@@ -20,14 +16,14 @@ func (e *Estimator) PairPermutedBucketed(i, j int, perm []int32, ws *Workspace) 
 	return e.pairBucketed(i, j, perm, ws)
 }
 
-// PairPermutedBlocked32 is PairBlocked32 with gene j's samples permuted
+// PairPermutedBlocked is PairBlocked with gene j's samples permuted
 // through perm.
-func (e *Estimator) PairPermutedBlocked32(i, j int, perm []int32, ws *Workspace) float64 {
+func (e *Estimator) PairPermutedBlocked(i, j int, perm []int32, ws *Workspace) float64 {
 	if len(perm) != e.wm.Samples {
 		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
 	}
 	e.prepareRowKeys(i, ws)
-	return e.pairBlocked(i, j, perm, Float32, ws)
+	return e.pairBlocked(i, j, perm, ws)
 }
 
 // GatherPermuted fills ws.permuted with gene g's dense weight rows
@@ -58,31 +54,6 @@ func (e *Estimator) PairPermutedVec(i, j int, perm []int32, ws *Workspace) float
 // whatever rows are currently gathered in ws.permuted (from a prior
 // GatherPermuted call).
 func (e *Estimator) PairVecAgainstGathered(i, j int, ws *Workspace) float64 {
-	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = float64(simd.FusedWeightedCount(ru, ws.permuted[v]))
-		}
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
-}
-
-// PairPermutedVec32 is PairPermutedVec on the float32 accumulator.
-func (e *Estimator) PairPermutedVec32(i, j int, perm []int32, ws *Workspace) float64 {
-	e.GatherPermuted(j, perm, ws)
-	ws.jointClean = false
-	bins := ws.bins
-	rowsI := e.wm.GeneDenseRows(i)
-	for u := 0; u < bins; u++ {
-		ru := rowsI[u]
-		out := ws.joint32[u*bins:]
-		for v := 0; v < bins; v++ {
-			out[v] = simd.FusedWeightedCount(ru, ws.permuted[v])
-		}
-	}
-	return e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
+	ws.fillDense(e.wm.GeneDenseRows(i), ws.permuted)
+	return e.miFromWorkspace(i, j, ws)
 }

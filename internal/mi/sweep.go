@@ -37,10 +37,6 @@
 // pool order and the sweep stops at the first permuted MI >= observed.
 package mi
 
-import (
-	"repro/internal/simd"
-)
-
 // prepareRowKeys fills ws.keyI with gene i's bucket keys: the index in
 // the padded block grid (see Workspace.blockAcc) of bucket
 // (offs[i·m+s], 0), to which the scatter adds gene j's offset. The rows
@@ -61,13 +57,13 @@ func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 }
 
 // PairBlocked computes MI(gene i, gene j) with the single-pass
-// block-scatter formulation. It is bit-identical to PairBucketed (the
-// partial-sum order per bucket and the bucket merge order match the
-// stable counting sort exactly) while skipping the sort's two extra
-// passes over the samples.
+// block-scatter formulation. On a float64 workspace it is
+// bit-identical to PairBucketed (the partial-sum order per bucket and
+// the bucket merge order match the stable counting sort exactly) while
+// skipping the sort's two extra passes over the samples.
 func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 	e.prepareRowKeys(i, ws)
-	return e.pairBlocked(i, j, nil, Float64, ws)
+	return e.pairBlocked(i, j, nil, ws)
 }
 
 // PairBlockedCut is PairBlocked for a caller that needs the MI only
@@ -76,30 +72,25 @@ func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 // (0, true) without the entropy pass; otherwise it returns PairBlocked's
 // value and false. It certifies nothing when cut ≤ 0.
 func (e *Estimator) PairBlockedCut(i, j int, cut float64, ws *Workspace) (v float64, below bool) {
-	return e.pairBlockedCut(i, j, cut, Float64, ws)
-}
-
-// pairBlocked is the shared single-pass kernel of both precisions.
-// ws.keyI must hold gene i's scaled bucket keys (prepareRowKeys). Gene
-// j is gathered through perm, or unpermuted when perm is nil.
-func (e *Estimator) pairBlocked(i, j int, perm []int32, prec Precision, ws *Workspace) float64 {
-	e.fillBlocked(i, j, perm, nil, nil, prec, ws)
-	return e.finishBlocked(i, j, prec, ws)
-}
-
-// pairBlockedCut is PairBlockedCut at either precision.
-func (e *Estimator) pairBlockedCut(i, j int, cut float64, prec Precision, ws *Workspace) (float64, bool) {
 	e.prepareRowKeys(i, ws)
-	e.fillBlocked(i, j, nil, nil, nil, prec, ws)
-	if c, ok := e.certCut(cut, prec); ok && e.certSum(i, j, prec, ws) < c {
+	e.fillBlocked(i, j, nil, nil, nil, ws)
+	if c, ok := e.certCut(cut, ws.prec); ok && e.certSum(i, j, ws) < c {
 		return 0, true
 	}
-	return e.finishBlocked(i, j, prec, ws), false
+	return e.miFromWorkspace(i, j, ws), false
+}
+
+// pairBlocked is the single-pass kernel. ws.keyI must hold gene i's
+// scaled bucket keys (prepareRowKeys). Gene j is gathered through perm,
+// or unpermuted when perm is nil.
+func (e *Estimator) pairBlocked(i, j int, perm []int32, ws *Workspace) float64 {
+	e.fillBlocked(i, j, perm, nil, nil, ws)
+	return e.miFromWorkspace(i, j, ws)
 }
 
 // fillBlocked is the fill half of the block-scatter kernels: the
-// scatter pass, then the merge of the bucket blocks into the joint of
-// precision prec, which it leaves filled for finishBlocked or the
+// scatter pass, then the merge of the bucket blocks into the
+// workspace's joint, which it leaves filled for miFromWorkspace or the
 // certificate. The j side comes from, in priority order:
 //
 //   - poffs+pw: cached permuted offset and stencil-weight rows for one
@@ -112,10 +103,10 @@ func (e *Estimator) pairBlockedCut(i, j int, cut float64, prec Precision, ws *Wo
 // m >> nOff² the bucket grid is dense, so the merge reads every block
 // unconditionally — straight-line streaming code with no per-sample
 // bookkeeping — and the cleanup is a single memclr.
-func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, prec Precision, ws *Workspace) {
+func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
 	k := e.wm.Basis.Order()
 	e.scatterBlocked(i, j, perm, poffs, pw, ws)
-	if prec == Float32 {
+	if ws.prec == Float32 {
 		mergeBlocks(ws.blockAcc, ws.joint32, ws.bins, k)
 	} else {
 		mergeBlocks(ws.blockAcc, ws.joint, ws.bins, k)
@@ -124,15 +115,6 @@ func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, pre
 	rowLen := (ws.bins + k - 1) * k * k
 	clear(ws.blockAcc[(k-1)*rowLen : ws.bins*rowLen])
 	ws.jointClean = false
-}
-
-// finishBlocked is the entropy half of the block-scatter kernels: the
-// MI of the filled joint at precision prec.
-func (e *Estimator) finishBlocked(i, j int, prec Precision, ws *Workspace) float64 {
-	if prec == Float32 {
-		return e.miFromJoint32(i, j, ws.joint32, float32(e.wm.Samples))
-	}
-	return e.miFromJoint(i, j, ws.joint, float64(e.wm.Samples))
 }
 
 // mergeBlocks assigns each cell of the bins×bins joint the sum of the
@@ -189,12 +171,11 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 	}
 }
 
-// scatterBlocked is the scatter pass shared by the float64 and float32
-// block-scatter kernels: every sample accumulates its k×k outer product
-// into ws.blockAcc at the block of its (offI, offJ) bucket. The
-// accumulator is float32 in both precisions, so the partial sums — and
-// the float64 path's bit-identity to PairBucketed — are unaffected by
-// which merge follows.
+// scatterBlocked is the scatter pass of the block-scatter kernels:
+// every sample accumulates its k×k outer product into ws.blockAcc at
+// the block of its (offI, offJ) bucket. The accumulator is float32 at
+// both precisions, so the partial sums — and the float64 path's
+// bit-identity to PairBucketed — are unaffected by which merge follows.
 func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
 	k := e.wm.Basis.Order()
 	m := e.wm.Samples
@@ -304,42 +285,43 @@ func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, 
 // when non-nil, are gene j's cached permuted offset and stencil-weight
 // rows from a PermCache (q rows of m and m·k respectively); otherwise
 // each evaluation gathers through perms[p] directly. Every permuted MI
-// it computes is bit-identical to the counting-sort kernel under
-// perms[p]; a permutation the certificate proves below obs is decided
-// without its entropy pass (certificate.go), so the result equals the
+// it computes is bit-identical to the block-scatter kernel under
+// perms[p] (on a float64 workspace, to the counting-sort kernel); a
+// permutation the certificate proves below obs is decided without its
+// entropy pass (certificate.go), so the result equals the
 // per-permutation loop's.
 //
 // It returns the number of permutations evaluated and whether the pair
 // survived (obs strictly exceeded every permuted value).
 func (e *Estimator) SweepBucketed(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepBlocked(i, j, obs, perms, poffs, pw, nil, Float64, ws)
+	return e.sweepBlocked(i, j, obs, perms, poffs, pw, nil, ws)
 }
 
 // NullBucketed is SweepBucketed without the early exit: out[p] receives
 // the MI of (i, j) under perms[p] for every p — one pooled-null pair in
 // a single sweep, with gene i's row keys prepared once and gene j
 // gathered through each permutation. Each value is bit-identical to the
-// counting-sort kernel under perms[p]. out must hold len(perms) values.
+// block-scatter kernel under perms[p]. out must hold len(perms) values.
 func (e *Estimator) NullBucketed(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepBlocked(i, j, 0, perms, nil, nil, out, Float64, ws)
+	e.sweepBlocked(i, j, 0, perms, nil, nil, out, ws)
 }
 
-// sweepBlocked is the block-scatter sweep loop behind SweepBucketed,
-// NullBucketed, and their float32 counterparts. With out == nil it is
-// the early-exit permutation test; with out != nil it records every
-// permuted MI and never exits early (obs is then ignored).
+// sweepBlocked is the block-scatter sweep loop behind SweepBucketed and
+// NullBucketed. With out == nil it is the early-exit permutation test;
+// with out != nil it records every permuted MI and never exits early
+// (obs is then ignored).
 //
 // In early-exit mode each permutation's joint is filled, and the
 // certificate (certificate.go) decides it when the bound proves the
 // permuted MI < obs; the entropy pass runs only for the rest. The
 // verdicts are those of the exact values, so evals and survived are
 // unchanged; ws.certified counts the certified evaluations.
-func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
+func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs []int32, pw []float32, out []float64, ws *Workspace) (evals int, survived bool) {
 	m := e.wm.Samples
 	k := e.wm.Basis.Order()
 	e.prepareRowKeys(i, ws)
 	cached := poffs != nil && pw != nil
-	cut, armed := e.certCut(obs, prec)
+	cut, armed := e.certCut(obs, ws.prec)
 	armed = armed && out == nil // the null mode needs every value
 	for p := range perms {
 		evals++
@@ -347,12 +329,12 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 		if cached {
 			perm, po, pwp = nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k]
 		}
-		e.fillBlocked(i, j, perm, po, pwp, prec, ws)
-		if armed && e.certSum(i, j, prec, ws) < cut {
+		e.fillBlocked(i, j, perm, po, pwp, ws)
+		if armed && e.certSum(i, j, ws) < cut {
 			ws.certified++
 			continue
 		}
-		v := e.finishBlocked(i, j, prec, ws)
+		v := e.miFromWorkspace(i, j, ws)
 		if out != nil {
 			out[p] = v
 		} else if v >= obs {
@@ -366,26 +348,20 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 // per permutation in pool order, with early exit on the first permuted
 // MI >= obs.
 func (e *Estimator) SweepScalar(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepScalar(i, j, obs, perms, nil, Float64, ws)
+	return e.sweepScalar(i, j, obs, perms, nil, ws)
 }
 
 // NullScalar is SweepScalar without the early exit (see NullBucketed);
 // each value is bit-identical to PairPermutedScalar.
 func (e *Estimator) NullScalar(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepScalar(i, j, 0, perms, out, Float64, ws)
+	e.sweepScalar(i, j, 0, perms, out, ws)
 }
 
-// sweepScalar is the scalar sweep loop of both precisions; out has
-// sweepBlocked's meaning.
-func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
+// sweepScalar is the scalar sweep loop; out has sweepBlocked's meaning.
+func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, out []float64, ws *Workspace) (evals int, survived bool) {
 	for p := range perms {
 		evals++
-		var v float64
-		if prec == Float32 {
-			v = e.PairPermutedScalar32(i, j, perms[p], ws)
-		} else {
-			v = e.PairPermutedScalar(i, j, perms[p], ws)
-		}
+		v := e.PairPermutedScalar(i, j, perms[p], ws)
 		if out != nil {
 			out[p] = v
 		} else if v >= obs {
@@ -402,20 +378,18 @@ func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, out []fl
 // early exit on the first permuted MI >= obs. Values are bit-identical
 // to PairPermutedVec.
 func (e *Estimator) SweepVec(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepVec(i, j, obs, perms, nil, Float64, ws)
+	return e.sweepVec(i, j, obs, perms, nil, ws)
 }
 
 // NullVec is SweepVec without the early exit (see NullBucketed); each
 // value is bit-identical to PairPermutedVec.
 func (e *Estimator) NullVec(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepVec(i, j, 0, perms, out, Float64, ws)
+	e.sweepVec(i, j, 0, perms, out, ws)
 }
 
-// sweepVec is the vectorized sweep loop of both precisions; out has
-// sweepBlocked's meaning.
-func (e *Estimator) sweepVec(i, j int, obs float64, perms [][]int32, out []float64, prec Precision, ws *Workspace) (evals int, survived bool) {
-	bins := ws.bins
-	m := e.wm.Samples
+// sweepVec is the vectorized sweep loop; out has sweepBlocked's
+// meaning.
+func (e *Estimator) sweepVec(i, j int, obs float64, perms [][]int32, out []float64, ws *Workspace) (evals int, survived bool) {
 	rowsI := e.wm.GeneDenseRows(i)
 	rowsJ := e.wm.GeneDenseRows(j)
 	for p := range perms {
@@ -428,27 +402,8 @@ func (e *Estimator) sweepVec(i, j int, obs float64, perms [][]int32, out []float
 				dst[s] = src[idx]
 			}
 		}
-		ws.jointClean = false
-		var v float64
-		if prec == Float32 {
-			for u := 0; u < bins; u++ {
-				ru := rowsI[u]
-				row := ws.joint32[u*bins:]
-				for x := 0; x < bins; x++ {
-					row[x] = simd.FusedWeightedCount(ru, ws.permuted[x])
-				}
-			}
-			v = e.miFromJoint32(i, j, ws.joint32, float32(m))
-		} else {
-			for u := 0; u < bins; u++ {
-				ru := rowsI[u]
-				row := ws.joint[u*bins:]
-				for x := 0; x < bins; x++ {
-					row[x] = float64(simd.FusedWeightedCount(ru, ws.permuted[x]))
-				}
-			}
-			v = e.miFromJoint(i, j, ws.joint, float64(m))
-		}
+		ws.fillDense(rowsI, ws.permuted)
+		v := e.miFromWorkspace(i, j, ws)
 		if out != nil {
 			out[p] = v
 		} else if v >= obs {

@@ -47,7 +47,7 @@ func TestPairBlockedBitIdentical(t *testing.T) {
 				for p := 0; p < pool.Q(); p++ {
 					want := e.PairPermutedBucketed(i, j, pool.Perm(p), ws)
 					e.prepareRowKeys(i, ws)
-					got := e.pairBlocked(i, j, pool.Perm(p), Float64, ws)
+					got := e.pairBlocked(i, j, pool.Perm(p), ws)
 					if got != want {
 						t.Fatalf("order %d pair (%d,%d) perm %d: blocked %v != bucketed %v", order, i, j, p, got, want)
 					}
@@ -144,9 +144,9 @@ func TestSweepCachedMatchesUncached(t *testing.T) {
 			}
 			e.prepareRowKeys(i, ws)
 			for p := 0; p < pool.Q(); p++ {
-				want := e.pairBlocked(i, j, pool.Perm(p), Float64, ws)
-				e.fillBlocked(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], Float64, ws)
-				if got := e.finishBlocked(i, j, Float64, ws); got != want {
+				want := e.pairBlocked(i, j, pool.Perm(p), ws)
+				e.fillBlocked(i, j, nil, poffs[p*m:(p+1)*m], pw[p*m*k:(p+1)*m*k], ws)
+				if got := e.miFromWorkspace(i, j, ws); got != want {
 					t.Fatalf("pair (%d,%d) perm %d: cached %v != uncached %v", i, j, p, got, want)
 				}
 			}
@@ -251,12 +251,12 @@ func TestNullSweepsMatchPerPermutation(t *testing.T) {
 				func(i, j int, p []int32) float64 { return e.PairPermutedScalar(i, j, p, ws64) }},
 			{"vec", func(i, j int) { e.NullVec(i, j, perms, out, ws64) },
 				func(i, j int, p []int32) float64 { return e.PairPermutedVec(i, j, p, ws64) }},
-			{"bucketed32", func(i, j int) { e.NullBucketed32(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedBlocked32(i, j, p, ws32) }},
-			{"scalar32", func(i, j int) { e.NullScalar32(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedScalar32(i, j, p, ws32) }},
-			{"vec32", func(i, j int) { e.NullVec32(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedVec32(i, j, p, ws32) }},
+			{"bucketed32", func(i, j int) { e.NullBucketed(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedBlocked(i, j, p, ws32) }},
+			{"scalar32", func(i, j int) { e.NullScalar(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedScalar(i, j, p, ws32) }},
+			{"vec32", func(i, j int) { e.NullVec(i, j, perms, out, ws32) },
+				func(i, j int, p []int32) float64 { return e.PairPermutedVec(i, j, p, ws32) }},
 		}
 		for _, k := range kernels {
 			// Visit pairs with i descending so consecutive sweeps change
