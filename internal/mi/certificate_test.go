@@ -101,7 +101,8 @@ func cutsAround(rng *rand.Rand, vals []float64, slack float64) []float64 {
 // keeps exactly the exact kernel's survivors and weights); and the
 // early-exit sweeps return the per-permutation loop's (evals, survived)
 // for the same kinds of obs around the exact permuted values — with and
-// without the permuted-row cache.
+// without the permuted-row cache. Every filled joint also matches the
+// portable scatter's bit for bit (requirePortableFill).
 func FuzzSweepCertificate(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(7), uint16(333))  // order 3, 10 bins, m = 337
 	f.Add(uint64(2), uint8(0), uint8(3), uint16(0))    // order 1, m = 4
@@ -112,6 +113,7 @@ func FuzzSweepCertificate(f *testing.F) {
 	f.Add(uint64(7), uint8(3), uint8(200), uint16(77)) // order 4
 	f.Add(uint64(8), uint8(2), uint8(7), uint16(26))   // order 3, 10 bins, m = 30 (order × bins)
 	f.Add(uint64(9), uint8(3), uint8(8), uint16(44))   // order 4, 12 bins, m = 48 (order × bins)
+	f.Add(uint64(10), uint8(2), uint8(7), uint16(0))   // order 3, 10 bins, m = 4
 	f.Fuzz(func(t *testing.T, seed uint64, orderIn, binsIn uint8, mIn uint16) {
 		order := 1 + int(orderIn%4)
 		bins := order + int(binsIn)%(13-order)
@@ -154,11 +156,13 @@ func FuzzSweepCertificate(f *testing.F) {
 					v := e.PairBlocked(i, j, ws)
 					observed = append(observed, v)
 					e.fillBlocked(i, j, nil, nil, nil, ws)
+					requirePortableFill(t, e, i, j, nil, ws)
 					bounded("observed", i, j, v)
 					for p := range perms {
 						vals[p] = permuted(i, j, perms[p], ws)
 						e.prepareRowKeys(i, ws)
 						e.fillBlocked(i, j, perms[p], nil, nil, ws)
+						requirePortableFill(t, e, i, j, perms[p], ws)
 						bounded(fmt.Sprintf("perm %d", p), i, j, vals[p])
 					}
 					offs, w := pc.Gene(j)

@@ -194,16 +194,23 @@ type Workspace struct {
 	// need it clean).
 	jointClean bool
 	// Sweep-kernel scratch: keyI caches gene i's bucket keys for the
-	// row gene keyIGene, and blockAcc holds one k×k float32 accumulator
+	// row gene keyIGene, and blockAcc holds one float32 accumulator
 	// block per (offI, offJ) bucket, in a grid padded with k-1 rows and
 	// columns of blocks on every side that stay zero, so every joint
 	// cell is covered by exactly k×k blocks (mergeBlocks). Bucket
 	// (offI, offJ) is block (offI+k-1, offJ+k-1) of the
-	// (bins+k-1)×(bins+k-1) grid. blockAcc is all-zero between calls
-	// (same style of invariant as jointClean).
+	// (bins+k-1)×(bins+k-1) grid. A block is k rows of blockLanes(k)
+	// lanes: entry (u, v) is lane v of row u, and the lanes past k are
+	// padding that the merge never reads. blockAcc is all-zero between
+	// calls (same style of invariant as jointClean).
 	keyI     []int32
 	keyIGene int
 	blockAcc []float32
+	// wiBcast holds, beside keyI and under the same keyIGene, gene i's
+	// stencil weights for the architecture's vector scatter, each
+	// broadcast across four lanes (12 floats per sample at order 3;
+	// see vecBcastLen). It is empty where no vector kernel runs.
+	wiBcast []float32
 
 	certified int64 // see Certified
 }
@@ -253,7 +260,8 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 		jointClean: true,
 		keyI:       make([]int32, m),
 		keyIGene:   -1,
-		blockAcc:   make([]float32, (bins+k-1)*(bins+k-1)*k*k),
+		blockAcc:   make([]float32, (bins+k-1)*(bins+k-1)*k*blockLanes(k)),
+		wiBcast:    make([]float32, vecBcastLen(k, m)),
 	}
 	if prec == Float32 {
 		ws.joint32 = make([]float32, bins*bins)
@@ -273,7 +281,7 @@ func (ws *Workspace) Bytes() int {
 		b += cap(row) * 4
 	}
 	b += (len(ws.counts) + len(ws.starts) + len(ws.order) + len(ws.keyI)) * 4
-	b += len(ws.blockAcc) * 4
+	b += (len(ws.blockAcc) + len(ws.wiBcast)) * 4
 	return b
 }
 
@@ -496,15 +504,17 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 				sj *= 3
 				wi0, wi1, wi2 := sp[si], sp[si+1], sp[si+2]
 				wj0, wj1, wj2 := sp[sj], sp[sj+1], sp[sj+2]
-				a00 += wi0 * wj0
-				a01 += wi0 * wj1
-				a02 += wi0 * wj2
-				a10 += wi1 * wj0
-				a11 += wi1 * wj1
-				a12 += wi1 * wj2
-				a20 += wi2 * wj0
-				a21 += wi2 * wj1
-				a22 += wi2 * wj2
+				// Each product is rounded before its add (no fused
+				// multiply-add), as in the block scatter.
+				a00 += float32(wi0 * wj0)
+				a01 += float32(wi0 * wj1)
+				a02 += float32(wi0 * wj2)
+				a10 += float32(wi1 * wj0)
+				a11 += float32(wi1 * wj1)
+				a12 += float32(wi1 * wj2)
+				a20 += float32(wi2 * wj0)
+				a21 += float32(wi2 * wj1)
+				a22 += float32(wi2 * wj2)
 			}
 			row0 := ws.joint[oa*bins+ob:]
 			row1 := ws.joint[(oa+1)*bins+ob:]
@@ -536,7 +546,7 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 			for u := 0; u < k; u++ {
 				wiu := sp[si+u]
 				for v := 0; v < k; v++ {
-					kb[u*k+v] += wiu * sp[sj+v]
+					kb[u*k+v] += float32(wiu * sp[sj+v])
 				}
 			}
 		}

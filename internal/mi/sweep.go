@@ -6,7 +6,7 @@
 // fresh three-pass counting sort per permutation, with every j-side
 // access paying the double indirection offs[baseJ+perm[s]].
 //
-// This file removes that redundancy at two levels:
+// This file removes that redundancy and vectorizes what remains:
 //
 //   - PairBlocked is a single-pass reformulation of the bucketed
 //     kernel: instead of counting-sorting samples and then accumulating
@@ -23,6 +23,15 @@
 //     offs[baseI+s]·nOff are loaded and scaled once per pair (and
 //     reused across a tile row via the Workspace keyI cache), not once
 //     per permutation.
+//   - At order 3, the default and the paper's, the scatter runs on the
+//     vector unit: each block row is four float32 lanes, so on amd64 a
+//     sample adds its stencil with three 4-lane SSE2 multiplies and
+//     adds of gene i's weights, broadcast once per row gene beside its
+//     keys, by gene j's three weights (scatter_amd64.s). Other orders,
+//     other architectures and PermCache rows run the portable
+//     scatterGo, which rounds every product and sum as the vector
+//     lanes do, so the blocks are bit-identical whichever kernel fills
+//     them.
 //
 // The j side is gathered through each permutation. A PermCache can
 // materialize gene j's permuted rows once per tile instead, and
@@ -39,9 +48,10 @@ package mi
 
 // prepareRowKeys fills ws.keyI with gene i's bucket keys: the index in
 // the padded block grid (see Workspace.blockAcc) of bucket
-// (offs[i·m+s], 0), to which the scatter adds gene j's offset. The rows
-// are cached by gene so the row-major tile scan recomputes them only
-// when the pair's i side changes.
+// (offs[i·m+s], 0), to which the scatter adds gene j's offset. Where
+// the vector scatter runs it also fills ws.wiBcast, gene i's weights
+// broadcast across lanes. The rows are cached by gene so the row-major
+// tile scan recomputes them only when the pair's i side changes.
 func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 	if ws.keyIGene == i {
 		return
@@ -52,6 +62,12 @@ func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 	offs := e.wm.Offsets[i*m : (i+1)*m]
 	for s, o := range offs {
 		ws.keyI[s] = (o+pad)*stride + pad
+	}
+	if len(ws.wiBcast) > 0 {
+		for x, w := range e.wm.Sparse[3*i*m : 3*(i+1)*m] {
+			r := ws.wiBcast[4*x : 4*x+4]
+			r[0], r[1], r[2], r[3] = w, w, w, w
+		}
 	}
 	ws.keyIGene = i
 }
@@ -104,18 +120,29 @@ func (e *Estimator) pairBlocked(i, j int, perm []int32, ws *Workspace) float64 {
 // unconditionally — straight-line streaming code with no per-sample
 // bookkeeping — and the cleanup is a single memclr.
 func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
-	k := e.wm.Basis.Order()
 	e.scatterBlocked(i, j, perm, poffs, pw, ws)
+	ws.mergeBlockAcc(e.wm.Basis.Order())
+}
+
+// mergeBlockAcc merges ws.blockAcc into the joint of the workspace's
+// precision and clears the blocks.
+func (ws *Workspace) mergeBlockAcc(k int) {
 	if ws.prec == Float32 {
 		mergeBlocks(ws.blockAcc, ws.joint32, ws.bins, k)
 	} else {
 		mergeBlocks(ws.blockAcc, ws.joint, ws.bins, k)
 	}
 	// Only the bucket rows can hold sums; the border rows stay zero.
-	rowLen := (ws.bins + k - 1) * k * k
+	rowLen := (ws.bins + k - 1) * k * blockLanes(k)
 	clear(ws.blockAcc[(k-1)*rowLen : ws.bins*rowLen])
 	ws.jointClean = false
 }
+
+// blockLanes is the lane stride of a bucket-block row: the order
+// rounded up to a multiple of four float32 lanes, so that at order 3
+// each row is one 128-bit vector and the scatter adds it with one
+// vector multiply and one vector add (scatter_amd64.s).
+func blockLanes(k int) int { return (k + 3) &^ 3 }
 
 // mergeBlocks assigns each cell of the bins×bins joint the sum of the
 // k×k bucket-block entries that cover it, one joint row at a time, with
@@ -130,27 +157,29 @@ func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws 
 // accumulates nonnegative products onto +0).
 func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 	stride := bins + k - 1
-	kk := k * k
+	lanes := blockLanes(k)
+	size := k * lanes // floats per block
 	// In the padded grid, block (a, b) holds cell (a, b) at its entry
 	// (k-1, k-1); each next block along a block row holds the cell one
-	// column earlier (kk-1 entries on), and the next block row one row
-	// earlier (stride·kk - k entries on from the previous row's first).
-	rowStep := stride*kk - k
+	// column earlier (size-1 floats on), and the next block row one row
+	// earlier (stride·size - lanes floats on from the previous row's
+	// first).
+	rowStep := stride*size - lanes
 	if k == 3 {
 		for a := 0; a < bins; a++ {
 			row := joint[a*bins : (a+1)*bins]
-			p := a*stride*9 + 8
+			p := a*stride*12 + 10
 			for b := range row {
 				q, r := p+rowStep, p+2*rowStep
-				s := T(acc[p]) + T(acc[p+8]) + T(acc[p+16])
+				s := T(acc[p]) + T(acc[p+11]) + T(acc[p+22])
 				s += T(acc[q])
-				s += T(acc[q+8])
-				s += T(acc[q+16])
+				s += T(acc[q+11])
+				s += T(acc[q+22])
 				s += T(acc[r])
-				s += T(acc[r+8])
-				s += T(acc[r+16])
+				s += T(acc[r+11])
+				s += T(acc[r+22])
 				row[b] = s
-				p += 9
+				p += 12
 			}
 		}
 		return
@@ -159,10 +188,10 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 		row := joint[a*bins : (a+1)*bins]
 		for b := range row {
 			var s T
-			p := (a*stride+b)*kk + kk - 1
+			p := (a*stride+b)*size + (k-1)*lanes + k - 1
 			for u := 0; u < k; u++ {
 				for v := 0; v < k; v++ {
-					s += T(acc[p+v*(kk-1)])
+					s += T(acc[p+v*(size-1)])
 				}
 				p += rowStep
 			}
@@ -176,104 +205,70 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 // the block of its (offI, offJ) bucket. The accumulator is float32 at
 // both precisions, so the partial sums — and the float64 path's
 // bit-identity to PairBucketed — are unaffected by which merge follows.
+// Order 3 without cached rows runs the architecture's vector kernel
+// when it has one (scatter_amd64.go); everything else runs the
+// portable scatterGo, which computes the same sums.
 func (e *Estimator) scatterBlocked(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
+	if pw == nil && e.scatterVec3(i, j, perm, ws) {
+		return
+	}
+	e.scatterGo(i, j, perm, poffs, pw, ws)
+}
+
+// scatterGo is the portable scatter pass. Each product is rounded to
+// float32 before it is added (the explicit conversions forbid a fused
+// multiply-add, which the arm64 compiler would otherwise emit), so
+// every block entry is the same sequence of float32 roundings on every
+// architecture and in the vector kernel.
+func (e *Estimator) scatterGo(i, j int, perm, poffs []int32, pw []float32, ws *Workspace) {
 	k := e.wm.Basis.Order()
 	m := e.wm.Samples
-	offs := e.wm.Offsets
-	sp := e.wm.Sparse
-	baseI := i * m
-	baseJ := j * m
+	wi := e.wm.Sparse[i*m*k : (i+1)*m*k]
+	// Gene j's offsets and weights, read at sample perm[s] (or s), or
+	// a PermCache's rows, already in permuted order.
+	jo := e.wm.Offsets[j*m : (j+1)*m]
+	wj := e.wm.Sparse[j*m*k : (j+1)*m*k]
+	if pw != nil {
+		jo, wj, perm = poffs[:m], pw[:m*k], nil
+	}
 	keyI := ws.keyI[:m]
 	acc := ws.blockAcc
 	if k == 3 {
-		switch {
-		case pw != nil:
-			si := baseI * 3
-			sj := 0
-			for s, pj := range poffs[:m] {
-				b := int(keyI[s] + pj)
-				wi0, wi1, wi2 := sp[si], sp[si+1], sp[si+2]
-				wj0, wj1, wj2 := pw[sj], pw[sj+1], pw[sj+2]
-				si += 3
-				sj += 3
-				a := acc[b*9 : b*9+9 : b*9+9]
-				a[0] += wi0 * wj0
-				a[1] += wi0 * wj1
-				a[2] += wi0 * wj2
-				a[3] += wi1 * wj0
-				a[4] += wi1 * wj1
-				a[5] += wi1 * wj2
-				a[6] += wi2 * wj0
-				a[7] += wi2 * wj1
-				a[8] += wi2 * wj2
+		for s, key := range keyI {
+			t := s
+			if perm != nil {
+				t = int(perm[s])
 			}
-		case perm != nil:
-			si := baseI * 3
-			for s, idx := range perm[:m] {
-				pj := baseJ + int(idx)
-				b := int(keyI[s] + offs[pj])
-				sj := pj * 3
-				wi0, wi1, wi2 := sp[si], sp[si+1], sp[si+2]
-				wj0, wj1, wj2 := sp[sj], sp[sj+1], sp[sj+2]
-				si += 3
-				a := acc[b*9 : b*9+9 : b*9+9]
-				a[0] += wi0 * wj0
-				a[1] += wi0 * wj1
-				a[2] += wi0 * wj2
-				a[3] += wi1 * wj0
-				a[4] += wi1 * wj1
-				a[5] += wi1 * wj2
-				a[6] += wi2 * wj0
-				a[7] += wi2 * wj1
-				a[8] += wi2 * wj2
-			}
-		default:
-			si := baseI * 3
-			sj := baseJ * 3
-			jo := offs[baseJ : baseJ+m]
-			for s := range keyI {
-				b := int(keyI[s] + jo[s])
-				wi0, wi1, wi2 := sp[si], sp[si+1], sp[si+2]
-				wj0, wj1, wj2 := sp[sj], sp[sj+1], sp[sj+2]
-				si += 3
-				sj += 3
-				a := acc[b*9 : b*9+9 : b*9+9]
-				a[0] += wi0 * wj0
-				a[1] += wi0 * wj1
-				a[2] += wi0 * wj2
-				a[3] += wi1 * wj0
-				a[4] += wi1 * wj1
-				a[5] += wi1 * wj2
-				a[6] += wi2 * wj0
-				a[7] += wi2 * wj1
-				a[8] += wi2 * wj2
-			}
+			b := int(key+jo[t]) * 12
+			x0, x1, x2 := wi[3*s], wi[3*s+1], wi[3*s+2]
+			y0, y1, y2 := wj[3*t], wj[3*t+1], wj[3*t+2]
+			a := acc[b : b+11 : b+11]
+			a[0] += float32(x0 * y0)
+			a[1] += float32(x0 * y1)
+			a[2] += float32(x0 * y2)
+			a[4] += float32(x1 * y0)
+			a[5] += float32(x1 * y1)
+			a[6] += float32(x1 * y2)
+			a[8] += float32(x2 * y0)
+			a[9] += float32(x2 * y1)
+			a[10] += float32(x2 * y2)
 		}
-	} else {
-		kk := k * k
-		for s := 0; s < m; s++ {
-			var b, sj int
-			src := sp
-			switch {
-			case pw != nil:
-				b = int(keyI[s] + poffs[s])
-				sj = s * k
-				src = pw
-			case perm != nil:
-				pj := baseJ + int(perm[s])
-				b = int(keyI[s] + offs[pj])
-				sj = pj * k
-			default:
-				b = int(keyI[s] + offs[baseJ+s])
-				sj = (baseJ + s) * k
-			}
-			a := acc[b*kk : b*kk+kk]
-			for u := 0; u < k; u++ {
-				wiu := sp[(baseI+s)*k+u]
-				row := a[u*k:]
-				for v := 0; v < k; v++ {
-					row[v] += wiu * src[sj+v]
-				}
+		return
+	}
+	lanes := blockLanes(k)
+	size := k * lanes
+	for s, key := range keyI {
+		t := s
+		if perm != nil {
+			t = int(perm[s])
+		}
+		b := int(key+jo[t]) * size
+		a := acc[b : b+size]
+		y := wj[t*k : t*k+k]
+		for u, x := range wi[s*k : s*k+k] {
+			row := a[u*lanes : u*lanes+k]
+			for v, yv := range y {
+				row[v] += float32(x * yv)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package mi
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,29 +32,96 @@ func randomGenes(rng *rand.Rand, n, m int) [][]float32 {
 // TestPairBlockedBitIdentical asserts the single-pass block-scatter
 // kernel reproduces the counting-sort kernel bit for bit — observed and
 // permuted, across orders — which is what lets the sweep path replace
-// the seed path without changing any network.
+// the seed path without changing any network. Besides a random fixture
+// it runs the degenerate shapes: m = 1, m at the order × bins floor,
+// bins == order (a single bucket), and certRows' constant, two-valued
+// and heavily tied rows.
 func TestPairBlockedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rows := randomGenes(rng, 8, 257)
-	for _, order := range []int{1, 2, 3, 4} {
-		e, ws := buildEstimator(t, rows, order, 10)
-		pool := perm.MustNewPool(11, 257, 5)
-		for i := 0; i < 8; i++ {
-			for j := i + 1; j < 8; j++ {
-				want := e.PairBucketed(i, j, ws)
-				got := e.PairBlocked(i, j, ws)
-				if got != want {
-					t.Fatalf("order %d pair (%d,%d): blocked %v != bucketed %v", order, i, j, got, want)
-				}
-				for p := 0; p < pool.Q(); p++ {
-					want := e.PairPermutedBucketed(i, j, pool.Perm(p), ws)
-					e.prepareRowKeys(i, ws)
-					got := e.pairBlocked(i, j, pool.Perm(p), ws)
+	fixtures := []struct {
+		n, m, bins int
+		rows       func(rng *rand.Rand, n, m int) [][]float32
+	}{
+		{8, 257, 10, randomGenes},
+		{6, 1, 10, certRows},
+		{6, 30, 10, certRows},
+		{6, 50, 0, certRows}, // bins = order
+		{8, 211, 10, certRows},
+	}
+	for _, f := range fixtures {
+		rows := f.rows(rand.New(rand.NewSource(7)), f.n, f.m)
+		for _, order := range []int{1, 2, 3, 4} {
+			bins := f.bins
+			if bins == 0 {
+				bins = order
+			}
+			e, ws := buildEstimator(t, rows, order, bins)
+			pool := perm.MustNewPool(11, f.m, 5)
+			for i := 0; i < f.n; i++ {
+				for j := i + 1; j < f.n; j++ {
+					want := e.PairBucketed(i, j, ws)
+					got := e.PairBlocked(i, j, ws)
 					if got != want {
-						t.Fatalf("order %d pair (%d,%d) perm %d: blocked %v != bucketed %v", order, i, j, p, got, want)
+						t.Fatalf("m %d bins %d order %d pair (%d,%d): blocked %v != bucketed %v", f.m, bins, order, i, j, got, want)
+					}
+					for p := 0; p < pool.Q(); p++ {
+						want := e.PairPermutedBucketed(i, j, pool.Perm(p), ws)
+						e.prepareRowKeys(i, ws)
+						got := e.pairBlocked(i, j, pool.Perm(p), ws)
+						if got != want {
+							t.Fatalf("m %d bins %d order %d pair (%d,%d) perm %d: blocked %v != bucketed %v", f.m, bins, order, i, j, p, got, want)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSweepBadPermutationPanics requires a permutation index outside
+// [0, m) to panic rather than read another gene's samples or memory
+// past the weight matrix: on the first gene, whose successor an
+// unchecked index would alias, and on the last, whose stencils end the
+// matrix; in the order-3 kernel and the generic one.
+func TestSweepBadPermutationPanics(t *testing.T) {
+	const n, m = 4, 40
+	rows := randomGenes(rand.New(rand.NewSource(3)), n, m)
+	for _, order := range []int{3, 4} {
+		e, _ := buildEstimator(t, rows, order, 10)
+		for _, bad := range []int32{m, m + 1, -1, math.MaxInt32, math.MinInt32} {
+			for _, j := range []int{0, n - 1} {
+				p := append([]int32(nil), perm.MustNewPool(1, m, 1).Perm(0)...)
+				p[m/2] = bad
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("order %d gene %d: permutation index %d did not panic", order, j, bad)
+						}
+					}()
+					e.SweepBucketed(1, j, 1e9, [][]int32{p}, nil, nil, NewWorkspace(e))
+				}()
+			}
+		}
+	}
+}
+
+// requirePortableFill requires the joint fillBlocked just left in ws to
+// equal, bit for bit, the joint of the portable scatter (scatterGo) for
+// the same pair and permutation merged at the same precision. On amd64
+// this pins the SSE2 order-3 kernel.
+func requirePortableFill(t testing.TB, e *Estimator, i, j int, p []int32, ws *Workspace) {
+	t.Helper()
+	port := NewWorkspacePrec(e, ws.prec)
+	e.prepareRowKeys(i, port)
+	e.scatterGo(i, j, p, nil, nil, port)
+	port.mergeBlockAcc(e.wm.Basis.Order())
+	for x := range ws.joint {
+		if math.Float64bits(ws.joint[x]) != math.Float64bits(port.joint[x]) {
+			t.Fatalf("pair (%d,%d): joint cell %d %v != portable %v", i, j, x, ws.joint[x], port.joint[x])
+		}
+	}
+	for x := range ws.joint32 {
+		if math.Float32bits(ws.joint32[x]) != math.Float32bits(port.joint32[x]) {
+			t.Fatalf("pair (%d,%d): float32 joint cell %d %v != portable %v", i, j, x, ws.joint32[x], port.joint32[x])
 		}
 	}
 }
@@ -278,4 +347,41 @@ func TestNullSweepsMatchPerPermutation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchFill times one block fill (scatter, merge into a float64 joint,
+// clear) per iteration on a 64-gene, order-3, 10-bin fixture, walking
+// pairs row by row as the tile scan does: gene j unpermuted (the
+// observe pass) or gathered through one of 30 pool permutations (the
+// test pass and the null).
+func benchFill(b *testing.B, fill func(e *Estimator, i, j int, perm []int32, ws *Workspace)) {
+	const n, q = 64, 30
+	for _, m := range []int{128, 337, 3137} {
+		rows := randomGenes(rand.New(rand.NewSource(5)), n, m)
+		e, ws := buildEstimator(b, rows, 3, 10)
+		perms := perm.MustNewPool(1, m, q).Perms()
+		for _, permuted := range []bool{false, true} {
+			name := fmt.Sprintf("m=%d/observe", m)
+			if permuted {
+				name = fmt.Sprintf("m=%d/permuted", m)
+			}
+			b.Run(name, func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					i, j := it/n%n, it%n
+					var p []int32
+					if permuted {
+						p = perms[it%q]
+					}
+					e.prepareRowKeys(i, ws)
+					fill(e, i, j, p, ws)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkFillBlocked(b *testing.B) {
+	benchFill(b, func(e *Estimator, i, j int, perm []int32, ws *Workspace) {
+		e.fillBlocked(i, j, perm, nil, nil, ws)
+	})
 }
