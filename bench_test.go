@@ -74,12 +74,15 @@ func BenchmarkF1_HostWorkers(b *testing.B) {
 }
 
 // BenchmarkF2_Kernels covers Figure 2: one MI evaluation per kernel
-// formulation at the paper's sample count.
+// formulation at the paper's sample count. blocked is the block scatter
+// every scan runs.
 func BenchmarkF2_Kernels(b *testing.B) {
 	d := benchDataset(b, 16, 3137)
 	norm := d.Expr.Clone()
 	norm.RankNormalize()
-	est := mi.NewEstimator(bspline.Precompute(bspline.MustNew(3, 10), norm))
+	wm := bspline.Precompute(bspline.MustNew(3, 10), norm)
+	wm.BuildDense() // for densevec
+	est := mi.NewEstimator(wm)
 	ws := mi.NewWorkspace(est)
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
@@ -91,6 +94,12 @@ func BenchmarkF2_Kernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			est.PairBucketed(i%15, 15, ws)
+		}
+	})
+	b.Run("blocked", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			est.PairBlocked(i%15, 15, ws)
 		}
 	})
 	b.Run("densevec", func(b *testing.B) {

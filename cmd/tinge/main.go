@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tileSize = flags.Int("tile", 32, "pair-tile edge length")
 		policy   = flags.String("policy", "dynamic", "tile schedule: static-block|static-cyclic|dynamic|stealing")
 		seed     = flags.Uint64("seed", 1, "run seed (permutations, null sample)")
-		kernel   = flags.String("kernel", "bucketed", "MI kernel: bucketed|vec|scalar")
 		prec     = flags.String("precision", "float64", "MI compute precision: float64|float32")
 		ranks    = flags.Int("ranks", 4, "cluster engine world size")
 		tpc      = flags.Int("threads-per-core", 0, "simulated Phi hardware threads per core (0 = device max)")
@@ -227,16 +226,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg.Engine = tinge.OutOfCore
 	default:
 		return fmt.Errorf("unknown engine %q", *engine)
-	}
-	switch *kernel {
-	case "bucketed":
-		cfg.Kernel = tinge.KernelBucketed
-	case "vec":
-		cfg.Kernel = tinge.KernelVec
-	case "scalar":
-		cfg.Kernel = tinge.KernelScalar
-	default:
-		return fmt.Errorf("unknown kernel %q", *kernel)
 	}
 	switch *prec {
 	case "float64", "64":

@@ -174,12 +174,11 @@ func (b *Basis) Weights(x float64, dst []float32) (first int) {
 }
 
 // WeightMatrix holds the precomputed B-spline weights for every gene and
-// sample — the paper's central data structure. Two layouts are kept:
-//
-//   - Sparse: per (gene, sample), the stencil offset and k weights, used
-//     by the scalar scatter-histogram kernel and by marginal entropy.
-//   - Dense: per (gene, bin), a contiguous row of m per-sample weights,
-//     used by the vectorized dot-product kernel. Rows are lane-padded.
+// sample — the paper's central data structure. Every constructor and
+// fill builds the sparse stencils: per (gene, sample), the stencil
+// offset and k weights, which every MI kernel and the marginal entropy
+// read. The dense per-bin layout of the dot-product kernel (mi.PairVec)
+// is built only on request, by BuildDense.
 type WeightMatrix struct {
 	Basis   *Basis
 	Genes   int
@@ -189,8 +188,9 @@ type WeightMatrix struct {
 	Offsets []int32
 	// Sparse[(g*Samples+s)*k + u] is weight u of the stencil.
 	Sparse []float32
-	// Dense is (Genes*Bins) × Samples: row g*Bins+u holds basis u's
-	// weight for each sample of gene g.
+	// Dense is nil until BuildDense; then it is (Genes*Bins) × Samples,
+	// lane-padded: row g*Bins+u holds basis u's weight for each sample
+	// of gene g.
 	Dense *mat.Dense
 }
 
@@ -202,19 +202,18 @@ func Precompute(basis *Basis, expr *mat.Dense) *WeightMatrix {
 }
 
 // PrecomputeParallel is Precompute sharded over workers goroutines.
-// Gene g only writes Offsets[g·m..], Sparse[g·m·k..], and Dense rows
-// g·bins..(g+1)·bins, so the gene ranges are disjoint and the packed
-// weights are identical to the serial result for any worker count.
+// Gene g only writes Offsets[g·m..] and Sparse[g·m·k..], so the gene
+// ranges are disjoint and the packed weights are identical to the
+// serial result for any worker count.
 func PrecomputeParallel(basis *Basis, expr *mat.Dense, workers int) *WeightMatrix {
 	n, m := expr.Rows(), expr.Cols()
-	k, bins := basis.Order(), basis.Bins()
+	k := basis.Order()
 	wm := &WeightMatrix{
 		Basis:   basis,
 		Genes:   n,
 		Samples: m,
 		Offsets: make([]int32, n*m),
 		Sparse:  make([]float32, n*m*k),
-		Dense:   mat.NewDensePadded(n*bins, m, 16),
 	}
 	if workers > n {
 		workers = n
@@ -227,9 +226,6 @@ func PrecomputeParallel(basis *Basis, expr *mat.Dense, workers int) *WeightMatri
 				first := basis.Weights(float64(row[s]), stencil)
 				wm.Offsets[g*m+s] = int32(first)
 				copy(wm.Sparse[(g*m+s)*k:], stencil)
-				for u := 0; u < k; u++ {
-					wm.Dense.Row(g*bins + first + u)[s] = stencil[u]
-				}
 			}
 		}
 	}
@@ -257,26 +253,24 @@ func PrecomputeParallel(basis *Basis, expr *mat.Dense, workers int) *WeightMatri
 // the tile's gene rows instead of allocating a whole-genome weight
 // matrix, so the precompute footprint is O(tile), not O(n).
 func NewPanelWeights(basis *Basis, maxGenes, samples int) *WeightMatrix {
-	k, bins := basis.Order(), basis.Bins()
 	return &WeightMatrix{
 		Basis:   basis,
 		Genes:   0,
 		Samples: samples,
 		Offsets: make([]int32, maxGenes*samples),
-		Sparse:  make([]float32, maxGenes*samples*k),
-		Dense:   mat.NewDensePadded(maxGenes*bins, samples, 16),
+		Sparse:  make([]float32, maxGenes*samples*basis.Order()),
 	}
 }
 
 // FillPanel recomputes the weight matrix in place for the given
 // normalized gene rows (local gene g is rows[g]). The arithmetic is
 // exactly Precompute's — same basis.Weights stencils written to the
-// same layouts — so a kernel running against a filled panel with local
+// same layout — so a kernel running against a filled panel with local
 // indices produces bit-identical values to the resident path with
 // global indices. rows must fit the capacity NewPanelWeights reserved.
 func (wm *WeightMatrix) FillPanel(rows [][]float32) {
 	n, m := len(rows), wm.Samples
-	k, bins := wm.Basis.Order(), wm.Basis.Bins()
+	k := wm.Basis.Order()
 	if n*m > len(wm.Offsets) {
 		panic(fmt.Sprintf("bspline: panel of %d genes exceeds capacity %d", n, len(wm.Offsets)/m))
 	}
@@ -287,26 +281,18 @@ func (wm *WeightMatrix) FillPanel(rows [][]float32) {
 		if len(row) != m {
 			panic(fmt.Sprintf("bspline: panel row %d has %d samples, want %d", g, len(row), m))
 		}
-		// A reused Dense carries the previous tile's scatter; restore the
-		// all-zero background Precompute starts from.
-		for u := 0; u < bins; u++ {
-			clear(wm.Dense.Row(g*bins + u))
-		}
 		for s := 0; s < m; s++ {
 			first := wm.Basis.Weights(float64(row[s]), stencil[:k])
 			wm.Offsets[g*m+s] = int32(first)
 			copy(wm.Sparse[(g*m+s)*k:], stencil[:k])
-			for u := 0; u < k; u++ {
-				wm.Dense.Row(g*bins + first + u)[s] = stencil[u]
-			}
 		}
 	}
 }
 
 // FillView recomputes the weight matrix in place as a sample-index
 // view of src: view sample t is src sample idx[t], for every gene. No
-// basis evaluation happens — stencil offsets, sparse weights, and dense
-// rows are column-gathered from src's precompute, which is what lets an
+// basis evaluation happens — stencil offsets and weights are
+// column-gathered from src's precompute, which is what lets an
 // ensemble run share one whole-genome precompute across all bootstrap
 // subsamples. Gathered weights are bitwise the weights a fresh
 // Precompute over the gathered normalized values would produce
@@ -336,31 +322,44 @@ func (wm *WeightMatrix) FillView(src *WeightMatrix, idx []int32) {
 			wm.Offsets[i] = src.Offsets[j]
 			copy(wm.Sparse[i*k:(i+1)*k], src.Sparse[j*k:(j+1)*k])
 		}
-		// Dense rows gather every column, zeros included, so no clear of
-		// the previous fill is needed.
-		for u := 0; u < bins; u++ {
-			dst, from := wm.Dense.Row(g*bins+u), src.Dense.Row(g*bins+u)
-			for t, s := range idx {
-				dst[t] = from[s]
-			}
-		}
 	}
 }
 
 // PanelBytes returns the weight-matrix footprint NewPanelWeights
 // allocates for maxGenes genes — the per-worker precompute term of the
-// out-of-core memory budget.
+// out-of-core memory budget: an int32 offset and k float32 weights per
+// sample.
 func PanelBytes(basis *Basis, maxGenes, samples int) int64 {
-	k, bins := basis.Order(), basis.Bins()
-	stride := int64((samples + 15) / 16 * 16)
-	return int64(maxGenes*samples)*4 + // Offsets
-		int64(maxGenes*samples*k)*4 + // Sparse
-		int64(maxGenes*bins)*stride*4 // Dense (lane-padded)
+	return int64(maxGenes*samples) * 4 * int64(1+basis.Order())
+}
+
+// BuildDense builds wm.Dense from the stencils: row g·bins+u holds
+// basis u's weight for every sample of gene g, zero outside the
+// sample's stencil, with rows padded to 16 float32 lanes. Only the
+// dot-product kernel (mi.PairVec) reads it, so no pipeline path calls
+// this; a caller of PairVec calls it once before. A later FillPanel or
+// FillView leaves it stale.
+func (wm *WeightMatrix) BuildDense() {
+	n, m := wm.Genes, wm.Samples
+	k, bins := wm.Basis.Order(), wm.Basis.Bins()
+	wm.Dense = mat.NewDensePadded(n*bins, m, 16)
+	for g := 0; g < n; g++ {
+		for s := 0; s < m; s++ {
+			first, w := wm.Stencil(g, s)
+			for u := 0; u < k; u++ {
+				wm.Dense.Row(g*bins + int(first) + u)[s] = w[u]
+			}
+		}
+	}
 }
 
 // GeneDenseRows returns the bins dense weight rows for gene g; row u is
-// the per-sample weight of basis function u.
+// the per-sample weight of basis function u. It panics unless
+// BuildDense has run.
 func (wm *WeightMatrix) GeneDenseRows(g int) []([]float32) {
+	if wm.Dense == nil {
+		panic("bspline: dense rows not built (call BuildDense)")
+	}
 	bins := wm.Basis.Bins()
 	rows := make([][]float32, bins)
 	for u := 0; u < bins; u++ {

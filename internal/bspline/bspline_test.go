@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/perm"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -175,6 +176,7 @@ func TestPrecomputeSparseDenseConsistent(t *testing.T) {
 	if wm.Genes != 5 || wm.Samples != 40 {
 		t.Fatalf("genes/samples = %d/%d", wm.Genes, wm.Samples)
 	}
+	wm.BuildDense()
 	for g := 0; g < 5; g++ {
 		rows := wm.GeneDenseRows(g)
 		if len(rows) != 10 {
@@ -301,6 +303,7 @@ func TestPrecomputeParallelMatchesSerial(t *testing.T) {
 	basis := MustNew(3, 10)
 	expr := buildExpr(rng, 37, 53)
 	want := Precompute(basis, expr)
+	want.BuildDense()
 	for _, workers := range []int{2, 5, 16, 64} {
 		got := PrecomputeParallel(basis, expr, workers)
 		for x := range want.Offsets {
@@ -313,6 +316,7 @@ func TestPrecomputeParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d Sparse[%d] differ", workers, x)
 			}
 		}
+		got.BuildDense()
 		for r := 0; r < 37*10; r++ {
 			gr, wr := got.Dense.Row(r), want.Dense.Row(r)
 			for s := range wr {
@@ -320,6 +324,47 @@ func TestPrecomputeParallelMatchesSerial(t *testing.T) {
 					t.Fatalf("workers=%d Dense row %d col %d differ", workers, r, s)
 				}
 			}
+		}
+	}
+}
+
+// TestWeightMatricesHoldOnlyStencils pins what a pipeline weight matrix
+// costs: the resident precompute, a panel and its fills, and an
+// ensemble view build only the stencils (an int32 offset and k float32
+// weights per sample), and PanelBytes charges exactly that. The dense
+// per-bin rows exist only after BuildDense.
+func TestWeightMatricesHoldOnlyStencils(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, k := range []int{1, 3, 4} {
+		basis := MustNew(k, 10)
+		const n, m = 9, 70
+		expr := buildExpr(rng, n, m)
+		rows := make([][]float32, n)
+		for g := range rows {
+			rows[g] = expr.Row(g)
+		}
+		whole := PrecomputeParallel(basis, expr, 3)
+		panel := NewPanelWeights(basis, n, m)
+		for _, c := range []struct {
+			name string
+			wm   *WeightMatrix
+			fill func()
+		}{
+			{"PrecomputeParallel", whole, func() {}},
+			{"NewPanelWeights", panel, func() {}},
+			{"FillPanel", panel, func() { panel.FillPanel(rows) }},
+			{"FillView", panel, func() { panel.FillView(whole, perm.SubsampleIndices(1, 0, m, m)) }},
+		} {
+			c.fill()
+			if c.wm.Dense != nil {
+				t.Fatalf("k=%d %s: weight matrix holds dense rows", k, c.name)
+			}
+			if got := int64(len(c.wm.Offsets))*4 + int64(len(c.wm.Sparse))*4; got != PanelBytes(basis, n, m) {
+				t.Fatalf("k=%d %s: %d bytes of stencils, PanelBytes %d", k, c.name, got, PanelBytes(basis, n, m))
+			}
+		}
+		if want := int64(n * m * 4 * (1 + k)); PanelBytes(basis, n, m) != want {
+			t.Fatalf("k=%d: PanelBytes %d, want g·m·4·(1+k) = %d", k, PanelBytes(basis, n, m), want)
 		}
 	}
 }

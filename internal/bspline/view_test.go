@@ -9,9 +9,10 @@ import (
 
 // TestFillViewMatchesPrecompute is the view path's correctness anchor:
 // gathering a whole-genome precompute through a sample-index subset
-// must be bitwise identical — offsets, sparse stencils, dense rows — to
-// running Precompute from scratch on the gathered values. The ensemble
-// engines rely on this to share one precompute across bootstraps.
+// must be bitwise identical — offsets, sparse stencils, and the dense
+// rows built from them — to running Precompute from scratch on the
+// gathered values. The ensemble engines rely on this to share one
+// precompute across bootstraps.
 func TestFillViewMatchesPrecompute(t *testing.T) {
 	const n, m, mSub = 12, 90, 60
 	rng := perm.NewRNG(11)
@@ -45,6 +46,8 @@ func TestFillViewMatchesPrecompute(t *testing.T) {
 	if view.Genes != want.Genes || view.Samples != want.Samples {
 		t.Fatalf("view dims %dx%d, want %dx%d", view.Genes, view.Samples, want.Genes, want.Samples)
 	}
+	view.BuildDense()
+	want.BuildDense()
 	k, bins := basis.Order(), basis.Bins()
 	for g := 0; g < n; g++ {
 		for s := 0; s < mSub; s++ {

@@ -101,41 +101,6 @@ func (e EngineKind) String() string {
 	}
 }
 
-// KernelKind selects the MI kernel formulation — the axis of the
-// paper's vectorization study.
-type KernelKind int
-
-// Kernels.
-const (
-	// KernelBucketed (default) counting-sorts samples by stencil
-	// offset so every histogram update is a dense register-blocked k×k
-	// accumulate — the vectorization-friendly restructuring; fastest on
-	// the host and the shape-carrier for the paper's optimized kernel.
-	KernelBucketed KernelKind = iota
-	// KernelVec is the dense per-bin-pair dot-product formulation:
-	// b²·⌈m/lanes⌉ streaming FMAs per pair. It is the formulation whose
-	// advantage appears on wide-SIMD hardware (see the phi cost model);
-	// on a scalar host it does b²/k² times more flops.
-	KernelVec
-	// KernelScalar is the naive per-sample scatter-histogram kernel —
-	// the paper's unvectorized baseline.
-	KernelScalar
-)
-
-// String names the kernel.
-func (k KernelKind) String() string {
-	switch k {
-	case KernelBucketed:
-		return "bucketed"
-	case KernelVec:
-		return "vec"
-	case KernelScalar:
-		return "scalar"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
-	}
-}
-
 // Precision selects the compute precision of the MI phase — the axis of
 // the paper's native-float build. Float64 (the default) accumulates
 // joint histograms and entropies in double precision; Float32 runs the
@@ -277,8 +242,6 @@ type Config struct {
 	Policy tile.Policy
 	// Seed drives permutations; equal seeds give equal networks.
 	Seed uint64
-	// Kernel selects the MI kernel formulation (default Bucketed).
-	Kernel KernelKind
 	// Precision selects the MI compute precision (default Float64).
 	Precision Precision
 	// Progress, when non-nil, is invoked once per tile committed in this
@@ -567,11 +530,6 @@ func (c *Config) Validate() error {
 		if c.PanelRows < c.TileSize || c.PanelRows%c.TileSize != 0 {
 			return fmt.Errorf("core: panel rows %d must be a positive multiple of tile size %d", c.PanelRows, c.TileSize)
 		}
-	}
-	switch c.Kernel {
-	case KernelBucketed, KernelVec, KernelScalar:
-	default:
-		return fmt.Errorf("core: unknown kernel %v", c.Kernel)
 	}
 	switch c.Precision {
 	case Float64, Float32:

@@ -216,53 +216,6 @@ func TestEnginesProduceIdenticalNetworks(t *testing.T) {
 	}
 }
 
-func TestAllKernelsSameNetwork(t *testing.T) {
-	d := testDataset(t, 20, 60, 4)
-	base := Config{Seed: 9, Permutations: 8, Workers: 2}
-	var ref *Result
-	for _, kind := range []KernelKind{KernelBucketed, KernelVec, KernelScalar} {
-		cfg := base
-		cfg.Kernel = kind
-		res, err := Infer(d.Expr, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		// Kernels accumulate in different orders; weights may differ in
-		// the last float bits, so compare edges structurally with a
-		// loose weight tolerance.
-		if ref.Network.Len() != res.Network.Len() {
-			t.Fatalf("%v: edge counts differ: %d vs %d", kind, ref.Network.Len(), res.Network.Len())
-		}
-		for _, e := range ref.Network.Edges() {
-			w, ok := res.Network.Weight(e.I, e.J)
-			if !ok {
-				t.Fatalf("%v: edge (%d,%d) missing", kind, e.I, e.J)
-			}
-			if math.Abs(w-e.Weight) > 1e-3 {
-				t.Fatalf("%v: edge (%d,%d) weight %v vs %v", kind, e.I, e.J, w, e.Weight)
-			}
-		}
-	}
-}
-
-func TestKernelKindString(t *testing.T) {
-	if KernelBucketed.String() != "bucketed" || KernelVec.String() != "vec" ||
-		KernelScalar.String() != "scalar" || KernelKind(7).String() != "kernel(7)" {
-		t.Fatal("kernel names wrong")
-	}
-}
-
-func TestUnknownKernelRejected(t *testing.T) {
-	cfg := Config{Kernel: KernelKind(9)}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown kernel should fail validation")
-	}
-}
-
 func TestPhiEngineSimulatedTime(t *testing.T) {
 	d := testDataset(t, 30, 100, 6)
 	cfg := Config{Engine: Phi, Seed: 1, Permutations: 10, Workers: 4}

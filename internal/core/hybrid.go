@@ -26,12 +26,11 @@ func runHybrid(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *R
 	}
 	devP := cfg.Device
 	devX := cfg.HostDevice
-	vectorized := cfg.Kernel != KernelScalar
 
 	unit := func(d phi.Device) float64 {
 		return d.TileCost(phi.KernelParams{
 			Pairs: 1, Samples: wm.Samples, Order: cfg.Order, Bins: cfg.Bins,
-			Perms: 0, Vectorized: vectorized,
+			Perms: 0, Vectorized: true,
 		}).ComputeCycles
 	}
 	unitP, unitX := unit(devP), unit(devX)

@@ -7,15 +7,14 @@ import (
 	"repro/internal/tile"
 )
 
-// pairKernel bundles the estimator, permutation pool, and kernel choice
-// shared by all engines. It is immutable during a scan and safe for
-// concurrent use with per-goroutine workspaces. Every kernel runs at
-// the precision of the workspace it is passed; prec only sizes the
-// workspaces newWorkspace allocates.
+// pairKernel bundles the estimator and permutation pool shared by all
+// engines. It is immutable during a scan and safe for concurrent use
+// with per-goroutine workspaces. Every evaluation runs the mi package's
+// block-scatter kernel at the precision of the workspace it is passed;
+// prec only sizes the workspaces newWorkspace allocates.
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
-	kind   KernelKind
 	prec   Precision
 	thresh float64 // I_alpha; 0 during the threshold-estimation phase
 }
@@ -24,7 +23,6 @@ func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
 	return &pairKernel{
 		est:  mi.NewEstimatorParallel(wm, cfg.Workers),
 		pool: perm.MustNewPool(cfg.Seed, wm.Samples, cfg.Permutations),
-		kind: cfg.Kernel,
 		prec: cfg.Precision,
 	}
 }
@@ -36,29 +34,13 @@ func (k *pairKernel) newWorkspace() *mi.Workspace {
 	return mi.NewWorkspacePrec(k.est, k.prec)
 }
 
-// miPair computes the unpermuted MI of pair (i, j).
-func (k *pairKernel) miPair(i, j int, ws *mi.Workspace) float64 {
-	switch k.kind {
-	case KernelScalar:
-		return k.est.PairScalar(i, j, ws)
-	case KernelVec:
-		return k.est.PairVec(i, j, ws)
-	default:
-		// At float64 bit-identical to PairBucketed, the counting-sort
-		// formulation (the sweep golden test pins this).
-		return k.est.PairBlocked(i, j, ws)
-	}
-}
-
 // observe computes the observed MI of pair (i, j) for the observe
-// pass, which keeps it only when it reaches I_alpha. The bucketed
-// kernel certifies pairs below I_alpha without their entropy pass
-// (mi.PairBlockedCut): below is then true and obs 0. Otherwise obs is
-// miPair's value.
+// pass, which keeps it only when it reaches I_alpha. It certifies pairs
+// below I_alpha without their entropy pass (mi.PairBlockedCut): below
+// is then true and obs 0. Otherwise obs is mi.PairBlocked's value, at
+// float64 bit-identical to PairBucketed, the counting-sort formulation
+// (the sweep golden test pins this).
 func (k *pairKernel) observe(i, j int, ws *mi.Workspace) (obs float64, below bool) {
-	if k.kind != KernelBucketed {
-		return k.miPair(i, j, ws), false
-	}
 	return k.est.PairBlockedCut(i, j, k.thresh, ws)
 }
 
@@ -75,16 +57,7 @@ func (k *pairKernel) test(i, j int, obs float64, ws *mi.Workspace) (significant 
 	if q == 0 {
 		return true, 0, 0
 	}
-	perms := k.pool.Perms()
-	var done int
-	switch k.kind {
-	case KernelScalar:
-		done, significant = k.est.SweepScalar(i, j, obs, perms, ws)
-	case KernelVec:
-		done, significant = k.est.SweepVec(i, j, obs, perms, ws)
-	default:
-		done, significant = k.est.SweepBucketed(i, j, obs, perms, nil, nil, ws)
-	}
+	done, significant := k.est.SweepBucketed(i, j, obs, k.pool.Perms(), nil, nil, ws)
 	return significant, int64(done), int64(q - done)
 }
 
@@ -123,16 +96,8 @@ func sampleNullPairs(seed uint64, n, count int) [][2]int {
 
 // null computes the q permuted MIs of pair (i, j) into out — one
 // pooled-null pair's whole contribution, from a single sweep with no
-// early exit. Each value is bit-identical to the per-permutation kernel
-// (mi.PairPermuted*) under pool permutation p.
+// early exit. Each value is bit-identical to the per-permutation
+// block-scatter kernel under pool permutation p.
 func (k *pairKernel) null(i, j int, out []float64, ws *mi.Workspace) {
-	perms := k.pool.Perms()
-	switch k.kind {
-	case KernelScalar:
-		k.est.NullScalar(i, j, perms, out, ws)
-	case KernelVec:
-		k.est.NullVec(i, j, perms, out, ws)
-	default:
-		k.est.NullBucketed(i, j, perms, out, ws)
-	}
+	k.est.NullBucketed(i, j, k.pool.Perms(), out, ws)
 }

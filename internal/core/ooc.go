@@ -89,7 +89,7 @@ func newOOCWorker(store *panelstore.Store, basis *bspline.Basis, pool *perm.Pool
 	}
 	tileWM := bspline.NewPanelWeights(basis, 2*cfg.TileSize, width)
 	est := mi.NewEstimator(tileWM)
-	k := &pairKernel{est: est, pool: pool, kind: cfg.Kernel, prec: cfg.Precision}
+	k := &pairKernel{est: est, pool: pool, prec: cfg.Precision}
 	w := &oocWorker{
 		tileScanner: tileScanner{k: k, ws: k.newWorkspace()},
 		store:       store,

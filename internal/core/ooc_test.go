@@ -49,33 +49,26 @@ func identicalEdges(t *testing.T, label string, a, b *Result) {
 // TestOutOfCoreGoldenEquivalence is the tentpole pin: the out-of-core
 // engine must be bit-identical — same threshold, same pair count, same
 // edges with bitwise-equal MI weights — to every resident engine,
-// across kernels and seeds. The OOC path re-derives each tile's ranks
-// and weights from raw spilled rows, so any drift in that rebuild
-// (normalization order, weight layout, stale caches) fails here.
+// across seeds. The OOC path re-derives each tile's ranks and weights
+// from raw spilled rows, so any drift in that rebuild (normalization
+// order, weight layout, stale caches) fails here.
 func TestOutOfCoreGoldenEquivalence(t *testing.T) {
 	engines := []EngineKind{Host, Phi, Hybrid}
-	kernels := []KernelKind{KernelBucketed, KernelScalar, KernelVec}
 	for _, seed := range []uint64{1, 2, 3} {
 		d := testDataset(t, 20, 60, seed)
 		for _, eng := range engines {
-			for _, kern := range kernels {
-				cfg := Config{
-					Engine: eng, Kernel: kern,
-					Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
-				}
-				want, err := Infer(d.Expr, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oocCfg := cfg
-				oocCfg.Engine = OutOfCore
-				got, err := Infer(d.Expr, oocCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := "ooc vs " + eng.String() + "/" + kern.String()
-				identicalNetworks(t, label, want, got)
+			cfg := Config{Engine: eng, Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2}
+			want, err := Infer(d.Expr, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			oocCfg := cfg
+			oocCfg.Engine = OutOfCore
+			got, err := Infer(d.Expr, oocCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalNetworks(t, "ooc vs "+eng.String(), want, got)
 		}
 	}
 }
@@ -85,36 +78,31 @@ func TestOutOfCoreGoldenEquivalence(t *testing.T) {
 // resident Host Float32 run (same kernels, same inputs), and within the
 // documented tolerance of its own Float64 run.
 func TestOutOfCoreFloat32Golden(t *testing.T) {
-	for _, kern := range []KernelKind{KernelBucketed, KernelScalar, KernelVec} {
-		for _, seed := range []uint64{1, 2} {
-			d := testDataset(t, 20, 60, seed)
-			cfg := Config{
-				Engine: OutOfCore, Kernel: kern,
-				Seed: seed, Permutations: 8, Workers: 4, TileSize: 8,
-			}
-			f64, err := Infer(d.Expr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg32 := cfg
-			cfg32.Precision = Float32
-			f32, err := Infer(d.Expr, cfg32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := "ooc f32/" + kern.String()
-			edgeIdenticalWithin(t, label, f64, f32, f32GoldenTolerance)
+	for _, seed := range []uint64{1, 2} {
+		d := testDataset(t, 20, 60, seed)
+		cfg := Config{Engine: OutOfCore, Seed: seed, Permutations: 8, Workers: 4, TileSize: 8}
+		f64, err := Infer(d.Expr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg32 := cfg
+		cfg32.Precision = Float32
+		f32, err := Infer(d.Expr, cfg32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "ooc f32"
+		edgeIdenticalWithin(t, label, f64, f32, f32GoldenTolerance)
 
-			hostCfg := cfg32
-			hostCfg.Engine = Host
-			host32, err := Infer(d.Expr, hostCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			identicalNetworks(t, label+" vs host f32", host32, f32)
-			if math.Abs(f64.Threshold-f32.Threshold) > f32GoldenTolerance {
-				t.Fatalf("%s: threshold drift %v vs %v", label, f64.Threshold, f32.Threshold)
-			}
+		hostCfg := cfg32
+		hostCfg.Engine = Host
+		host32, err := Infer(d.Expr, hostCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identicalNetworks(t, label+" vs host f32", host32, f32)
+		if math.Abs(f64.Threshold-f32.Threshold) > f32GoldenTolerance {
+			t.Fatalf("%s: threshold drift %v vs %v", label, f64.Threshold, f32.Threshold)
 		}
 	}
 }

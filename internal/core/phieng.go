@@ -34,10 +34,9 @@ func runPhi(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Resu
 
 	// Price one MI evaluation (one pair, no permutations) once; a
 	// tile's compute cost is its observed evaluation count times that.
-	vectorized := cfg.Kernel != KernelScalar
 	unit := dev.TileCost(phi.KernelParams{
 		Pairs: 1, Samples: wm.Samples, Order: cfg.Order, Bins: cfg.Bins,
-		Perms: 0, Vectorized: vectorized,
+		Perms: 0, Vectorized: true,
 	}).ComputeCycles
 
 	items := make([]phi.Work, len(tiles))
@@ -52,7 +51,7 @@ func runPhi(ctx context.Context, wm *bspline.WeightMatrix, cfg Config, res *Resu
 		}
 		stall := dev.TileCost(phi.KernelParams{
 			Pairs: pairs, Samples: wm.Samples, Order: cfg.Order,
-			Bins: cfg.Bins, Perms: avgPerms, Vectorized: vectorized,
+			Bins: cfg.Bins, Perms: avgPerms, Vectorized: true,
 		}).StallCycles
 		items[ti] = phi.Work{
 			ComputeCycles: float64(evalsPerTile[ti]) * unit,

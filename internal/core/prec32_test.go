@@ -39,37 +39,30 @@ const f32GoldenTolerance = 1e-4
 // TestFloat32GoldenEdgeIdentical is the golden precision test: on the
 // seeded reference dataset the float32 path must produce the identical
 // edge set to float64 at the default B-spline settings, across all four
-// engines and all three kernels, with MI weights within the documented
-// tolerance. The pooled-null threshold is derived from each path's own
-// MI values, so it is float-path-specific — but given the seed both
-// paths sample the same pairs and the same permutations, so the edge
-// decisions coincide.
+// engines, with MI weights within the documented tolerance. The
+// pooled-null threshold is derived from each path's own MI values, so
+// it is float-path-specific — but given the seed both paths sample the
+// same pairs and the same permutations, so the edge decisions coincide.
 func TestFloat32GoldenEdgeIdentical(t *testing.T) {
 	engines := []EngineKind{Host, Phi, Cluster, Hybrid}
-	kernels := []KernelKind{KernelBucketed, KernelScalar, KernelVec}
 	for _, seed := range []uint64{1, 2} {
 		d := testDataset(t, 20, 60, seed)
 		for _, eng := range engines {
-			for _, kern := range kernels {
-				cfg := Config{
-					Engine: eng, Kernel: kern,
-					Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
-				}
-				want, err := Infer(d.Expr, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg32 := cfg
-				cfg32.Precision = Float32
-				got, err := Infer(d.Expr, cfg32)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := eng.String() + "/" + kern.String()
-				edgeIdenticalWithin(t, label, want, got, f32GoldenTolerance)
-				if math.Abs(want.Threshold-got.Threshold) > f32GoldenTolerance {
-					t.Fatalf("%s: threshold drift %v vs %v", label, want.Threshold, got.Threshold)
-				}
+			cfg := Config{Engine: eng, Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2}
+			want, err := Infer(d.Expr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg32 := cfg
+			cfg32.Precision = Float32
+			got, err := Infer(d.Expr, cfg32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := eng.String()
+			edgeIdenticalWithin(t, label, want, got, f32GoldenTolerance)
+			if math.Abs(want.Threshold-got.Threshold) > f32GoldenTolerance {
+				t.Fatalf("%s: threshold drift %v vs %v", label, want.Threshold, got.Threshold)
 			}
 		}
 	}

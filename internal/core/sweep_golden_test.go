@@ -49,34 +49,25 @@ func identicalNetworks(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// miObserved is pair (i, j)'s observed MI under the per-pair
-// formulations. At float64 the bucketed kernel is the counting-sort
-// PairBucketed, so the engines' PairBlocked stays pinned bit-identical
-// to it.
+// miObserved is pair (i, j)'s observed MI from a per-pair kernel. At
+// float64 it is the counting-sort PairBucketed, so the engines'
+// PairBlocked stays pinned bit-identical to it.
 func (k *pairKernel) miObserved(i, j int, ws *mi.Workspace) float64 {
-	if k.prec == Float64 && k.kind == KernelBucketed {
+	if k.prec == Float64 {
 		return k.est.PairBucketed(i, j, ws)
 	}
-	return k.miPair(i, j, ws)
+	return k.est.PairBlocked(i, j, ws)
 }
 
 // miPermuted computes MI of (i, j) under pool permutation p with a
 // fresh per-permutation kernel call (setup and permutation gather
-// included) — one evaluation of the reference decide loop. The
-// bucketed and vectorized kernels evaluate it as a one-permutation null
-// sweep, which has no early exit and no certificate; the mi tests pin
-// every null value to that formulation's per-permutation kernel.
+// included) — one evaluation of the reference decide loop. It is a
+// one-permutation null sweep, which has no early exit and no
+// certificate; the mi tests pin every null value to the
+// per-permutation kernel.
 func (k *pairKernel) miPermuted(i, j, p int, ws *mi.Workspace) float64 {
-	perm := k.pool.Perms()[p : p+1]
 	out := make([]float64, 1)
-	switch k.kind {
-	case KernelScalar:
-		return k.est.PairPermutedScalar(i, j, perm[0], ws)
-	case KernelVec:
-		k.est.NullVec(i, j, perm, out, ws)
-	default:
-		k.est.NullBucketed(i, j, perm, out, ws)
-	}
+	k.est.NullBucketed(i, j, k.pool.Perms()[p:p+1], out, ws)
 	return out[0]
 }
 
@@ -149,33 +140,30 @@ func referenceScan(t *testing.T, exprMat *mat.Dense, cfg Config) *Result {
 // threshold and null size, and equal pair and permutation evaluation
 // counts (1 observed evaluation per pair plus the permutations actually
 // computed before early exit; skipped permutations are never counted)
-// — across seeds {1,2,3}, orders {1,3}, all five engines, all three
-// kernels, and both precisions.
+// — across seeds {1,2,3}, orders {1,3}, all five engines, and both
+// precisions.
 func TestSweepGoldenEquivalence(t *testing.T) {
 	engines := []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore}
-	kernels := []KernelKind{KernelBucketed, KernelScalar, KernelVec}
 	for _, seed := range []uint64{1, 2, 3} {
 		d := testDataset(t, 20, 60, seed)
 		for _, order := range []int{1, 3} {
 			for _, prec := range []Precision{Float64, Float32} {
-				for _, kern := range kernels {
-					cfg := Config{
-						Kernel: kern, Order: order, Precision: prec,
-						Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
+				cfg := Config{
+					Order: order, Precision: prec,
+					Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
+				}
+				want := referenceScan(t, d.Expr, cfg)
+				for _, eng := range engines {
+					cfg.Engine = eng
+					got, err := Infer(d.Expr, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					want := referenceScan(t, d.Expr, cfg)
-					for _, eng := range engines {
-						cfg.Engine = eng
-						got, err := Infer(d.Expr, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := eng.String() + "/" + kern.String() + "/" + prec.String()
-						identicalNetworks(t, label, got, want)
-						if got.NullSize != want.NullSize {
-							t.Fatalf("%s: phase 3 pooled %d values, per-permutation reference %d",
-								label, got.NullSize, want.NullSize)
-						}
+					label := eng.String() + "/" + prec.String()
+					identicalNetworks(t, label, got, want)
+					if got.NullSize != want.NullSize {
+						t.Fatalf("%s: phase 3 pooled %d values, per-permutation reference %d",
+							label, got.NullSize, want.NullSize)
 					}
 				}
 			}
@@ -217,9 +205,8 @@ func TestKnownNullSkipsPhase3(t *testing.T) {
 
 // TestSweepAmortizationCounters checks the counters the sweep engine
 // exposes: early exits skip permutations on uncorrelated survivors, the
-// certificate decides observed pairs and permutations of the bucketed
-// kernel only, and the permuted-row cache counters read 0 because the
-// scan builds no cache.
+// certificate decides observed pairs and permutations, and the
+// permuted-row cache counters read 0 because the scan builds no cache.
 func TestSweepAmortizationCounters(t *testing.T) {
 	d := testDataset(t, 30, 100, 2)
 	// A generous alpha drops I_alpha low enough that marginal pairs enter
@@ -233,20 +220,11 @@ func TestSweepAmortizationCounters(t *testing.T) {
 		t.Fatal("no permutations skipped: early exit is not reported")
 	}
 	if res.PairsCertified == 0 || res.PermutationsCertified == 0 {
-		t.Fatalf("bucketed kernel certified %d pairs and %d permutations, want both > 0",
+		t.Fatalf("scan certified %d pairs and %d permutations, want both > 0",
 			res.PairsCertified, res.PermutationsCertified)
 	}
-	vres, err := Infer(d.Expr, Config{Seed: 4, Permutations: 16, Workers: 4, TileSize: 8, Alpha: 0.4, Kernel: KernelVec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vres.PairsCertified != 0 || vres.PermutationsCertified != 0 {
-		t.Fatalf("vec kernel certified %d pairs and %d permutations", vres.PairsCertified, vres.PermutationsCertified)
-	}
-	for _, r := range []*Result{res, vres} {
-		if r.PermCacheHits != 0 || r.PermCacheMisses != 0 {
-			t.Fatalf("scan reported permuted-row cache lookups (%d/%d)", r.PermCacheHits, r.PermCacheMisses)
-		}
+	if res.PermCacheHits != 0 || res.PermCacheMisses != 0 {
+		t.Fatalf("scan reported permuted-row cache lookups (%d/%d)", res.PermCacheHits, res.PermCacheMisses)
 	}
 }
 

@@ -1,11 +1,14 @@
 // Package mi implements the mutual-information estimators at the heart
 // of the pipeline:
 //
-//   - the B-spline estimator of Daub et al. (2004) in the two
-//     formulations the paper contrasts — the scalar per-sample
+//   - the B-spline estimator of Daub et al. (2004). Every scan runs the
+//     block-scatter kernel (PairBlocked and its sweeps, sweep.go). The
+//     two formulations the paper contrasts — the scalar per-sample
 //     scatter-histogram kernel and the vectorized per-bin-pair
-//     dot-product kernel (the Xeon Phi optimization);
-//   - a permuted-pair variant that reuses the precomputed weights,
+//     dot-product kernel (the Xeon Phi optimization) — stay as per-pair
+//     kernels for the kernel study and as test references, beside the
+//     counting-sort PairBucketed the block scatter is pinned to;
+//   - permuted-pair variants that reuse the precomputed weights,
 //     permuting only the sample index mapping (the paper's permutation
 //     testing optimization);
 //   - a plain equal-width-binning MI baseline; and
@@ -178,9 +181,6 @@ type Workspace struct {
 	// (NewWorkspacePrec), so Bytes reflects the precision in use.
 	joint   []float64
 	joint32 []float32
-	// permuted holds gene rows gathered through a permutation for the
-	// vectorized permuted kernel: bins rows × samples, lane-padded.
-	permuted [][]float32
 	// Bucketing scratch for PairBucketed: counting-sort work arrays
 	// over (b-k+1)² stencil-offset buckets.
 	counts []int32
@@ -243,17 +243,10 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 	bins := e.wm.Basis.Bins()
 	k := e.wm.Basis.Order()
 	m := e.wm.Samples
-	padded := (m + simd.DefaultWidth - 1) / simd.DefaultWidth * simd.DefaultWidth
-	rows := make([][]float32, bins)
-	backing := make([]float32, bins*padded)
-	for u := range rows {
-		rows[u] = backing[u*padded : u*padded+m : u*padded+padded]
-	}
 	nOff := bins - k + 1
 	ws := &Workspace{
 		prec:       prec,
 		bins:       bins,
-		permuted:   rows,
 		counts:     make([]int32, nOff*nOff),
 		starts:     make([]int32, nOff*nOff+1),
 		order:      make([]int32, m),
@@ -277,9 +270,6 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 // gauge.
 func (ws *Workspace) Bytes() int {
 	b := len(ws.joint)*8 + len(ws.joint32)*4
-	for _, row := range ws.permuted {
-		b += cap(row) * 4
-	}
 	b += (len(ws.counts) + len(ws.starts) + len(ws.order) + len(ws.keyI)) * 4
 	b += (len(ws.blockAcc) + len(ws.wiBcast)) * 4
 	return b
@@ -325,7 +315,9 @@ func (e *Estimator) miFromWorkspace(i, j int, ws *Workspace) float64 {
 // formulation: for every bin pair (u,v) the joint weighted count is the
 // dot product over samples of the two dense per-bin weight rows. This is
 // the kernel the paper maps onto the Phi's 16-lane VPU: contiguous
-// streaming loads, no scatter.
+// streaming loads, no scatter. No scan runs it; it reads the dense
+// rows, which the weight matrix holds only after
+// bspline.WeightMatrix.BuildDense (it panics otherwise).
 func (e *Estimator) PairVec(i, j int, ws *Workspace) float64 {
 	ws.fillDense(e.wm.GeneDenseRows(i), e.wm.GeneDenseRows(j))
 	return e.miFromWorkspace(i, j, ws)
@@ -357,7 +349,8 @@ func denseJoint[T float32 | float64](rowsI, rowsJ [][]float32, joint []T) {
 // PairScalar computes the same MI with the scalar scatter formulation:
 // walk the samples once and scatter each sample's k×k outer-product
 // stencil into the joint histogram. This is the paper's unvectorized
-// baseline kernel (data-dependent scatter defeats SIMD).
+// baseline kernel (data-dependent scatter defeats SIMD); no scan runs
+// it.
 func (e *Estimator) PairScalar(i, j int, ws *Workspace) float64 {
 	return e.PairPermutedScalar(i, j, nil, ws)
 }

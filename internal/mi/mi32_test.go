@@ -24,6 +24,7 @@ func f32Fixture(t *testing.T, n, m int) (*Estimator, *Workspace, *Workspace) {
 	}
 	d.RankNormalize()
 	wm := bspline.Precompute(bspline.MustNew(3, 10), d)
+	wm.BuildDense() // for PairVec
 	e := NewEstimator(wm)
 	return e, NewWorkspacePrec(e, Float64), NewWorkspacePrec(e, Float32)
 }
@@ -116,27 +117,6 @@ func TestSweep32CachedMatchesUncached(t *testing.T) {
 }
 
 func sweep32Result(evals int, survived bool) [2]any { return [2]any{evals, survived} }
-
-func TestFloat32SweepScalarVecAgreeWithBucketed(t *testing.T) {
-	e, _, ws := f32Fixture(t, 10, 96)
-	pool := perm.MustNewPool(3, 96, 5)
-	perms := pool.Perms()
-	for i := 0; i < 10; i++ {
-		for j := i + 1; j < 10; j++ {
-			obs := e.PairBlocked(i, j, ws)
-			// Use a slack threshold so early exit fires on the same
-			// permutation only if values agree; here we just check the
-			// full-sweep survival decision with a far-above threshold.
-			evB, survB := e.SweepBucketed(i, j, obs+1, perms, nil, nil, ws)
-			evS, survS := e.SweepScalar(i, j, obs+1, perms, ws)
-			evV, survV := e.SweepVec(i, j, obs+1, perms, ws)
-			if evB != len(perms) || !survB || evS != evB || survS != survB || evV != evB || survV != survB {
-				t.Fatalf("sweep32 disagreement at (%d,%d): bucketed(%d,%v) scalar(%d,%v) vec(%d,%v)",
-					i, j, evB, survB, evS, survS, evV, survV)
-			}
-		}
-	}
-}
 
 func TestWorkspaceBytesSmallerForFloat32(t *testing.T) {
 	e, ws64, ws32 := f32Fixture(t, 4, 64)

@@ -35,6 +35,7 @@ func buildEstimator(t testing.TB, rows [][]float32, order, bins int) (*Estimator
 	expr := mat.FromRows(rows)
 	expr.RankNormalize()
 	wm := bspline.Precompute(bspline.MustNew(order, bins), expr)
+	wm.BuildDense() // for PairVec
 	e := NewEstimator(wm)
 	return e, NewWorkspace(e)
 }
@@ -223,8 +224,7 @@ func TestPairVecAgainstGathered(t *testing.T) {
 		perm[i] = int32((i + 17) % 96)
 	}
 	direct := e.PairPermutedVec(0, 1, perm, ws)
-	e.GatherPermuted(1, perm, ws)
-	hoisted := e.PairVecAgainstGathered(0, 1, ws)
+	hoisted := e.PairVecAgainstGathered(0, 1, e.GatherPermuted(1, perm), ws)
 	if math.Abs(direct-hoisted) > 1e-6 {
 		t.Fatalf("hoisted gather mismatch: %v vs %v", direct, hoisted)
 	}
@@ -237,7 +237,7 @@ func TestPermLengthMismatchPanics(t *testing.T) {
 	e, ws := buildEstimator(t, [][]float32{ni, nj}, 3, 10)
 	for name, f := range map[string]func(){
 		"scalar": func() { e.PairPermutedScalar(0, 1, make([]int32, 10), ws) },
-		"gather": func() { e.GatherPermuted(0, make([]int32, 10), ws) },
+		"gather": func() { e.GatherPermuted(0, make([]int32, 10)) },
 	} {
 		func() {
 			defer func() {

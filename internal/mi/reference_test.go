@@ -26,34 +26,33 @@ func (e *Estimator) PairPermutedBlocked(i, j int, perm []int32, ws *Workspace) f
 	return e.pairBlocked(i, j, perm, ws)
 }
 
-// GatherPermuted fills ws.permuted with gene g's dense weight rows
-// gathered through perm: permuted[u][s] = dense[u][perm[s]].
-func (e *Estimator) GatherPermuted(g int, perm []int32, ws *Workspace) {
+// GatherPermuted returns gene g's dense weight rows gathered through
+// perm into fresh rows: rows[u][s] = dense[u][perm[s]].
+func (e *Estimator) GatherPermuted(g int, perm []int32) [][]float32 {
 	if len(perm) != e.wm.Samples {
 		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
 	}
-	rows := e.wm.GeneDenseRows(g)
-	for u := range rows {
-		src := rows[u]
-		dst := ws.permuted[u]
+	src := e.wm.GeneDenseRows(g)
+	rows := make([][]float32, len(src))
+	for u, from := range src {
+		rows[u] = make([]float32, len(perm))
 		for s, p := range perm {
-			dst[s] = src[p]
+			rows[u][s] = from[p]
 		}
 	}
+	return rows
 }
 
 // PairPermutedVec computes MI(X_i, permuted X_j) with the vectorized
 // kernel: one gather of gene j's rows through perm, then the
 // dot-product formulation against gene i's unpermuted rows.
 func (e *Estimator) PairPermutedVec(i, j int, perm []int32, ws *Workspace) float64 {
-	e.GatherPermuted(j, perm, ws)
-	return e.PairVecAgainstGathered(i, j, ws)
+	return e.PairVecAgainstGathered(i, j, e.GatherPermuted(j, perm), ws)
 }
 
 // PairVecAgainstGathered runs the vectorized kernel for gene i against
-// whatever rows are currently gathered in ws.permuted (from a prior
-// GatherPermuted call).
-func (e *Estimator) PairVecAgainstGathered(i, j int, ws *Workspace) float64 {
-	ws.fillDense(e.wm.GeneDenseRows(i), ws.permuted)
+// gene j's rows already gathered (by GatherPermuted).
+func (e *Estimator) PairVecAgainstGathered(i, j int, rowsJ [][]float32, ws *Workspace) float64 {
+	ws.fillDense(e.wm.GeneDenseRows(i), rowsJ)
 	return e.miFromWorkspace(i, j, ws)
 }

@@ -40,10 +40,12 @@
 // column gene, so a miss (one gather per permutation, q·m rows) costs
 // more than the hits save (EXPERIMENTS.md CT).
 //
-// SweepBucketed / SweepScalar / SweepVec batch the q permutations of
-// one pair behind those reuses while preserving the strict early-exit
-// semantics of the decision procedure: permutations are evaluated in
-// pool order and the sweep stops at the first permuted MI >= observed.
+// SweepBucketed batches the q permutations of one pair behind those
+// reuses while preserving the strict early-exit semantics of the
+// decision procedure: permutations are evaluated in pool order and the
+// sweep stops at the first permuted MI >= observed. NullBucketed is the
+// same sweep without the early exit, for the pooled null. These and
+// PairBlocked(Cut) are the only kernels a scan runs.
 package mi
 
 // prepareRowKeys fills ws.keyI with gene i's bucket keys: the index in
@@ -329,75 +331,6 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 			ws.certified++
 			continue
 		}
-		v := e.miFromWorkspace(i, j, ws)
-		if out != nil {
-			out[p] = v
-		} else if v >= obs {
-			return evals, false
-		}
-	}
-	return evals, true
-}
-
-// SweepScalar is the scalar-kernel permutation sweep: PairPermutedScalar
-// per permutation in pool order, with early exit on the first permuted
-// MI >= obs.
-func (e *Estimator) SweepScalar(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepScalar(i, j, obs, perms, nil, ws)
-}
-
-// NullScalar is SweepScalar without the early exit (see NullBucketed);
-// each value is bit-identical to PairPermutedScalar.
-func (e *Estimator) NullScalar(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepScalar(i, j, 0, perms, out, ws)
-}
-
-// sweepScalar is the scalar sweep loop; out has sweepBlocked's meaning.
-func (e *Estimator) sweepScalar(i, j int, obs float64, perms [][]int32, out []float64, ws *Workspace) (evals int, survived bool) {
-	for p := range perms {
-		evals++
-		v := e.PairPermutedScalar(i, j, perms[p], ws)
-		if out != nil {
-			out[p] = v
-		} else if v >= obs {
-			return evals, false
-		}
-	}
-	return evals, true
-}
-
-// SweepVec is the vectorized-kernel permutation sweep. The dense row
-// sets of both genes are resolved once for the whole sweep (the seed
-// path re-built them for every permutation); each permutation then
-// gathers gene j's rows and runs the dot-product formulation, with
-// early exit on the first permuted MI >= obs. Values are bit-identical
-// to PairPermutedVec.
-func (e *Estimator) SweepVec(i, j int, obs float64, perms [][]int32, ws *Workspace) (evals int, survived bool) {
-	return e.sweepVec(i, j, obs, perms, nil, ws)
-}
-
-// NullVec is SweepVec without the early exit (see NullBucketed); each
-// value is bit-identical to PairPermutedVec.
-func (e *Estimator) NullVec(i, j int, perms [][]int32, out []float64, ws *Workspace) {
-	e.sweepVec(i, j, 0, perms, out, ws)
-}
-
-// sweepVec is the vectorized sweep loop; out has sweepBlocked's
-// meaning.
-func (e *Estimator) sweepVec(i, j int, obs float64, perms [][]int32, out []float64, ws *Workspace) (evals int, survived bool) {
-	rowsI := e.wm.GeneDenseRows(i)
-	rowsJ := e.wm.GeneDenseRows(j)
-	for p := range perms {
-		evals++
-		perm := perms[p]
-		for u := range rowsJ {
-			src := rowsJ[u]
-			dst := ws.permuted[u]
-			for s, idx := range perm {
-				dst[s] = src[idx]
-			}
-		}
-		ws.fillDense(rowsI, ws.permuted)
 		v := e.miFromWorkspace(i, j, ws)
 		if out != nil {
 			out[p] = v

@@ -126,8 +126,8 @@ func requirePortableFill(t testing.TB, e *Estimator, i, j int, p []int32, ws *Wo
 	}
 }
 
-// TestSweepsMatchLegacyPerPermLoop asserts each sweep kernel reproduces
-// the legacy early-exit loop exactly: same evaluation count, same
+// TestSweepsMatchLegacyPerPermLoop asserts the sweep reproduces the
+// legacy early-exit loop exactly: same evaluation count, same
 // survival verdict, for thresholds that exercise instant exits, partial
 // sweeps, and full survivals — with and without the permuted-row cache.
 func TestSweepsMatchLegacyPerPermLoop(t *testing.T) {
@@ -169,24 +169,6 @@ func TestSweepsMatchLegacyPerPermLoop(t *testing.T) {
 					gotEv, gotOK = e.SweepBucketed(i, j, obs, perms, nil, nil, ws)
 					if gotEv != wantEv || gotOK != wantOK {
 						t.Fatalf("order %d (%d,%d) obs=%v uncached bucketed sweep (%d,%v) != legacy (%d,%v)",
-							order, i, j, obs, gotEv, gotOK, wantEv, wantOK)
-					}
-
-					wantEv, wantOK = legacy(func(i, j int, p []int32) float64 {
-						return e.PairPermutedScalar(i, j, p, ws)
-					}, i, j, obs)
-					gotEv, gotOK = e.SweepScalar(i, j, obs, perms, ws)
-					if gotEv != wantEv || gotOK != wantOK {
-						t.Fatalf("order %d (%d,%d) obs=%v scalar sweep (%d,%v) != legacy (%d,%v)",
-							order, i, j, obs, gotEv, gotOK, wantEv, wantOK)
-					}
-
-					wantEv, wantOK = legacy(func(i, j int, p []int32) float64 {
-						return e.PairPermutedVec(i, j, p, ws)
-					}, i, j, obs)
-					gotEv, gotOK = e.SweepVec(i, j, obs, perms, ws)
-					if gotEv != wantEv || gotOK != wantOK {
-						t.Fatalf("order %d (%d,%d) obs=%v vec sweep (%d,%v) != legacy (%d,%v)",
 							order, i, j, obs, gotEv, gotOK, wantEv, wantOK)
 					}
 				}
@@ -296,9 +278,8 @@ func TestNewEstimatorParallelMatchesSerial(t *testing.T) {
 }
 
 // TestNullSweepsMatchPerPermutation pins the no-early-exit entry points
-// the pooled-null phase runs on: every value a Null* sweep records is
-// bit-identical to the per-permutation kernel of the same formulation
-// and precision, across orders, even when the workspace's cached row
+// the pooled-null phase runs on: every value NullBucketed records is
+// bit-identical to the per-permutation kernel of the same precision, across orders, even when the workspace's cached row
 // keys belong to another gene.
 func TestNullSweepsMatchPerPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -316,16 +297,8 @@ func TestNullSweepsMatchPerPermutation(t *testing.T) {
 		kernels := []kernel{
 			{"bucketed", func(i, j int) { e.NullBucketed(i, j, perms, out, ws64) },
 				func(i, j int, p []int32) float64 { return e.PairPermutedBucketed(i, j, p, ws64) }},
-			{"scalar", func(i, j int) { e.NullScalar(i, j, perms, out, ws64) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedScalar(i, j, p, ws64) }},
-			{"vec", func(i, j int) { e.NullVec(i, j, perms, out, ws64) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedVec(i, j, p, ws64) }},
 			{"bucketed32", func(i, j int) { e.NullBucketed(i, j, perms, out, ws32) },
 				func(i, j int, p []int32) float64 { return e.PairPermutedBlocked(i, j, p, ws32) }},
-			{"scalar32", func(i, j int) { e.NullScalar(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedScalar(i, j, p, ws32) }},
-			{"vec32", func(i, j int) { e.NullVec(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedVec(i, j, p, ws32) }},
 		}
 		for _, k := range kernels {
 			// Visit pairs with i descending so consecutive sweeps change

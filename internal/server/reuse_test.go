@@ -198,6 +198,8 @@ func FuzzJobKey(f *testing.F) {
 		if eseed != 0 {
 			q.Set("eseed", strconv.FormatUint(eseed, 10))
 		}
+		// kernel and prescreen name retired options: a server ignores
+		// both, and they stay here so the seed corpus still decodes.
 		q.Set("kernel", []string{"bucketed", "vec", "scalar"}[kernel%3])
 		q.Set("precision", []string{"float64", "float32"}[prec%2])
 		q.Set("engine", []string{"host", "phi", "cluster", "hybrid", "ooc"}[int(flags>>4)%5])
@@ -249,7 +251,6 @@ func FuzzJobKey(f *testing.F) {
 				c.Alpha = math.Nextafter(c.Alpha, toward)
 			},
 			"seed":      func(c *core.Config) { c.Seed++ },
-			"kernel":    func(c *core.Config) { c.Kernel = (c.Kernel + 1) % 3 },
 			"precision": func(c *core.Config) { c.Precision ^= 1 },
 		} {
 			m := cfg

@@ -397,16 +397,6 @@ func ParseConfigValues(q url.Values) (core.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown precision %q", v)
 	}
-	switch v := q.Get("kernel"); v {
-	case "", "bucketed":
-		cfg.Kernel = core.KernelBucketed
-	case "vec":
-		cfg.Kernel = core.KernelVec
-	case "scalar":
-		cfg.Kernel = core.KernelScalar
-	default:
-		return cfg, fmt.Errorf("unknown kernel %q", v)
-	}
 	return cfg, nil
 }
 
@@ -440,9 +430,6 @@ func ConfigParams(cfg core.Config) url.Values {
 	q.Set("engine", cfg.Engine.String())
 	if cfg.Precision == core.Float32 {
 		q.Set("precision", "float32")
-	}
-	if cfg.Kernel != core.KernelBucketed {
-		q.Set("kernel", cfg.Kernel.String())
 	}
 	if cfg.DPI {
 		q.Set("dpi", "1")
@@ -482,12 +469,13 @@ func ConfigParams(cfg core.Config) url.Values {
 func JobKey(body []byte, cfg core.Config) string {
 	h := sha256.New()
 	h.Write(body)
-	// The literal false fills the slot of the retired prescreen flag, so
-	// keys (checkpoint stems, cached fleet results) computed while it
+	// The literals "bucketed" and false fill the slots of the retired
+	// kernel option (at its default) and prescreen flag, so keys
+	// (checkpoint stems, cached fleet results) computed while they
 	// existed still match.
 	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|%v|%v|%v|%v",
 		cfg.Order, cfg.Bins, cfg.Permutations, cfg.NullSamplePairs,
-		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, cfg.Kernel,
+		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, "bucketed",
 		cfg.Precision, false, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
 	if cfg.ChunkTiles > 0 {
 		fmt.Fprintf(h, "|chunk %d+%d", cfg.ChunkStart, cfg.ChunkTiles)

@@ -1,14 +1,16 @@
-// Package simd provides lane-blocked single-precision kernels that stand
-// in for the Intel Xeon Phi's 512-bit vector unit (16 float32 lanes).
+// Package simd provides the single-precision kernels that stand in for
+// the Intel Xeon Phi's 512-bit vector unit (16 float32 lanes):
 //
-// Go has no portable intrinsics, so the "vector" kernels here are
-// written as fixed-width unrolled loops over contiguous lanes — the shape
-// the paper's IMCI code has — which modern Go compilers and CPUs execute
-// with good instruction-level parallelism, while the scalar variants are
-// deliberately naive one-element-at-a-time loops matching the paper's
-// unvectorized baseline. Both paths compute identical results (up to
-// floating-point reassociation), so every kernel has a scalar reference
-// used in tests.
+//   - Dot and FusedWeightedCount, the lane-blocked dot product of the
+//     dot-product MI formulation (mi.PairVec);
+//   - Log2 and EntropyDot, the single-precision log and the batched
+//     entropy pass of the float32 compute path.
+//
+// Go has no portable intrinsics, so these are written as fixed-width
+// unrolled loops over contiguous lanes — the shape the paper's IMCI
+// code has — which modern Go compilers and CPUs execute with good
+// instruction-level parallelism. Each has a plain-loop reference in its
+// tests.
 package simd
 
 import "fmt"
@@ -16,17 +18,6 @@ import "fmt"
 // DefaultWidth is the lane width of the Xeon Phi VPU in float32 elements
 // (512 bits / 32 bits).
 const DefaultWidth = 16
-
-// Width is a validated vector lane width.
-type Width int
-
-// NewWidth returns a Width, rejecting non-positive values.
-func NewWidth(w int) (Width, error) {
-	if w <= 0 {
-		return 0, fmt.Errorf("simd: non-positive width %d", w)
-	}
-	return Width(w), nil
-}
 
 // Dot returns the dot product of a and b computed with lane-blocked
 // accumulation: w independent partial sums reduced at the end, the same
@@ -52,137 +43,6 @@ func Dot(a, b []float32) float32 {
 		sum += a[i] * b[i]
 	}
 	return sum
-}
-
-// DotScalar is the unvectorized reference dot product.
-func DotScalar(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("simd: DotScalar length mismatch %d vs %d", len(a), len(b)))
-	}
-	var sum float32
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum
-}
-
-// Dot64 accumulates the product in float64 for validation purposes.
-func Dot64(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("simd: Dot64 length mismatch %d vs %d", len(a), len(b)))
-	}
-	var sum float64
-	for i := range a {
-		sum += float64(a[i]) * float64(b[i])
-	}
-	return sum
-}
-
-// Axpy computes y[i] += alpha*x[i] with lane blocking. It panics if the
-// slices differ in length.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("simd: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	const w = DefaultWidth
-	n := len(x)
-	i := 0
-	for ; i+w <= n; i += w {
-		for l := 0; l < w; l++ {
-			y[i+l] += alpha * x[i+l]
-		}
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Sum returns the lane-blocked sum of x.
-func Sum(x []float32) float32 {
-	const w = DefaultWidth
-	var acc [w]float32
-	n := len(x)
-	i := 0
-	for ; i+w <= n; i += w {
-		for l := 0; l < w; l++ {
-			acc[l] += x[i+l]
-		}
-	}
-	var s float32
-	for l := 0; l < w; l++ {
-		s += acc[l]
-	}
-	for ; i < n; i++ {
-		s += x[i]
-	}
-	return s
-}
-
-// Sum64 returns the float64 sum of x for validation.
-func Sum64(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// MulInto writes dst[i] = a[i]*b[i]. The slices must have equal length.
-func MulInto(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("simd: MulInto length mismatch %d/%d/%d", len(dst), len(a), len(b)))
-	}
-	const w = DefaultWidth
-	n := len(a)
-	i := 0
-	for ; i+w <= n; i += w {
-		for l := 0; l < w; l++ {
-			dst[i+l] = a[i+l] * b[i+l]
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// DotGathered computes sum over s of a[idxA[s]] * b[idxB[s]] — the
-// gather-style access the paper's permutation path uses when permuting
-// index vectors rather than copying data. idxA and idxB must have equal
-// length; indices must be in range for their arrays.
-func DotGathered(a, b []float32, idxA, idxB []int32) float32 {
-	if len(idxA) != len(idxB) {
-		panic(fmt.Sprintf("simd: DotGathered length mismatch %d vs %d", len(idxA), len(idxB)))
-	}
-	var sum float32
-	for s := range idxA {
-		sum += a[idxA[s]] * b[idxB[s]]
-	}
-	return sum
-}
-
-// AccumOuterWeighted accumulates, for one sample, the rank-k outer
-// product of the two weight stencils into the joint histogram:
-//
-//	hist[(offA+u)*histStride + offB+v] += wA[u]*wB[v]
-//
-// for u,v in [0,k). This is the scatter-style joint-histogram update of
-// the scalar (unvectorized) kernel. k is small (2..6); offsets place the
-// stencil within the b×b histogram.
-func AccumOuterWeighted(hist []float32, histStride int, offA, offB int, wA, wB []float32) {
-	for u := range wA {
-		row := (offA + u) * histStride
-		au := wA[u]
-		for v := range wB {
-			hist[row+offB+v] += au * wB[v]
-		}
-	}
 }
 
 // FusedWeightedCount computes, for bin pair (u, v), the dot product over

@@ -61,8 +61,6 @@ type (
 	CounterField = core.CounterField
 	// EngineKind selects Host, Phi, or Cluster execution.
 	EngineKind = core.EngineKind
-	// KernelKind selects the MI kernel formulation.
-	KernelKind = core.KernelKind
 	// Precision selects the MI compute precision.
 	Precision = core.Precision
 	// EnsembleConfig turns a run into a bootstrap consensus workload:
@@ -274,18 +272,6 @@ func IngestExpressionTSV(r io.Reader, dir string, panelRows int, budget int64) (
 	}
 	return store, genes, nil
 }
-
-// Kernel formulations.
-const (
-	// KernelBucketed (default) is the vectorization-friendly
-	// sample-bucketing formulation.
-	KernelBucketed = core.KernelBucketed
-	// KernelVec is the dense per-bin-pair dot-product formulation
-	// (wins on wide-SIMD hardware).
-	KernelVec = core.KernelVec
-	// KernelScalar is the naive scatter-histogram baseline.
-	KernelScalar = core.KernelScalar
-)
 
 // Compute precisions.
 const (
