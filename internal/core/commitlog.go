@@ -249,24 +249,31 @@ func (l *commitLog) selectTests(cfg Config, round int) ([]roundTile, error) {
 	if err != nil {
 		return nil, err
 	}
-	tileOf := func(e grn.Edge) int { return tile.IndexOf(l.state.Fingerprint.Genes, cfg.TileSize, e.I, e.J) }
-	slices.SortFunc(ids, func(a, b int32) int {
-		ea, eb := edges[a], edges[b]
-		if c := cmp.Compare(tileOf(ea), tileOf(eb)); c != 0 {
+	type request struct {
+		ti int
+		id int32
+	}
+	reqs := make([]request, len(ids))
+	for x, id := range ids {
+		e := edges[id]
+		reqs[x] = request{tile.IndexOf(l.state.Fingerprint.Genes, cfg.TileSize, e.I, e.J), id}
+	}
+	slices.SortFunc(reqs, func(a, b request) int {
+		if c := cmp.Compare(a.ti, b.ti); c != 0 {
 			return c
 		}
+		ea, eb := edges[a.id], edges[b.id]
 		if c := cmp.Compare(ea.I, eb.I); c != 0 {
 			return c
 		}
 		return cmp.Compare(ea.J, eb.J)
 	})
 	var work []roundTile
-	for _, id := range ids {
-		ti := tileOf(edges[id])
-		if n := len(work); n == 0 || work[n-1].ti != ti {
-			work = append(work, roundTile{ti: ti})
+	for _, r := range reqs {
+		if n := len(work); n == 0 || work[n-1].ti != r.ti {
+			work = append(work, roundTile{ti: r.ti})
 		}
-		work[len(work)-1].ids = append(work[len(work)-1].ids, id)
+		work[len(work)-1].ids = append(work[len(work)-1].ids, r.id)
 	}
 	l.round, l.roundDone = work, make([]bool, len(work))
 	if len(work) == 0 {

@@ -288,7 +288,7 @@ type Config struct {
 
 	// KnownNull, when non-nil, is this scan's phase-3 outcome, already
 	// computed by a run over the same matrix with the same Order, Bins,
-	// Permutations, NullSamplePairs, Alpha, Seed, Kernel and Precision.
+	// Permutations, NullSamplePairs, Alpha, Seed and Precision.
 	// Phase 3 is then skipped: no null pair is evaluated and no
 	// "threshold" timer phase is recorded. The caller vouches for the
 	// value — a wrong one silently yields a wrong network. A resumed
@@ -314,8 +314,9 @@ type Config struct {
 	// Host engine routes the run through the same disk-backed scan.
 	// Outside the budget sit the threshold survivors with their MI
 	// (24 B each), resident on every engine for the test pass, and,
-	// with DPI, the test schedule's adjacency of them (32 B per
-	// survivor, grn.TestSchedule).
+	// with DPI, the test schedule's walk state (grn.TestSchedule): the
+	// survivors in walk order (28 B each), a survivor id per gene pair
+	// (4 B per pair) and two bitsets of n² bits.
 	MemoryBudget int64
 	// PanelRows is the spill-store panel height in gene rows (default
 	// TileSize; must be a positive multiple of TileSize so every tile's
@@ -605,17 +606,8 @@ func InferContext(ctx context.Context, exprMat *mat.Dense, cfg Config) (*Result,
 		var store *panelstore.Store
 		var err error
 		timer.Time("ingest", func() {
-			// The store's three fixed buffers (staging, transpose, io) ride
-			// along for the store's whole life; reserving them here keeps
-			// the ingest-phase footprint under the same ceiling the scan
-			// phase honors.
-			ingestBudget := cfg.MemoryBudget - 3*int64(cfg.PanelRows)*int64(exprMat.Cols())*4
-			if ingestBudget < 0 {
-				// Hopelessly small; spill everything and let the scan's
-				// budget floor produce the explanatory sizing error.
-				ingestBudget = 0
-			}
-			store, err = panelstore.NewFS(cfg.FS, cfg.SpillDir, exprMat.Cols(), cfg.PanelRows, ingestBudget)
+			store, err = panelstore.NewFS(cfg.FS, cfg.SpillDir, exprMat.Cols(), cfg.PanelRows,
+				IngestBudget(cfg.MemoryBudget, exprMat.Cols(), cfg.PanelRows))
 			if err != nil {
 				return
 			}

@@ -12,6 +12,18 @@ import (
 	"repro/internal/tile"
 )
 
+// IngestBudget is the in-memory panel budget of a panel store that
+// ingests a samples-wide matrix in panels of panelRows rows for a run
+// under budget. The store's three fixed buffers (staging, transpose,
+// io) ride along for its whole life, so they are reserved from the
+// budget, which keeps the ingest-phase footprint under the ceiling the
+// scan phase honors. A budget too small for them gives 0: the store
+// spills everything and the scan's budget floor reports the sizing
+// error.
+func IngestBudget(budget int64, samples, panelRows int) int64 {
+	return max(0, budget-3*int64(panelRows)*int64(samples)*4)
+}
+
 // MinMemoryBudget reports the smallest admissible Config.MemoryBudget
 // for an out-of-core run over a genes×samples expression matrix under
 // cfg: every worker's fixed scratch, the panel store's three fixed

@@ -182,10 +182,15 @@ type Workspace struct {
 	joint   []float64
 	joint32 []float32
 	// Bucketing scratch for PairBucketed: counting-sort work arrays
-	// over (b-k+1)² stencil-offset buckets.
+	// over (b-k+1)² stencil-offset buckets. No scan runs PairBucketed,
+	// so its first call allocates them.
 	counts []int32
 	starts []int32
 	order  []int32
+	// cells is the float64 entropy pass's scratch (jointEntropy): the
+	// compacted nonzero cells' probabilities and their logs, 2·bins²
+	// on amd64 and empty on other architectures and at float32.
+	cells []float64
 	// jointClean tracks the invariant "joint is all zeros". The
 	// counting-sort kernel restores it before returning by clearing only
 	// the blocks it touched, so consecutive calls skip the full b²
@@ -243,13 +248,9 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 	bins := e.wm.Basis.Bins()
 	k := e.wm.Basis.Order()
 	m := e.wm.Samples
-	nOff := bins - k + 1
 	ws := &Workspace{
 		prec:       prec,
 		bins:       bins,
-		counts:     make([]int32, nOff*nOff),
-		starts:     make([]int32, nOff*nOff+1),
-		order:      make([]int32, m),
 		jointClean: true,
 		keyI:       make([]int32, m),
 		keyIGene:   -1,
@@ -260,16 +261,17 @@ func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 		ws.joint32 = make([]float32, bins*bins)
 	} else {
 		ws.joint = make([]float64, bins*bins)
+		ws.cells = make([]float64, entropyScratchLen(bins))
 	}
 	return ws
 }
 
 // Bytes reports the workspace's scratch footprint: the joint accumulator
-// of whichever precision is allocated plus the shared float32/int32
-// buffers. It is the per-worker term of the engines' peak-tile-bytes
-// gauge.
+// of whichever precision is allocated, the float64 entropy pass's
+// cells, and the shared float32/int32 buffers. It is the per-worker
+// term of the engines' peak-tile-bytes gauge.
 func (ws *Workspace) Bytes() int {
-	b := len(ws.joint)*8 + len(ws.joint32)*4
+	b := (len(ws.joint)+len(ws.cells))*8 + len(ws.joint32)*4
 	b += (len(ws.counts) + len(ws.starts) + len(ws.order) + len(ws.keyI)) * 4
 	b += (len(ws.blockAcc) + len(ws.wiBcast)) * 4
 	return b
@@ -284,25 +286,18 @@ func (ws *Workspace) resetJoint() {
 // miFromWorkspace converts the workspace's filled (unnormalized,
 // weighted-count) joint into MI = H(X) + H(Y) - H(X,Y), normalized by
 // the sample count and clamped at zero, at the workspace's precision:
-// float64 cells with math.Log2 and the float64 marginals, or one
-// batched pass over the float32 cells (simd.EntropyDot — single-
-// precision terms summed in float64, same rationale as Entropy32) with
-// the float32 marginals.
+// float64 cells with math.Log2's values (jointEntropy, two logs per
+// SSE2 instruction on amd64) and the float64 marginals, or one batched
+// pass over the float32 cells (simd.EntropyDot — single-precision
+// terms summed in float64, same rationale as Entropy32) with the
+// float32 marginals.
 func (e *Estimator) miFromWorkspace(i, j int, ws *Workspace) float64 {
 	var mi float64
 	if ws.prec == Float32 {
 		hxy := -simd.EntropyDot(ws.joint32, 1/float32(e.wm.Samples))
 		mi = float64(e.hMarginal32[i]) + float64(e.hMarginal32[j]) - hxy
 	} else {
-		inv := 1 / float64(e.wm.Samples)
-		var hxy float64
-		for _, c := range ws.joint {
-			if c > 0 {
-				p := c * inv
-				hxy -= p * math.Log2(p)
-			}
-		}
-		mi = e.hMarginal[i] + e.hMarginal[j] - hxy
+		mi = e.hMarginal[i] + e.hMarginal[j] - ws.jointEntropy(1/float64(e.wm.Samples))
 	}
 	if mi < 0 {
 		// Clamp tiny negative values arising from float roundoff.
@@ -431,6 +426,11 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 	baseJ := j * m
 
 	// Counting sort of samples by (offI, offJ) bucket.
+	if ws.order == nil {
+		ws.counts = make([]int32, nOff*nOff)
+		ws.starts = make([]int32, nOff*nOff+1)
+		ws.order = make([]int32, m)
+	}
 	counts := ws.counts
 	for b := range counts {
 		counts[b] = 0

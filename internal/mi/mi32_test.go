@@ -124,9 +124,11 @@ func TestWorkspaceBytesSmallerForFloat32(t *testing.T) {
 	if b32 >= b64 {
 		t.Fatalf("float32 workspace %d bytes, float64 %d — want strictly smaller", b32, b64)
 	}
+	// The float64 workspace holds a joint of twice the width and the
+	// float64 entropy pass's cells, which the float32 pass needs not.
 	bins := e.wm.Basis.Bins()
-	if b64-b32 != bins*bins*4 {
-		t.Fatalf("workspace delta %d bytes, want joint delta %d", b64-b32, bins*bins*4)
+	if want := bins*bins*4 + entropyScratchLen(bins)*8; b64-b32 != want {
+		t.Fatalf("workspace delta %d bytes, want joint and entropy cells delta %d", b64-b32, want)
 	}
 }
 

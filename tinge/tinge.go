@@ -247,13 +247,15 @@ func MinMemoryBudget(genes, samples int, cfg Config) (int64, error) {
 // into a fresh panel store: parse → impute (row means) → spill, one
 // row at a time, so peak ingest memory is one panel plus a row buffer.
 // It returns the sealed store and the gene names in row order. On
-// error the store is already closed.
+// error the store is already closed. The store's three panel-sized
+// buffers come out of budget (core.IngestBudget), so the ingest phase
+// stays under the same ceiling as the scan.
 func IngestExpressionTSV(r io.Reader, dir string, panelRows int, budget int64) (*PanelStore, []string, error) {
 	var store *PanelStore
 	genes, _, err := expr.StreamTSVRows(r, func(gene string, row []float32) error {
 		if store == nil {
 			var err error
-			store, err = panelstore.New(dir, len(row), panelRows, budget)
+			store, err = panelstore.New(dir, len(row), panelRows, core.IngestBudget(budget, len(row), panelRows))
 			if err != nil {
 				return err
 			}

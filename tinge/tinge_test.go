@@ -117,3 +117,38 @@ func TestPolicyConstantsDistinct(t *testing.T) {
 		t.Fatal("policy constants collide")
 	}
 }
+
+// TestIngestAtMinimumBudget: a streaming ingest and an out-of-core scan
+// of its store at exactly MinMemoryBudget report PeakTileBytes within
+// the budget, the ingest phase included. The matrix is larger than the
+// budget, so the ingest spills, and the store's three panel-sized
+// buffers must come out of the ingest budget.
+func TestIngestAtMinimumBudget(t *testing.T) {
+	const genes, experiments, tile = 400, 40, 8
+	data := tinge.MustGenerate(tinge.GenConfig{Genes: genes, Experiments: experiments, Seed: 5})
+	var buf bytes.Buffer
+	if err := data.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinge.Config{Engine: tinge.OutOfCore, Seed: 5, Permutations: 5, Workers: 2, TileSize: tile}
+	budget, err := tinge.MinMemoryBudget(genes, experiments, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if genes*experiments*4 <= budget {
+		t.Fatalf("the %d B matrix fits the %d B budget; the ingest would not spill", genes*experiments*4, budget)
+	}
+	cfg.MemoryBudget = budget
+	store, _, err := tinge.IngestExpressionTSV(&buf, t.TempDir(), tile, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	res, err := tinge.InferStore(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PeakTileBytes > budget {
+		t.Fatalf("peakTileBytes %d above the %d B budget", res.PeakTileBytes, budget)
+	}
+}
