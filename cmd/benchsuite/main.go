@@ -15,8 +15,6 @@
 //	F8  Xeon vs Xeon Phi (simulated single-chip comparison)
 //	T3  accuracy: estimator vs analytic MI; network recovery vs
 //	    baselines
-//	FS  float32 vs float64 compute precision: mi-phase time, peak tile
-//	    working set, and heap allocation (writes BENCH_f32.json)
 //	OOC out-of-core panel-store engine at its minimum memory budget vs
 //	    the resident host engine: end-to-end overhead, honored memory
 //	    ceiling, spill traffic (writes BENCH_ooc.json)
@@ -37,7 +35,7 @@
 //	benchsuite -exp OOC -quick -compare-ooc baseline.json   # regression gate
 //
 // With -quick, the measurement files get a _quick suffix
-// (BENCH_f32_quick.json, BENCH_ooc_quick.json, ...) so a fast CI pass
+// (BENCH_ooc_quick.json, BENCH_dpi_quick.json, ...) so a fast CI pass
 // never clobbers the checked-in full-size baselines.
 //
 // -compare-ooc FILE reruns the gate after the OOC experiment: every row
@@ -89,7 +87,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchsuite: ")
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,FS,OOC,DP,FL,EN) or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (T1,T2,F1..F9,T3,A1,A2,OOC,DP,FL,EN) or 'all'")
 		seed       = flag.Uint64("seed", 1, "run seed")
 		quick      = flag.Bool("quick", false, "smaller sizes for a fast pass")
 		compareOOC = flag.String("compare-ooc", "", "baseline BENCH_ooc*.json: after OOC, fail if any matched row's overhead grew >25%")
@@ -99,7 +97,7 @@ func main() {
 	flag.Parse()
 
 	s := &suite{seed: *seed, quick: *quick, compareOOC: *compareOOC, compareDP: *compareDP, compareEN: *compareEN}
-	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "FS", "OOC", "DP", "FL", "EN"}
+	all := []string{"T1", "T2", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T3", "A1", "A2", "OOC", "DP", "FL", "EN"}
 	var ids []string
 	if *expFlag == "all" {
 		ids = all
@@ -112,7 +110,7 @@ func main() {
 		"T1": s.t1, "T2": s.t2, "F1": s.f1, "F2": s.f2, "F3": s.f3,
 		"F4": s.f4, "F5": s.f5, "F6": s.f6, "F7": s.f7, "F8": s.f8,
 		"T3": s.t3, "A1": s.a1, "A2": s.a2, "F9": s.f9,
-		"FS": s.fs, "OOC": s.ooc, "DP": s.dp, "FL": s.fl, "EN": s.en,
+		"OOC": s.ooc, "DP": s.dp, "FL": s.fl, "EN": s.en,
 	}
 	for _, id := range ids {
 		run, ok := runners[id]

@@ -224,3 +224,21 @@ func (s *suite) oocPairs(d *tinge.Dataset, hostCfg, oocCfg tinge.Config, reps in
 	}
 	return hres, ores, hsec, osec
 }
+
+// sameEdgeSet reports whether two networks connect exactly the same
+// gene pairs; their weights are not compared.
+func sameEdgeSet(a, b *tinge.Network) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	set := make(map[[2]int]bool, a.Len())
+	for _, e := range a.Edges() {
+		set[[2]int{e.I, e.J}] = true
+	}
+	for _, e := range b.Edges() {
+		if !set[[2]int{e.I, e.J}] {
+			return false
+		}
+	}
+	return true
+}

@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tileSize = flags.Int("tile", 32, "pair-tile edge length")
 		policy   = flags.String("policy", "dynamic", "tile schedule: static-block|static-cyclic|dynamic|stealing")
 		seed     = flags.Uint64("seed", 1, "run seed (permutations, null sample)")
-		prec     = flags.String("precision", "float64", "MI compute precision: float64|float32")
 		ranks    = flags.Int("ranks", 4, "cluster engine world size")
 		tpc      = flags.Int("threads-per-core", 0, "simulated Phi hardware threads per core (0 = device max)")
 		names    = flags.Bool("names", true, "write gene names instead of indices")
@@ -226,14 +225,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg.Engine = tinge.OutOfCore
 	default:
 		return fmt.Errorf("unknown engine %q", *engine)
-	}
-	switch *prec {
-	case "float64", "64":
-		cfg.Precision = tinge.Float64
-	case "float32", "32":
-		cfg.Precision = tinge.Float32
-	default:
-		return fmt.Errorf("unknown precision %q", *prec)
 	}
 	switch *policy {
 	case "static-block":

@@ -42,3 +42,20 @@ func TestRunCancelRemovesSpill(t *testing.T) {
 		t.Fatalf("spill dir holds %d files after the cancelled run, first %s", len(left), left[0].Name())
 	}
 }
+
+// TestRetiredFlagsAreUsageErrors requires the flags of retired options
+// to fail the parse like any unknown flag, a usage error on which main
+// exits 2, before any input is read.
+func TestRetiredFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-precision", "float32"},
+		{"-kernel", "vec"},
+		{"-prescreen"},
+	} {
+		err := run(context.Background(), append([]string{"-in", "missing.tsv"}, args...), io.Discard, io.Discard)
+		var ue usageError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%v: run = %v, want a usage error", args, err)
+		}
+	}
+}

@@ -4,7 +4,6 @@
 //
 //	tinged -addr :8080 -checkpoint-dir /var/lib/tinged
 //	curl -s -X POST --data-binary @expr.tsv 'localhost:8080/jobs?permutations=30&dpi=1'
-//	curl -s -X POST --data-binary @expr.tsv 'localhost:8080/jobs?precision=float32'
 //	curl -s localhost:8080/jobs/job-1
 //	curl -s localhost:8080/jobs/job-1/network > net.tsv
 //	curl -s localhost:8080/metrics

@@ -398,30 +398,6 @@ func (wm *WeightMatrix) Marginal(g int) []float64 {
 	return p
 }
 
-// Marginal32 computes the weighted marginal histogram of gene g with
-// float32 accumulation — the single-precision counterpart of Marginal
-// used by the float32 compute path. The weights are float32 to begin
-// with, so the only difference from Marginal is the accumulator width.
-func (wm *WeightMatrix) Marginal32(g int) []float32 {
-	bins := wm.Basis.Bins()
-	k := wm.Basis.Order()
-	m := wm.Samples
-	p := make([]float32, bins)
-	for s := 0; s < m; s++ {
-		i := g*m + s
-		off := int(wm.Offsets[i])
-		w := wm.Sparse[i*k : (i+1)*k]
-		for u, v := range w {
-			p[off+u] += v
-		}
-	}
-	inv := 1 / float32(m)
-	for u := range p {
-		p[u] *= inv
-	}
-	return p
-}
-
 // MarginalPermuted computes the marginal of gene g under a permutation
 // of samples. Because the marginal is a sum over samples, it is
 // invariant under permutation; this method exists to document and test

@@ -60,11 +60,14 @@ type Fingerprint struct {
 	TileSize        int
 	Alpha           float64
 	Seed            uint64
-	// Precision distinguishes float64 and float32 compute paths: their
-	// MI values differ by accumulation roundoff, so mixing their tiles
-	// in one scan would blend two slightly different estimators. Old
-	// checkpoints decode to 0 (float64), matching the path that wrote
-	// them.
+	// Precision is 0 in every checkpoint written now, and in those of
+	// binaries that computed MI only in float64. Binaries that also had
+	// a float32 compute path wrote 1 for a float32 run; its tiles hold
+	// MI values that differ from the float64 ones by accumulation
+	// roundoff, so such a checkpoint must keep failing Validate with a
+	// fingerprint mismatch rather than blend two estimators in one
+	// scan. That is why the field stays: without it gob would skip the
+	// saved 1, and a float64 run would resume on float32 tiles.
 	Precision uint8
 	// Bootstraps, SubsampleFrac, and EnsembleSeed identify an ensemble
 	// run (all zero for single-network scans, which is what old

@@ -431,7 +431,6 @@ func Fingerprint(genes, samples int, cfg Config) checkpoint.Fingerprint {
 		TileSize:        cfg.TileSize,
 		Alpha:           cfg.Alpha,
 		Seed:            cfg.Seed,
-		Precision:       uint8(cfg.Precision),
 		Bootstraps:      cfg.Ensemble.Bootstraps,
 		SubsampleFrac:   cfg.Ensemble.SubsampleFrac,
 		EnsembleSeed:    cfg.Ensemble.Seed,

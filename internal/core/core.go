@@ -50,7 +50,6 @@ import (
 	"repro/internal/diskfault"
 	"repro/internal/grn"
 	"repro/internal/mat"
-	"repro/internal/mi"
 	"repro/internal/mpi"
 	"repro/internal/panelstore"
 	"repro/internal/phi"
@@ -101,22 +100,6 @@ func (e EngineKind) String() string {
 	}
 }
 
-// Precision selects the compute precision of the MI phase — the axis of
-// the paper's native-float build. Float64 (the default) accumulates
-// joint histograms and entropies in double precision; Float32 runs the
-// single-precision kernels: float32 accumulation, single-precision log,
-// and a smaller per-worker joint accumulator. The two paths produce the
-// identical edge set at the default order/bin settings (MI values agree
-// to ~1e-4 bits; see the golden test), so Float32 trades negligible
-// estimator drift for bandwidth and footprint.
-type Precision = mi.Precision
-
-// Precisions.
-const (
-	Float64 = mi.Float64
-	Float32 = mi.Float32
-)
-
 // DefaultDPITolerance is what a negative (unset-sentinel)
 // Config.DPITolerance resolves to; DefaultCMIRatio likewise for a zero
 // Config.CMIRatio.
@@ -145,7 +128,7 @@ const (
 //
 // Determinism contract: for a fixed (Seed, Bootstraps, SubsampleFrac)
 // the support matrix and consensus network are bit-identical across
-// every engine, precision, and worker count, and across resume from a
+// every engine and worker count, and across resume from a
 // mid-ensemble checkpoint — bootstraps always fold in ascending order
 // (float64 accumulation is not associative, so the order is part of
 // the contract).
@@ -242,8 +225,6 @@ type Config struct {
 	Policy tile.Policy
 	// Seed drives permutations; equal seeds give equal networks.
 	Seed uint64
-	// Precision selects the MI compute precision (default Float64).
-	Precision Precision
 	// Progress, when non-nil, is invoked once per tile committed in this
 	// session, observed or tested, with (done, total) in tiles: total
 	// counts one unit per tile pending observation when the scan began
@@ -288,7 +269,7 @@ type Config struct {
 
 	// KnownNull, when non-nil, is this scan's phase-3 outcome, already
 	// computed by a run over the same matrix with the same Order, Bins,
-	// Permutations, NullSamplePairs, Alpha, Seed and Precision.
+	// Permutations, NullSamplePairs, Alpha and Seed.
 	// Phase 3 is then skipped: no null pair is evaluated and no
 	// "threshold" timer phase is recorded. The caller vouches for the
 	// value — a wrong one silently yields a wrong network. A resumed
@@ -531,11 +512,6 @@ func (c *Config) Validate() error {
 		if c.PanelRows < c.TileSize || c.PanelRows%c.TileSize != 0 {
 			return fmt.Errorf("core: panel rows %d must be a positive multiple of tile size %d", c.PanelRows, c.TileSize)
 		}
-	}
-	switch c.Precision {
-	case Float64, Float32:
-	default:
-		return fmt.Errorf("core: unknown precision %v", c.Precision)
 	}
 	return nil
 }

@@ -743,6 +743,46 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFloat32CheckpointIsolated pins the refusal of checkpoints written
+// by binaries that had a float32 compute path: every run saves
+// Fingerprint.Precision 0, and a checkpoint whose fingerprint carries
+// the 1 a float32 run wrote fails with a fingerprint mismatch instead
+// of resuming its float32 tiles into a float64 scan — for a plain
+// scan's checkpoint and an ensemble's ledger alike.
+func TestFloat32CheckpointIsolated(t *testing.T) {
+	d := testDataset(t, 12, 40, 5)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"scan", Config{Seed: 5, Permutations: 4, Workers: 2, TileSize: 4, CheckpointEvery: 1}},
+		{"ensemble", Config{Seed: 5, Permutations: 4, Workers: 2, TileSize: 4,
+			Ensemble: EnsembleConfig{Bootstraps: 2, Seed: 3}}},
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cfg := tc.cfg
+		cfg.CheckpointPath = path
+		if _, err := Infer(d.Expr, cfg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st, err := checkpoint.LoadFile(path)
+		if err != nil || st == nil {
+			t.Fatalf("%s: load checkpoint: %v, %v", tc.name, st, err)
+		}
+		if st.Fingerprint.Precision != 0 {
+			t.Fatalf("%s: checkpoint carries precision %d, want 0", tc.name, st.Fingerprint.Precision)
+		}
+		st.Fingerprint.Precision = 1 // what a float32 run saved
+		if err := checkpoint.SaveFile(path, st); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Infer(d.Expr, cfg)
+		if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+			t.Fatalf("%s: rerun on a float32 checkpoint returned %v, want a fingerprint mismatch", tc.name, err)
+		}
+	}
+}
+
 func TestCheckpointPhiEngineSimTime(t *testing.T) {
 	// The Phi engine's simulated time over a resumed-but-finished
 	// checkpoint must still reflect the full evaluation history.

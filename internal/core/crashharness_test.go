@@ -18,8 +18,8 @@ import (
 // across every write the run performs, in the observe pass and in the
 // test rounds (checkpoint frames for the host engine; spill panels and
 // checkpoint frames for the out-of-core engine), varying how many bytes
-// of the torn write land on disk, for both compute precisions, with DPI
-// off (every survivor tested as its tile is observed) and on (the DPI
+// of the torn write land on disk, with DPI off (every survivor tested
+// as its tile is observed) and on (the DPI
 // test schedule, whose rounds run after observation). Each trial runs
 // against a fresh fault plan, so the schedule replays identically under
 // -race and on re-runs.
@@ -39,104 +39,94 @@ func TestCrashConsistencyHarness(t *testing.T) {
 			c.DPI, c.DPITolerance = true, DefaultDPITolerance
 		}},
 	}
-	precisions := []struct {
-		name string
-		p    Precision
-	}{
-		{"float64", Float64},
-		{"float32", Float32},
-	}
 
 	for _, tc := range cases {
-		for _, pc := range precisions {
-			t.Run(tc.name+"/"+pc.name, func(t *testing.T) {
-				d := testDataset(t, n, m, 77)
-				base := Config{
-					Seed: 77, Permutations: 4, Workers: 2, TileSize: 12,
-					Precision: pc.p,
-				}
-				tc.mut(&base)
+		// Every scan computes MI in float64; the subtests keep the
+		// precision in their names.
+		t.Run(tc.name+"/float64", func(t *testing.T) {
+			d := testDataset(t, n, m, 77)
+			base := Config{Seed: 77, Permutations: 4, Workers: 2, TileSize: 12}
+			tc.mut(&base)
 
-				ref, err := Infer(d.Expr, base)
+			ref, err := Infer(d.Expr, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			boundaries, testPass := int64(0), 0
+			completed := false
+			for k := int64(1); k <= maxWrites; k++ {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "run.ckpt")
+				ckCfg := base
+				ckCfg.CheckpointPath = path
+				ckCfg.CheckpointEvery = 1
+				ckCfg.SpillDir = dir
+
+				// Crash-stop the k-th write, leaving 0, 1, or 7 bytes
+				// of it behind.
+				plan := &diskfault.Plan{
+					Torn: &diskfault.TornSpec{K: k, Bytes: int(k % 3 * 4)},
+				}
+				ckCfg.FS = plan.FS(nil)
+				_, err := Infer(d.Expr, ckCfg)
+
+				if plan.Stats().TornWrites == 0 {
+					// k exceeded the run's write count: the fault never
+					// fired, the run must have completed cleanly, and the
+					// sweep has covered every write boundary.
+					if err != nil {
+						t.Fatalf("k=%d: fault never fired yet run failed: %v", k, err)
+					}
+					completed = true
+					break
+				}
+				boundaries = k
+				if err == nil {
+					t.Fatalf("k=%d: run survived a crash-stopped filesystem", k)
+				}
+				if !errors.Is(err, diskfault.ErrInjected) {
+					t.Fatalf("k=%d: crash surfaced as %v, want the injected fault", k, err)
+				}
+
+				// Fresh-or-valid: whatever the crash left behind must
+				// load cleanly (possibly as "no checkpoint") — never as
+				// a corrupt file.
+				st, err := checkpoint.LoadFile(path)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("k=%d: checkpoint after crash not fresh-or-valid: %v", k, err)
+				}
+				if st != nil && st.Remaining() == 0 {
+					testPass++ // crashed in the test pass: every tile observed
 				}
 
-				boundaries, testPass := int64(0), 0
-				completed := false
-				for k := int64(1); k <= maxWrites; k++ {
-					dir := t.TempDir()
-					path := filepath.Join(dir, "run.ckpt")
-					ckCfg := base
-					ckCfg.CheckpointPath = path
-					ckCfg.CheckpointEvery = 1
-					ckCfg.SpillDir = dir
-
-					// Crash-stop the k-th write, leaving 0, 1, or 7 bytes
-					// of it behind.
-					plan := &diskfault.Plan{
-						Torn: &diskfault.TornSpec{K: k, Bytes: int(k % 3 * 4)},
-					}
-					ckCfg.FS = plan.FS(nil)
-					_, err := Infer(d.Expr, ckCfg)
-
-					if plan.Stats().TornWrites == 0 {
-						// k exceeded the run's write count: the fault never
-						// fired, the run must have completed cleanly, and the
-						// sweep has covered every write boundary.
-						if err != nil {
-							t.Fatalf("k=%d: fault never fired yet run failed: %v", k, err)
-						}
-						completed = true
-						break
-					}
-					boundaries = k
-					if err == nil {
-						t.Fatalf("k=%d: run survived a crash-stopped filesystem", k)
-					}
-					if !errors.Is(err, diskfault.ErrInjected) {
-						t.Fatalf("k=%d: crash surfaced as %v, want the injected fault", k, err)
-					}
-
-					// Fresh-or-valid: whatever the crash left behind must
-					// load cleanly (possibly as "no checkpoint") — never as
-					// a corrupt file.
-					st, err := checkpoint.LoadFile(path)
-					if err != nil {
-						t.Fatalf("k=%d: checkpoint after crash not fresh-or-valid: %v", k, err)
-					}
-					if st != nil && st.Remaining() == 0 {
-						testPass++ // crashed in the test pass: every tile observed
-					}
-
-					// Resume on a healthy filesystem: bit-identical network,
-					// and no corruption recovery needed.
-					ckCfg.FS = nil
-					res, err := Infer(d.Expr, ckCfg)
-					if err != nil {
-						t.Fatalf("k=%d: resume failed: %v", k, err)
-					}
-					if res.CheckpointRecoveries != 0 {
-						t.Fatalf("k=%d: resume recovered from %d corrupt checkpoints; crash should leave none",
-							k, res.CheckpointRecoveries)
-					}
-					identicalEdges(t, "crash resume", ref, res)
+				// Resume on a healthy filesystem: bit-identical network,
+				// and no corruption recovery needed.
+				ckCfg.FS = nil
+				res, err := Infer(d.Expr, ckCfg)
+				if err != nil {
+					t.Fatalf("k=%d: resume failed: %v", k, err)
 				}
-				if !completed {
-					t.Fatalf("run performs more than %d writes; raise the harness backstop", maxWrites)
+				if res.CheckpointRecoveries != 0 {
+					t.Fatalf("k=%d: resume recovered from %d corrupt checkpoints; crash should leave none",
+						k, res.CheckpointRecoveries)
 				}
-				// A vacuous sweep (no write ever torn) would mean Config.FS
-				// is no longer threaded into persistence — the harness must
-				// have crashed at several real boundaries.
-				if boundaries < 3 {
-					t.Fatalf("swept only %d write boundaries; the fault seam is not wired", boundaries)
-				}
-				if base.DPI && testPass == 0 {
-					t.Fatal("no crash landed in the test pass")
-				}
-				t.Logf("swept %d write boundaries, %d in the test pass", boundaries, testPass)
-			})
-		}
+				identicalEdges(t, "crash resume", ref, res)
+			}
+			if !completed {
+				t.Fatalf("run performs more than %d writes; raise the harness backstop", maxWrites)
+			}
+			// A vacuous sweep (no write ever torn) would mean Config.FS
+			// is no longer threaded into persistence — the harness must
+			// have crashed at several real boundaries.
+			if boundaries < 3 {
+				t.Fatalf("swept only %d write boundaries; the fault seam is not wired", boundaries)
+			}
+			if base.DPI && testPass == 0 {
+				t.Fatal("no crash landed in the test pass")
+			}
+			t.Logf("swept %d write boundaries, %d in the test pass", boundaries, testPass)
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -11,9 +10,9 @@ import (
 )
 
 // ensembleBaseCfg is the shared configuration of the ensemble
-// determinism suite: small enough to run the full engine × precision ×
-// worker matrix, permissive enough (alpha) that every bootstrap emits
-// edges worth disagreeing about.
+// determinism suite: small enough to run the full engine × worker
+// matrix, permissive enough (alpha) that every bootstrap emits edges
+// worth disagreeing about.
 func ensembleBaseCfg() Config {
 	return Config{
 		Permutations:    8,
@@ -77,42 +76,11 @@ func identicalEnsembles(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// sameSupportStructure is the cross-precision assertion: float32 and
-// float64 agree on every (i, j, support) cell and on the consensus
-// edge set, with mean weights within estimator drift (the single
-// precision kernels compute MI to ~1e-4 bits of the double path).
-func sameSupportStructure(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	ae, be := a.Ensemble.Edges(), b.Ensemble.Edges()
-	if len(ae) != len(be) {
-		t.Fatalf("%s: support table %d edges != %d", label, len(ae), len(be))
-	}
-	for k := range ae {
-		if ae[k].I != be[k].I || ae[k].J != be[k].J || ae[k].Support != be[k].Support {
-			t.Fatalf("%s: support cell %d differs: %+v vs %+v", label, k, ae[k], be[k])
-		}
-		if math.Abs(ae[k].MeanWeight()-be[k].MeanWeight()) > 1e-3 {
-			t.Fatalf("%s: support cell %d mean drift: %v vs %v", label, k, ae[k].MeanWeight(), be[k].MeanWeight())
-		}
-	}
-	an, bn := a.Network.Edges(), b.Network.Edges()
-	if len(an) != len(bn) {
-		t.Fatalf("%s: consensus %d edges != %d", label, len(an), len(bn))
-	}
-	for k := range an {
-		if an[k].I != bn[k].I || an[k].J != bn[k].J {
-			t.Fatalf("%s: consensus edge %d differs: %+v vs %+v", label, k, an[k], bn[k])
-		}
-	}
-}
-
 // TestEnsembleGoldenEquivalence is the ensemble determinism anchor:
 // for a fixed (seed, bootstrap, subsample) configuration the support
 // matrix, per-bootstrap thresholds, and consensus network are
-// bit-identical across all five engines and every worker count — and
-// structurally identical (exact support counts, drift-bounded weights)
-// across compute precisions. TestEnsembleResume covers resume from a
-// mid-ensemble checkpoint.
+// bit-identical across all five engines and every worker count.
+// TestEnsembleResume covers resume from a mid-ensemble checkpoint.
 func TestEnsembleGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble golden matrix is not short")
@@ -120,47 +88,38 @@ func TestEnsembleGoldenEquivalence(t *testing.T) {
 	d := testDataset(t, 20, 48, 9)
 	workerCounts := []int{1, 4, runtime.NumCPU()}
 
-	baselines := make(map[Precision]*Result)
-	for _, prec := range []Precision{Float64, Float32} {
-		cfg := ensembleBaseCfg()
-		cfg.Precision = prec
-		res, err := Infer(d.Expr, cfg)
-		if err != nil {
-			t.Fatalf("baseline %v: %v", prec, err)
-		}
-		if res.Ensemble.Bootstraps() != cfg.Ensemble.Bootstraps {
-			t.Fatalf("baseline %v: %d folds", prec, res.Ensemble.Bootstraps())
-		}
-		if res.Ensemble.Len() == 0 || res.Network.Len() == 0 {
-			t.Fatalf("baseline %v: empty ensemble (%d support cells, %d consensus edges)",
-				prec, res.Ensemble.Len(), res.Network.Len())
-		}
-		baselines[prec] = res
+	cfg := ensembleBaseCfg()
+	baseline, err := Infer(d.Expr, cfg)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
-	sameSupportStructure(t, "float32-vs-float64", baselines[Float32], baselines[Float64])
+	if baseline.Ensemble.Bootstraps() != cfg.Ensemble.Bootstraps {
+		t.Fatalf("baseline: %d folds", baseline.Ensemble.Bootstraps())
+	}
+	if baseline.Ensemble.Len() == 0 || baseline.Network.Len() == 0 {
+		t.Fatalf("baseline: empty ensemble (%d support cells, %d consensus edges)",
+			baseline.Ensemble.Len(), baseline.Network.Len())
+	}
 
 	for _, eng := range []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore} {
-		for _, prec := range []Precision{Float64, Float32} {
-			for _, w := range workerCounts {
-				cfg := ensembleBaseCfg()
-				cfg.Engine = eng
-				cfg.Precision = prec
-				cfg.Workers = w
-				if eng == OutOfCore {
-					budget, err := MinMemoryBudget(20, 48, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.MemoryBudget = budget
-					cfg.SpillDir = t.TempDir()
-				}
-				res, err := Infer(d.Expr, cfg)
+		for _, w := range workerCounts {
+			cfg := ensembleBaseCfg()
+			cfg.Engine = eng
+			cfg.Workers = w
+			if eng == OutOfCore {
+				budget, err := MinMemoryBudget(20, 48, cfg)
 				if err != nil {
-					t.Fatalf("%v/%v/w%d: %v", eng, prec, w, err)
+					t.Fatal(err)
 				}
-				label := eng.String() + "/" + prec.String() + "/w" + itoa(w)
-				identicalEnsembles(t, label, res, baselines[prec])
+				cfg.MemoryBudget = budget
+				cfg.SpillDir = t.TempDir()
 			}
+			res, err := Infer(d.Expr, cfg)
+			if err != nil {
+				t.Fatalf("%v/w%d: %v", eng, w, err)
+			}
+			label := eng.String() + "/w" + itoa(w)
+			identicalEnsembles(t, label, res, baseline)
 		}
 	}
 }

@@ -10,12 +10,10 @@ import (
 // pairKernel bundles the estimator and permutation pool shared by all
 // engines. It is immutable during a scan and safe for concurrent use
 // with per-goroutine workspaces. Every evaluation runs the mi package's
-// block-scatter kernel at the precision of the workspace it is passed;
-// prec only sizes the workspaces newWorkspace allocates.
+// block-scatter kernel.
 type pairKernel struct {
 	est    *mi.Estimator
 	pool   *perm.Pool
-	prec   Precision
 	thresh float64 // I_alpha; 0 during the threshold-estimation phase
 }
 
@@ -23,23 +21,21 @@ func newPairKernel(wm *bspline.WeightMatrix, cfg Config) *pairKernel {
 	return &pairKernel{
 		est:  mi.NewEstimatorParallel(wm, cfg.Workers),
 		pool: perm.MustNewPool(cfg.Seed, wm.Samples, cfg.Permutations),
-		prec: cfg.Precision,
 	}
 }
 
-// newWorkspace allocates per-goroutine scratch for the configured
-// precision — the float32 path's workspace carries a float32 joint
-// accumulator (half the bytes), the float64 path a float64 one.
+// newWorkspace allocates per-goroutine scratch for the kernel's
+// estimator.
 func (k *pairKernel) newWorkspace() *mi.Workspace {
-	return mi.NewWorkspacePrec(k.est, k.prec)
+	return mi.NewWorkspace(k.est)
 }
 
 // observe computes the observed MI of pair (i, j) for the observe
 // pass, which keeps it only when it reaches I_alpha. It certifies pairs
 // below I_alpha without their entropy pass (mi.PairBlockedCut): below
-// is then true and obs 0. Otherwise obs is mi.PairBlocked's value, at
-// float64 bit-identical to PairBucketed, the counting-sort formulation
-// (the sweep golden test pins this).
+// is then true and obs 0. Otherwise obs is mi.PairBlocked's value,
+// bit-identical to PairBucketed, the counting-sort formulation (the
+// sweep golden test pins this).
 func (k *pairKernel) observe(i, j int, ws *mi.Workspace) (obs float64, below bool) {
 	return k.est.PairBlockedCut(i, j, k.thresh, ws)
 }

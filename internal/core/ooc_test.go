@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -69,40 +68,6 @@ func TestOutOfCoreGoldenEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			identicalNetworks(t, "ooc vs "+eng.String(), want, got)
-		}
-	}
-}
-
-// TestOutOfCoreFloat32Golden extends the precision golden suite to the
-// OOC engine: at Float32 the OOC run must be bit-identical to the
-// resident Host Float32 run (same kernels, same inputs), and within the
-// documented tolerance of its own Float64 run.
-func TestOutOfCoreFloat32Golden(t *testing.T) {
-	for _, seed := range []uint64{1, 2} {
-		d := testDataset(t, 20, 60, seed)
-		cfg := Config{Engine: OutOfCore, Seed: seed, Permutations: 8, Workers: 4, TileSize: 8}
-		f64, err := Infer(d.Expr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg32 := cfg
-		cfg32.Precision = Float32
-		f32, err := Infer(d.Expr, cfg32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := "ooc f32"
-		edgeIdenticalWithin(t, label, f64, f32, f32GoldenTolerance)
-
-		hostCfg := cfg32
-		hostCfg.Engine = Host
-		host32, err := Infer(d.Expr, hostCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		identicalNetworks(t, label+" vs host f32", host32, f32)
-		if math.Abs(f64.Threshold-f32.Threshold) > f32GoldenTolerance {
-			t.Fatalf("%s: threshold drift %v vs %v", label, f64.Threshold, f32.Threshold)
 		}
 	}
 }

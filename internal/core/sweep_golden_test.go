@@ -49,14 +49,11 @@ func identicalNetworks(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// miObserved is pair (i, j)'s observed MI from a per-pair kernel. At
-// float64 it is the counting-sort PairBucketed, so the engines'
-// PairBlocked stays pinned bit-identical to it.
+// miObserved is pair (i, j)'s observed MI from the counting-sort
+// PairBucketed, so the engines' PairBlocked stays pinned bit-identical
+// to it.
 func (k *pairKernel) miObserved(i, j int, ws *mi.Workspace) float64 {
-	if k.prec == Float64 {
-		return k.est.PairBucketed(i, j, ws)
-	}
-	return k.est.PairBlocked(i, j, ws)
+	return k.est.PairBucketed(i, j, ws)
 }
 
 // miPermuted computes MI of (i, j) under pool permutation p with a
@@ -140,31 +137,28 @@ func referenceScan(t *testing.T, exprMat *mat.Dense, cfg Config) *Result {
 // threshold and null size, and equal pair and permutation evaluation
 // counts (1 observed evaluation per pair plus the permutations actually
 // computed before early exit; skipped permutations are never counted)
-// — across seeds {1,2,3}, orders {1,3}, all five engines, and both
-// precisions.
+// — across seeds {1,2,3}, orders {1,3}, and all five engines.
 func TestSweepGoldenEquivalence(t *testing.T) {
 	engines := []EngineKind{Host, Phi, Cluster, Hybrid, OutOfCore}
 	for _, seed := range []uint64{1, 2, 3} {
 		d := testDataset(t, 20, 60, seed)
 		for _, order := range []int{1, 3} {
-			for _, prec := range []Precision{Float64, Float32} {
-				cfg := Config{
-					Order: order, Precision: prec,
-					Seed: seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
+			cfg := Config{
+				Order: order,
+				Seed:  seed, Permutations: 8, Workers: 4, TileSize: 8, Ranks: 2,
+			}
+			want := referenceScan(t, d.Expr, cfg)
+			for _, eng := range engines {
+				cfg.Engine = eng
+				got, err := Infer(d.Expr, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := referenceScan(t, d.Expr, cfg)
-				for _, eng := range engines {
-					cfg.Engine = eng
-					got, err := Infer(d.Expr, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := eng.String() + "/" + prec.String()
-					identicalNetworks(t, label, got, want)
-					if got.NullSize != want.NullSize {
-						t.Fatalf("%s: phase 3 pooled %d values, per-permutation reference %d",
-							label, got.NullSize, want.NullSize)
-					}
+				label := fmt.Sprintf("%v/order %d", eng, order)
+				identicalNetworks(t, label, got, want)
+				if got.NullSize != want.NullSize {
+					t.Fatalf("%s: phase 3 pooled %d values, per-permutation reference %d",
+						label, got.NullSize, want.NullSize)
 				}
 			}
 		}
@@ -236,31 +230,29 @@ func TestSweepAmortizationCounters(t *testing.T) {
 // on which worker decided it.
 func TestPermutationsCertifiedCount(t *testing.T) {
 	d := testDataset(t, 40, 100, 6)
-	for _, prec := range []Precision{Float64, Float32} {
-		var want [2]int64
-		for _, eng := range []EngineKind{Host, OutOfCore, Cluster, Phi, Hybrid} {
-			for _, workers := range []int{1, 2, 4} {
-				cfg := Config{
-					Engine: eng, Precision: prec, Seed: 3, Permutations: 16,
-					Workers: workers, Ranks: workers, TileSize: 8,
-				}
-				res, err := Infer(d.Expr, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%v/%v/%d workers", eng, prec, workers)
-				got := [2]int64{res.PermutationsCertified, res.PairsCertified}
-				if got[0] <= 0 || got[0] > res.PermEvaluations {
-					t.Fatalf("%s: %d certified of %d permutation evaluations", label, got[0], res.PermEvaluations)
-				}
-				if below := res.PairsEvaluated - res.PairsSurvived; got[1] <= 0 || got[1] > below {
-					t.Fatalf("%s: %d pairs certified of %d below the threshold", label, got[1], below)
-				}
-				if want == [2]int64{} {
-					want = got
-				} else if got != want {
-					t.Fatalf("%s: %d permutations and %d pairs certified, first run %d and %d", label, got[0], got[1], want[0], want[1])
-				}
+	var want [2]int64
+	for _, eng := range []EngineKind{Host, OutOfCore, Cluster, Phi, Hybrid} {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := Config{
+				Engine: eng, Seed: 3, Permutations: 16,
+				Workers: workers, Ranks: workers, TileSize: 8,
+			}
+			res, err := Infer(d.Expr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v/%d workers", eng, workers)
+			got := [2]int64{res.PermutationsCertified, res.PairsCertified}
+			if got[0] <= 0 || got[0] > res.PermEvaluations {
+				t.Fatalf("%s: %d certified of %d permutation evaluations", label, got[0], res.PermEvaluations)
+			}
+			if below := res.PairsEvaluated - res.PairsSurvived; got[1] <= 0 || got[1] > below {
+				t.Fatalf("%s: %d pairs certified of %d below the threshold", label, got[1], below)
+			}
+			if want == [2]int64{} {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: %d permutations and %d pairs certified, first run %d and %d", label, got[0], got[1], want[0], want[1])
 			}
 		}
 	}

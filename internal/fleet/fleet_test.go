@@ -154,7 +154,7 @@ func assertBitIdentical(t testing.TB, got, want *core.Result) {
 
 // TestFleetBitIdentity is the tentpole invariant: a scan fanned out
 // over 3 workers merges to the exact network a single process
-// produces, in both precisions, filters included.
+// produces, with DPI alone and with the CMI filter after it.
 func TestFleetBitIdentity(t *testing.T) {
 	body := fleetBody(t, 24, 16, 4)
 	for _, tc := range []struct {
@@ -162,7 +162,7 @@ func TestFleetBitIdentity(t *testing.T) {
 		mut  func(*core.Config)
 	}{
 		{"float64_dpi_cmi", func(c *core.Config) { c.CMIFilter = true }},
-		{"float32_dpi", func(c *core.Config) { c.Precision = core.Float32 }},
+		{"float64_dpi", func(c *core.Config) {}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := scanConfig(t)

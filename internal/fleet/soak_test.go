@@ -127,7 +127,7 @@ func TestFleetChaosSoak(t *testing.T) {
 	for i, mut := range []func(*core.Config){
 		func(cfg *core.Config) {},
 		func(cfg *core.Config) { cfg.Seed = 77 },
-		func(cfg *core.Config) { cfg.Precision = core.Float32; cfg.CMIFilter = true },
+		func(cfg *core.Config) { cfg.CMIFilter = true },
 	} {
 		body := fleetBody(t, 24, 16, uint64(4+i))
 		cfg := scanConfig(t)

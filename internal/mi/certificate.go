@@ -34,7 +34,7 @@
 // are those of the exact kernels.
 //
 // The slack. The computed MI_c differs from the exact-arithmetic bound
-// in three ways, and the slack covers each. Let u = 2⁻²⁴ (float32 unit
+// in two ways, and the slack covers each. Let u = 2⁻²⁴ (float32 unit
 // roundoff), γ_n = n·u/(1 − n·u), and let δ = 1e-6 bound the
 // partition-of-unity error |Σ_u w(s,u) − 1| of the float32 stencils
 // with a wide margin (the float64 Cox–de Boor values round once to
@@ -42,24 +42,17 @@
 //
 //  1. Marginals. Each joint cell is a float32 block accumulation of at
 //     most m nonnegative products, merged into the joint with at most
-//     k² more additions (float64 ones, whose error is far below u, or
-//     float32 ones on the float32 path), so it is within γ_{m+1}
-//     (float32 path: γ_{m+k²}) of the exact product sum. Summing a row
-//     over b uses gene j's partition of unity, so the row sums r_a of t
-//     equal p_i(a)·(1 + η_a) with |η_a| ≤ ρ = γ_{m+1} + δ (float32:
-//     γ_{m+k²} + δ). Writing E_r = Σ_a (r_a − p_i(a))·log2 p_i(a) and
-//     E_c likewise for the columns, the value the formula evaluates,
+//     k² more float64 additions, whose error is far below u, so it is
+//     within γ_{m+1} of the exact product sum. Summing a row over b
+//     uses gene j's partition of unity, so the row sums r_a of t equal
+//     p_i(a)·(1 + η_a) with |η_a| ≤ ρ = γ_{m+1} + δ. Writing
+//     E_r = Σ_a (r_a − p_i(a))·log2 p_i(a) and E_c likewise for the
+//     columns, the value the formula evaluates,
 //     MI_c = H(p_i) + H(p_j) − H(t), equals Σ_ab t·log2(t/(p_i p_j)) +
 //     E_r + E_c exactly, and |E_r|, |E_c| ≤ ρ·H(p) ≤ ρ·log2 b. So
 //     MI_c ≤ B + 2ρ·log2 b. Because the bound holds per cell, no
 //     joint-mass term Σ t − 1 enters.
-//  2. Float32 entropies. At Float32 the marginal entropies come from
-//     float32 marginals (within γ_{m+1} of p, moving each H by at most
-//     γ_{m+1}·(log2 b + 1.443)), and Entropy32/EntropyDot round each
-//     scaled cell, log and product: with simd.Log2 accurate to
-//     2u·|log2 x| + 4u (TestLog2ErrorModel) the three entropies move by
-//     at most u·(18·log2 b + 15).
-//  3. Evaluation rounding. In this regime a computed MI never exceeds
+//  2. Evaluation rounding. In this regime a computed MI never exceeds
 //     log2 b + 1, so a larger cut is met by no evaluation and certifying
 //     against it cannot err. Below that, a certified S caps the terms:
 //     each negative term t·g(d), d ∈ [−1, 0), is at least −1.84·t, so
@@ -75,13 +68,11 @@
 //
 // The slack is therefore
 //
-//	Float64: 1.01·2ρ·log2 b + ε_eval,                                        ρ = γ_{m+1} + δ
-//	Float32: 1.01·(2ρ·log2 b + 2γ_{m+1}·(log2 b + 1.443) + u·(18·log2 b + 15)) + ε_eval,
-//	         ρ = γ_{m+k²} + δ
+//	1.01·2ρ·log2 b + ε_eval,   ρ = γ_{m+1} + δ
 //
 // where the 1% factor absorbs the O(ρ²) cross terms of step 1 (and the
-// float64 marginals' own rounding). At m = 337, b = 10 the float64 slack
-// is 1.42e-4 bits. The derivation needs ρ small and b moderate, so the
+// float64 marginals' own rounding). At m = 337, b = 10 the slack is
+// 1.42e-4 bits. The derivation needs ρ small and b moderate, so the
 // certificate switches itself off (infinite slack) when
 // (m + k²)·u > 0.01 (m ≳ 1.6e5) or b > 4096. Two more guards keep it
 // exact: it only certifies against a cut c > 0 (a computed MI clamps at
@@ -111,19 +102,15 @@ func certGamma(n int) float64 {
 }
 
 // certSlack returns the certificate slack in bits for m samples, b bins,
-// and spline order k at the given precision (see the package comment
-// above for the derivation), or +Inf outside the regime it covers.
-func certSlack(m, bins, k int, prec Precision) float64 {
+// and spline order k (see the package comment above for the
+// derivation), or +Inf outside the regime it covers.
+func certSlack(m, bins, k int) float64 {
 	if float64(m+k*k)*certUnit > certMaxRho || bins > certMaxBins {
 		return math.Inf(1)
 	}
 	lb := math.Log2(float64(bins))
 	b := float64(bins)
 	eval := (b*b + 4*b + 64) * 0x1p-53 * (2*lb + 8)
-	if prec == Float32 {
-		rho := certGamma(m+k*k) + certPartition
-		return 1.01*(2*rho*lb+2*certGamma(m+1)*(lb+1.443)+certUnit*(18*lb+15)) + eval
-	}
 	rho := certGamma(m+1) + certPartition
 	return 1.01*2*rho*lb + eval
 }
@@ -131,12 +118,11 @@ func certSlack(m, bins, k int, prec Precision) float64 {
 // certCut returns the value S must stay under for an evaluation to be
 // certified below the cut c, and false (nothing certifies) when c ≤ 0,
 // c is NaN, or the certificate is off.
-func (e *Estimator) certCut(c float64, prec Precision) (float64, bool) {
-	slack := e.slack[prec]
-	if !(c > 0) || math.IsInf(slack, 1) {
+func (e *Estimator) certCut(c float64) (float64, bool) {
+	if !(c > 0) || math.IsInf(e.slack, 1) {
 		return 0, false
 	}
-	return (c - slack) * math.Ln2 * float64(e.wm.Samples), true
+	return (c - e.slack) * math.Ln2 * float64(e.wm.Samples), true
 }
 
 // setReciprocals stores 1/p_g(a) for gene g's float64 marginal p (0
@@ -152,32 +138,21 @@ func (e *Estimator) setReciprocals(g int, p []float64) {
 	}
 }
 
-// certSum returns S = Σ_ab J·g(d) over the workspace's filled joint.
+// certSum returns S = Σ_ab J·g(d) over the workspace's filled joint,
+// from the two genes' reciprocal marginals, accumulated row by row.
 func (e *Estimator) certSum(i, j int, ws *Workspace) float64 {
 	bins := ws.bins
 	ri := e.rinv[i*bins : (i+1)*bins]
 	rj := e.rinv[j*bins : (j+1)*bins]
 	inv := 1 / float64(e.wm.Samples)
-	if ws.prec == Float32 {
-		return certSumJoint(ri, rj, ws.joint32, inv)
-	}
-	return certSumJoint(ri, rj, ws.joint, inv)
-}
-
-// certSumJoint is S over joint, with ri and rj the two genes'
-// reciprocal marginals and inv = 1/m, accumulated row by row in
-// float64.
-func certSumJoint[T float32 | float64](ri, rj []float64, joint []T, inv float64) float64 {
-	bins := len(rj)
 	var s float64
 	for a, ra := range ri {
 		ra *= inv
-		row := joint[a*bins : (a+1)*bins]
+		row := ws.joint[a*bins : (a+1)*bins]
 		var t float64
 		for b, c := range row {
-			c64 := float64(c)
-			d := c64*ra*rj[b] - 1
-			t += c64 * (d * (1 - d*(0.5-d*(1.0/3))))
+			d := c*ra*rj[b] - 1
+			t += c * (d * (1 - d*(0.5-d*(1.0/3))))
 		}
 		s += t
 	}

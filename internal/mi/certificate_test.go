@@ -10,7 +10,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/mat"
 	"repro/internal/perm"
-	"repro/internal/simd"
 )
 
 // certRows builds n genes of m samples mixing the shapes the certificate
@@ -94,7 +93,7 @@ func cutsAround(rng *rand.Rand, vals []float64, slack float64) []float64 {
 }
 
 // FuzzSweepCertificate checks the third-order certificate against the
-// exact kernels at both precisions: every observed and permuted MI
+// exact kernels: every observed and permuted MI
 // stays under S/(m·ln 2) + slack; the certified observation returns
 // the exact kernel's value, or proves it below the cut, for cuts at,
 // one ulp either side of, and between the exact observed MIs (so it
@@ -124,75 +123,70 @@ func FuzzSweepCertificate(f *testing.F) {
 		data.RankNormalize()
 		wm := bspline.Precompute(bspline.MustNew(order, bins), data)
 		perms := perm.MustNewPool(seed, m, q).Perms()
-		for _, prec := range []Precision{Float64, Float32} {
-			e := NewEstimator(wm)
-			ws := NewWorkspacePrec(e, prec)
-			pc := NewPermCache(e, perms, n)
-			slack := e.slack[prec]
-			scale := float64(m) * math.Ln2
-			// bounded checks MI v against the certificate of the joint
-			// fillBlocked just left in ws, then finishes that joint and
-			// requires the exact kernel's value.
-			bounded := func(what string, i, j int, v float64) {
-				t.Helper()
-				if bound := e.certSum(i, j, ws)/scale + slack; !(v <= bound) {
-					t.Fatalf("%v order %d bins %d m %d pair (%d,%d) %s: MI %v > bound %v (slack %v)",
-						prec, order, bins, m, i, j, what, v, bound, slack)
+		e := NewEstimator(wm)
+		ws := NewWorkspace(e)
+		pc := NewPermCache(e, perms, n)
+		slack := e.slack
+		scale := float64(m) * math.Ln2
+		// bounded checks MI v against the certificate of the joint
+		// fillBlocked just left in ws, then finishes that joint and
+		// requires the exact kernel's value.
+		bounded := func(what string, i, j int, v float64) {
+			t.Helper()
+			if bound := e.certSum(i, j, ws)/scale + slack; !(v <= bound) {
+				t.Fatalf("order %d bins %d m %d pair (%d,%d) %s: MI %v > bound %v (slack %v)",
+					order, bins, m, i, j, what, v, bound, slack)
+			}
+			if got := e.miFromWorkspace(i, j, ws); got != v {
+				t.Fatalf("pair (%d,%d) %s: fill+finish %v != kernel %v", i, j, what, got, v)
+			}
+		}
+		observed := make([]float64, 0, n*(n-1)/2)
+		vals := make([]float64, q)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := e.PairBlocked(i, j, ws)
+				observed = append(observed, v)
+				e.fillBlocked(i, j, nil, nil, nil, ws)
+				requirePortableFill(t, e, i, j, nil, ws)
+				bounded("observed", i, j, v)
+				for p := range perms {
+					// The permuted values come from the counting-sort
+					// reference, which the block fill must match bit for
+					// bit.
+					vals[p] = e.PairPermutedBucketed(i, j, perms[p], ws)
+					e.prepareRowKeys(i, ws)
+					e.fillBlocked(i, j, perms[p], nil, nil, ws)
+					requirePortableFill(t, e, i, j, perms[p], ws)
+					bounded(fmt.Sprintf("perm %d", p), i, j, vals[p])
 				}
-				if got := e.miFromWorkspace(i, j, ws); got != v {
-					t.Fatalf("%v pair (%d,%d) %s: fill+finish %v != kernel %v", prec, i, j, what, got, v)
+				offs, w := pc.Gene(j)
+				for _, obs := range cutsAround(rng, vals, slack) {
+					wantEvals, wantSurv := sweepReference(vals, obs)
+					for _, cached := range []bool{false, true} {
+						po, pw := []int32(nil), []float32(nil)
+						if cached {
+							po, pw = offs, w
+						}
+						gotEvals, gotSurv := e.SweepBucketed(i, j, obs, perms, po, pw, ws)
+						if gotEvals != wantEvals || gotSurv != wantSurv {
+							t.Fatalf("pair (%d,%d) obs %v cached %v: sweep (%d,%v) != per-permutation loop (%d,%v); values %v",
+								i, j, obs, cached, gotEvals, gotSurv, wantEvals, wantSurv, vals)
+						}
+					}
 				}
 			}
-			// At float64 the permuted values come from the counting-sort
-			// reference, which the block fill must match bit for bit.
-			permuted := e.PairPermutedBlocked
-			if prec == Float64 {
-				permuted = e.PairPermutedBucketed
-			}
-			observed := make([]float64, 0, n*(n-1)/2)
-			vals := make([]float64, q)
+		}
+		for _, cut := range cutsAround(rng, observed, slack) {
+			x := 0
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					v := e.PairBlocked(i, j, ws)
-					observed = append(observed, v)
-					e.fillBlocked(i, j, nil, nil, nil, ws)
-					requirePortableFill(t, e, i, j, nil, ws)
-					bounded("observed", i, j, v)
-					for p := range perms {
-						vals[p] = permuted(i, j, perms[p], ws)
-						e.prepareRowKeys(i, ws)
-						e.fillBlocked(i, j, perms[p], nil, nil, ws)
-						requirePortableFill(t, e, i, j, perms[p], ws)
-						bounded(fmt.Sprintf("perm %d", p), i, j, vals[p])
-					}
-					offs, w := pc.Gene(j)
-					for _, obs := range cutsAround(rng, vals, slack) {
-						wantEvals, wantSurv := sweepReference(vals, obs)
-						for _, cached := range []bool{false, true} {
-							po, pw := []int32(nil), []float32(nil)
-							if cached {
-								po, pw = offs, w
-							}
-							gotEvals, gotSurv := e.SweepBucketed(i, j, obs, perms, po, pw, ws)
-							if gotEvals != wantEvals || gotSurv != wantSurv {
-								t.Fatalf("%v pair (%d,%d) obs %v cached %v: sweep (%d,%v) != per-permutation loop (%d,%v); values %v",
-									prec, i, j, obs, cached, gotEvals, gotSurv, wantEvals, wantSurv, vals)
-							}
-						}
-					}
-				}
-			}
-			for _, cut := range cutsAround(rng, observed, slack) {
-				x := 0
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						want := observed[x]
-						x++
-						v, below := e.PairBlockedCut(i, j, cut, ws)
-						if below && !(want < cut) || !below && v != want {
-							t.Fatalf("%v pair (%d,%d) cut %v: certified observation (%v, below %v), exact MI %v",
-								prec, i, j, cut, v, below, want)
-						}
+					want := observed[x]
+					x++
+					v, below := e.PairBlockedCut(i, j, cut, ws)
+					if below && !(want < cut) || !below && v != want {
+						t.Fatalf("pair (%d,%d) cut %v: certified observation (%v, below %v), exact MI %v",
+							i, j, cut, v, below, want)
 					}
 				}
 			}
@@ -207,53 +201,20 @@ func TestCertSlack(t *testing.T) {
 	eval := (100 + 40 + 64) * 0x1p-53 * (2*lb + 8)
 	rho64 := certGamma(338) + certPartition
 	want64 := 1.01*2*rho64*lb + eval
-	s64 := certSlack(337, 10, 3, Float64)
+	s64 := certSlack(337, 10, 3)
 	if math.Abs(s64-want64) > 1e-15 || s64 < 1.41e-4 || s64 > 1.43e-4 {
-		t.Fatalf("float64 slack at m=337, b=10 = %v, want %v (~1.42e-4)", s64, want64)
+		t.Fatalf("slack at m=337, b=10 = %v, want %v (~1.42e-4)", s64, want64)
 	}
-	rho32 := certGamma(346) + certPartition
-	want32 := 1.01*(2*rho32*lb+2*certGamma(338)*(lb+1.443)+certUnit*(18*lb+15)) + eval
-	if s32 := certSlack(337, 10, 3, Float32); math.Abs(s32-want32) > 1e-15 || s32 <= s64 {
-		t.Fatalf("float32 slack %v, want %v (above the float64 slack %v)", s32, want32, s64)
-	}
-	if !math.IsInf(certSlack(200000, 10, 3, Float64), 1) || !math.IsInf(certSlack(100, 5000, 3, Float64), 1) {
+	if !math.IsInf(certSlack(200000, 10, 3), 1) || !math.IsInf(certSlack(100, 5000, 3), 1) {
 		t.Fatal("certificate not switched off outside the derivation's regime")
 	}
 	e, _ := buildEstimator(t, randomGenes(rand.New(rand.NewSource(1)), 2, 50), 3, 10)
 	for _, c := range []float64{0, -1, math.NaN()} {
-		if _, ok := e.certCut(c, Float64); ok {
+		if _, ok := e.certCut(c); ok {
 			t.Fatalf("certificate armed for cut %v", c)
 		}
 	}
-	if cut, ok := e.certCut(0.5, Float64); !ok || cut != (0.5-e.slack[Float64])*math.Ln2*50 {
+	if cut, ok := e.certCut(0.5); !ok || cut != (0.5-e.slack)*math.Ln2*50 {
 		t.Fatalf("certCut(0.5) = %v, %v", cut, ok)
-	}
-}
-
-// TestLog2ErrorModel checks the simd.Log2 accuracy the float32 slack
-// assumes, |Log2(x) − log2(x)| ≤ 2u·|log2 x| + 4u, over (0, 1] — every
-// exponent, random mantissas, and the float32 neighbourhood of 1.
-func TestLog2ErrorModel(t *testing.T) {
-	const u = certUnit
-	check := func(x float32) {
-		if x <= 0 || x > 1 {
-			return
-		}
-		want := math.Log2(float64(x))
-		got := float64(simd.Log2(x))
-		if err := math.Abs(got - want); err > 2*u*math.Abs(want)+4*u {
-			t.Fatalf("Log2(%g) = %v, want %v (error %g over the model)", x, got, want, err)
-		}
-	}
-	rng := rand.New(rand.NewSource(9))
-	for exp := -149; exp <= 0; exp++ {
-		for r := 0; r < 2000; r++ {
-			check(float32(math.Ldexp(1+rng.Float64(), exp-1)))
-		}
-	}
-	x := float32(1)
-	for r := 0; r < 1<<16; r++ {
-		check(x)
-		x = math.Nextafter32(x, 0)
 	}
 }

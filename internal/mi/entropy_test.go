@@ -24,7 +24,6 @@ func entropyLoop(joint []float64, inv float64) float64 {
 // estimator: the entropy pass reads only the joint and the cells.
 func entropyWorkspace(bins int) *Workspace {
 	return &Workspace{
-		prec:  Float64,
 		bins:  bins,
 		joint: make([]float64, bins*bins),
 		cells: make([]float64, entropyScratchLen(bins)),

@@ -66,15 +66,12 @@ type Estimator struct {
 	wm *bspline.WeightMatrix
 	// hMarginal[g] is H(X_g) in bits.
 	hMarginal []float64
-	// hMarginal32[g] is the same entropy accumulated in float32 with the
-	// single-precision log — the marginal term of the float32 path.
-	hMarginal32 []float32
 	// rinv[g·bins+a] is 1/p_g(a) for the float64 marginal p_g (0 where
 	// p_g(a) is 0): the reciprocal marginals of the certificate
 	// (certificate.go).
 	rinv []float64
-	// slack[prec] is the certificate slack in bits at each precision.
-	slack [2]float64
+	// slack is the certificate slack in bits.
+	slack float64
 }
 
 // NewEstimator precomputes marginal entropies for every gene.
@@ -88,10 +85,9 @@ func NewEstimator(wm *bspline.WeightMatrix) *Estimator {
 // identical to the serial construction for any worker count.
 func NewEstimatorParallel(wm *bspline.WeightMatrix, workers int) *Estimator {
 	e := &Estimator{
-		wm:          wm,
-		hMarginal:   make([]float64, wm.Genes),
-		hMarginal32: make([]float32, wm.Genes),
-		rinv:        make([]float64, wm.Genes*wm.Basis.Bins()),
+		wm:        wm,
+		hMarginal: make([]float64, wm.Genes),
+		rinv:      make([]float64, wm.Genes*wm.Basis.Bins()),
 	}
 	e.setSlack()
 	n := wm.Genes
@@ -122,17 +118,14 @@ func (e *Estimator) marginalRange(lo, hi int) {
 	for g := lo; g < hi; g++ {
 		p := e.wm.Marginal(g)
 		e.hMarginal[g] = Entropy(p)
-		e.hMarginal32[g] = Entropy32(e.wm.Marginal32(g))
 		e.setReciprocals(g, p)
 	}
 }
 
-// setSlack derives the certificate slack of both precisions from the
-// weight matrix's sample count, bins, and order.
+// setSlack derives the certificate slack from the weight matrix's
+// sample count, bins, and order.
 func (e *Estimator) setSlack() {
-	m, b, k := e.wm.Samples, e.wm.Basis.Bins(), e.wm.Basis.Order()
-	e.slack[Float64] = certSlack(m, b, k, Float64)
-	e.slack[Float32] = certSlack(m, b, k, Float32)
+	e.slack = certSlack(e.wm.Samples, e.wm.Basis.Bins(), e.wm.Basis.Order())
 }
 
 // WM returns the underlying weight matrix.
@@ -154,13 +147,11 @@ func (e *Estimator) Reset(wm *bspline.WeightMatrix) {
 	n := wm.Genes
 	if cap(e.hMarginal) < n {
 		e.hMarginal = make([]float64, n)
-		e.hMarginal32 = make([]float32, n)
 	}
 	if nb := n * wm.Basis.Bins(); cap(e.rinv) < nb {
 		e.rinv = make([]float64, nb)
 	}
 	e.hMarginal = e.hMarginal[:n]
-	e.hMarginal32 = e.hMarginal32[:n]
 	e.rinv = e.rinv[:n*wm.Basis.Bins()]
 	e.setSlack()
 	e.marginalRange(0, n)
@@ -171,16 +162,10 @@ func (e *Estimator) MarginalEntropy(g int) float64 { return e.hMarginal[g] }
 
 // Workspace holds per-goroutine scratch buffers so the hot pair loop
 // allocates nothing. A Workspace must not be shared between goroutines.
-// Its precision, fixed at allocation, is the precision of every kernel
-// it is passed to.
 type Workspace struct {
-	prec Precision
 	bins int
-	// joint and joint32 are the bins×bins joint distribution
-	// accumulators of the two precisions. Exactly one is allocated
-	// (NewWorkspacePrec), so Bytes reflects the precision in use.
-	joint   []float64
-	joint32 []float32
+	// joint is the bins×bins joint distribution accumulator.
+	joint []float64
 	// Bucketing scratch for PairBucketed: counting-sort work arrays
 	// over (b-k+1)² stencil-offset buckets. No scan runs PairBucketed,
 	// so its first call allocates them.
@@ -189,7 +174,7 @@ type Workspace struct {
 	order  []int32
 	// cells is the float64 entropy pass's scratch (jointEntropy): the
 	// compacted nonzero cells' probabilities and their logs, 2·bins²
-	// on amd64 and empty on other architectures and at float32.
+	// on amd64 and empty on other architectures.
 	cells []float64
 	// jointClean tracks the invariant "joint is all zeros". The
 	// counting-sort kernel restores it before returning by clearing only
@@ -234,71 +219,41 @@ func (ws *Workspace) Certified() int64 { return ws.certified }
 func (ws *Workspace) InvalidateRowKeys() { ws.keyIGene = -1 }
 
 // NewWorkspace allocates scratch sized for the estimator's basis and
-// sample count, for the default float64 path.
+// sample count: the float64 joint, the entropy pass's cells, and the
+// block scatter's float32 accumulators.
 func NewWorkspace(e *Estimator) *Workspace {
-	return NewWorkspacePrec(e, Float64)
-}
-
-// NewWorkspacePrec allocates scratch for the given compute precision,
-// which every kernel run on the workspace then uses. Only that
-// precision's joint accumulator is allocated — the float32 workspace
-// is genuinely smaller (b²·4 bytes of joint instead of b²·8), which is
-// what Result.PeakTileBytes measures.
-func NewWorkspacePrec(e *Estimator, prec Precision) *Workspace {
 	bins := e.wm.Basis.Bins()
 	k := e.wm.Basis.Order()
 	m := e.wm.Samples
-	ws := &Workspace{
-		prec:       prec,
+	return &Workspace{
 		bins:       bins,
+		joint:      make([]float64, bins*bins),
+		cells:      make([]float64, entropyScratchLen(bins)),
 		jointClean: true,
 		keyI:       make([]int32, m),
 		keyIGene:   -1,
 		blockAcc:   make([]float32, (bins+k-1)*(bins+k-1)*k*blockLanes(k)),
 		wiBcast:    make([]float32, vecBcastLen(k, m)),
 	}
-	if prec == Float32 {
-		ws.joint32 = make([]float32, bins*bins)
-	} else {
-		ws.joint = make([]float64, bins*bins)
-		ws.cells = make([]float64, entropyScratchLen(bins))
-	}
-	return ws
 }
 
-// Bytes reports the workspace's scratch footprint: the joint accumulator
-// of whichever precision is allocated, the float64 entropy pass's
-// cells, and the shared float32/int32 buffers. It is the per-worker
-// term of the engines' peak-tile-bytes gauge.
+// Bytes reports the workspace's scratch footprint: the float64 joint
+// and entropy cells, and the float32/int32 buffers. It is the
+// per-worker term of the engines' peak-tile-bytes gauge.
 func (ws *Workspace) Bytes() int {
-	b := (len(ws.joint)+len(ws.cells))*8 + len(ws.joint32)*4
+	b := (len(ws.joint) + len(ws.cells)) * 8
 	b += (len(ws.counts) + len(ws.starts) + len(ws.order) + len(ws.keyI)) * 4
 	b += (len(ws.blockAcc) + len(ws.wiBcast)) * 4
 	return b
 }
 
-// resetJoint zeroes the allocated joint.
-func (ws *Workspace) resetJoint() {
-	clear(ws.joint)
-	clear(ws.joint32)
-}
-
 // miFromWorkspace converts the workspace's filled (unnormalized,
 // weighted-count) joint into MI = H(X) + H(Y) - H(X,Y), normalized by
-// the sample count and clamped at zero, at the workspace's precision:
-// float64 cells with math.Log2's values (jointEntropy, two logs per
-// SSE2 instruction on amd64) and the float64 marginals, or one batched
-// pass over the float32 cells (simd.EntropyDot — single-precision
-// terms summed in float64, same rationale as Entropy32) with the
-// float32 marginals.
+// the sample count and clamped at zero: the float64 cells with
+// math.Log2's values (jointEntropy, two logs per SSE2 instruction on
+// amd64) and the float64 marginals.
 func (e *Estimator) miFromWorkspace(i, j int, ws *Workspace) float64 {
-	var mi float64
-	if ws.prec == Float32 {
-		hxy := -simd.EntropyDot(ws.joint32, 1/float32(e.wm.Samples))
-		mi = float64(e.hMarginal32[i]) + float64(e.hMarginal32[j]) - hxy
-	} else {
-		mi = e.hMarginal[i] + e.hMarginal[j] - ws.jointEntropy(1/float64(e.wm.Samples))
-	}
+	mi := e.hMarginal[i] + e.hMarginal[j] - ws.jointEntropy(1/float64(e.wm.Samples))
 	if mi < 0 {
 		// Clamp tiny negative values arising from float roundoff.
 		mi = 0
@@ -318,25 +273,15 @@ func (e *Estimator) PairVec(i, j int, ws *Workspace) float64 {
 	return e.miFromWorkspace(i, j, ws)
 }
 
-// fillDense assigns the joint cell (u, v) the dot product of rowsI[u]
-// and rowsJ[v] at the workspace's precision.
+// fillDense assigns the joint cell (u, v) the float32 dot product of
+// rowsI[u] and rowsJ[v], widened once on the store.
 func (ws *Workspace) fillDense(rowsI, rowsJ [][]float32) {
 	ws.jointClean = false
-	if ws.prec == Float32 {
-		denseJoint(rowsI, rowsJ, ws.joint32)
-	} else {
-		denseJoint(rowsI, rowsJ, ws.joint)
-	}
-}
-
-// denseJoint is the dot-product fill of either joint: each float32 dot
-// product is stored as is, or widened once on the store.
-func denseJoint[T float32 | float64](rowsI, rowsJ [][]float32, joint []T) {
 	bins := len(rowsJ)
 	for u, ru := range rowsI {
-		out := joint[u*bins : (u+1)*bins]
+		out := ws.joint[u*bins : (u+1)*bins]
 		for v := range out {
-			out[v] = T(simd.FusedWeightedCount(ru, rowsJ[v]))
+			out[v] = float64(simd.FusedWeightedCount(ru, rowsJ[v]))
 		}
 	}
 }
@@ -359,23 +304,17 @@ func (e *Estimator) PairPermutedScalar(i, j int, perm []int32, ws *Workspace) fl
 		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
 	}
 	if !ws.jointClean {
-		ws.resetJoint()
+		clear(ws.joint)
 	}
 	ws.jointClean = false
-	if ws.prec == Float32 {
-		scatterScalar(e.wm, i, j, perm, ws.joint32)
-	} else {
-		scatterScalar(e.wm, i, j, perm, ws.joint)
-	}
+	scatterScalar(e.wm, i, j, perm, ws.joint)
 	return e.miFromWorkspace(i, j, ws)
 }
 
 // scatterScalar adds every sample's k×k stencil outer product into the
 // zeroed joint, gene j's sample taken through perm when it is non-nil.
-// Each product is formed at the joint's precision: the float32 path
-// multiplies the float32 weights directly, the float64 path widens them
-// first.
-func scatterScalar[T float32 | float64](wm *bspline.WeightMatrix, i, j int, perm []int32, joint []T) {
+// Each product is formed in float64 from the widened float32 weights.
+func scatterScalar(wm *bspline.WeightMatrix, i, j int, perm []int32, joint []float64) {
 	bins := wm.Basis.Bins()
 	for s := 0; s < wm.Samples; s++ {
 		sj := s
@@ -386,9 +325,9 @@ func scatterScalar[T float32 | float64](wm *bspline.WeightMatrix, i, j int, perm
 		offJ, wJ := wm.Stencil(j, sj)
 		for u, a := range wI {
 			row := joint[(int(offI)+u)*bins+int(offJ):]
-			au := T(a)
+			au := float64(a)
 			for v, b := range wJ {
-				row[v] += au * T(b)
+				row[v] += au * float64(b)
 			}
 		}
 	}
@@ -404,15 +343,9 @@ func scatterScalar[T float32 | float64](wm *bspline.WeightMatrix, i, j int, perm
 // exactly the access pattern a SIMD unit (or a superscalar host core)
 // executes at full rate. Total work is m·k² fused multiply-adds plus an
 // O(m) bucketing pass, versus the scalar kernel's m·k² scattered
-// updates.
-//
-// PairBucketed is float64 only: it is the counting-sort reference the
-// block-scatter kernels are pinned to, and it panics on a float32
-// workspace.
+// updates. It is the counting-sort reference the block-scatter kernels
+// are pinned to.
 func (e *Estimator) PairBucketed(i, j int, ws *Workspace) float64 {
-	if ws.prec != Float64 {
-		panic("mi: PairBucketed needs a float64 workspace")
-	}
 	return e.pairBucketed(i, j, nil, ws)
 }
 
@@ -473,7 +406,7 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 	// call left the joint all-zero the full b² reset is skipped and the
 	// blocks are re-zeroed after the entropy pass instead.
 	if !ws.jointClean {
-		ws.resetJoint()
+		clear(ws.joint)
 	}
 	occupied := 0
 	sp := e.wm.Sparse
@@ -568,7 +501,7 @@ func (e *Estimator) pairBucketed(i, j int, perm []int32, ws *Workspace) float64 
 			}
 		}
 	} else {
-		ws.resetJoint()
+		clear(ws.joint)
 	}
 	ws.jointClean = true
 	return v

@@ -430,4 +430,5 @@ func TestBucketedPermLengthPanics(t *testing.T) {
 }
 
 func BenchmarkPairBucketed337(b *testing.B)  { benchPair(b, 337, (*Estimator).PairBucketed) }
+func BenchmarkPairBlocked337(b *testing.B)   { benchPair(b, 337, (*Estimator).PairBlocked) }
 func BenchmarkPairBucketed3137(b *testing.B) { benchPair(b, 3137, (*Estimator).PairBucketed) }

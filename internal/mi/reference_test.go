@@ -16,16 +16,6 @@ func (e *Estimator) PairPermutedBucketed(i, j int, perm []int32, ws *Workspace) 
 	return e.pairBucketed(i, j, perm, ws)
 }
 
-// PairPermutedBlocked is PairBlocked with gene j's samples permuted
-// through perm.
-func (e *Estimator) PairPermutedBlocked(i, j int, perm []int32, ws *Workspace) float64 {
-	if len(perm) != e.wm.Samples {
-		panic(fmt.Sprintf("mi: perm len %d != samples %d", len(perm), e.wm.Samples))
-	}
-	e.prepareRowKeys(i, ws)
-	return e.pairBlocked(i, j, perm, ws)
-}
-
 // GatherPermuted returns gene g's dense weight rows gathered through
 // perm into fresh rows: rows[u][s] = dense[u][perm[s]].
 func (e *Estimator) GatherPermuted(g int, perm []int32) [][]float32 {

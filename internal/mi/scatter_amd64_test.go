@@ -13,11 +13,11 @@ import (
 
 // TestScatterSSEMatchesPortable pins the SSE2 order-3 scatter to the
 // portable scatterGo bit for bit: the bucket blocks after the scatter,
-// and the float64 and float32 joints merged from them, for gene j
-// unpermuted, gathered through every pool permutation, and read from
-// PermCache rows (which always take the portable path). The fixtures
-// cover m = 1, m at the order × bins floor, bins == order (a single
-// bucket), and certRows' constant and heavily tied rows. Every gene
+// and the joints merged from them, for gene j unpermuted, gathered
+// through every pool permutation, and read from PermCache rows (which
+// always take the portable path). The fixtures cover m = 1, m at the
+// order × bins floor, bins == order (a single bucket), and certRows'
+// constant and heavily tied rows. Every gene
 // meets the last one, whose stencils end the weight matrix, and every
 // permutation sends some sample to the last sample (the tail read).
 func TestScatterSSEMatchesPortable(t *testing.T) {
@@ -31,8 +31,8 @@ func TestScatterSSEMatchesPortable(t *testing.T) {
 		perms := perm.MustNewPool(uint64(c.m), c.m, q).Perms()
 		pc := NewPermCache(e, perms, n)
 		m, bins := c.m, c.bins
-		// same compares the two workspaces' blocks, then merges each at
-		// both precisions and compares the joints, leaving both clear.
+		// same compares the two workspaces' blocks, then merges each and
+		// compares the joints, leaving both clear.
 		same := func(what string, i, j int) {
 			t.Helper()
 			for x := range vec.blockAcc {
@@ -42,15 +42,12 @@ func TestScatterSSEMatchesPortable(t *testing.T) {
 				}
 			}
 			v64, p64 := make([]float64, bins*bins), make([]float64, bins*bins)
-			v32, p32 := make([]float32, bins*bins), make([]float32, bins*bins)
 			mergeBlocks(vec.blockAcc, v64, bins, 3)
 			mergeBlocks(port.blockAcc, p64, bins, 3)
-			mergeBlocks(vec.blockAcc, v32, bins, 3)
-			mergeBlocks(port.blockAcc, p32, bins, 3)
 			for x := range v64 {
-				if math.Float64bits(v64[x]) != math.Float64bits(p64[x]) || math.Float32bits(v32[x]) != math.Float32bits(p32[x]) {
-					t.Fatalf("m %d bins %d pair (%d,%d) %s: joint cell %d SSE %v/%v != portable %v/%v",
-						m, bins, i, j, what, x, v64[x], v32[x], p64[x], p32[x])
+				if math.Float64bits(v64[x]) != math.Float64bits(p64[x]) {
+					t.Fatalf("m %d bins %d pair (%d,%d) %s: joint cell %d SSE %v != portable %v",
+						m, bins, i, j, what, x, v64[x], p64[x])
 				}
 			}
 			clear(vec.blockAcc)

@@ -75,10 +75,10 @@ func (e *Estimator) prepareRowKeys(i int, ws *Workspace) {
 }
 
 // PairBlocked computes MI(gene i, gene j) with the single-pass
-// block-scatter formulation. On a float64 workspace it is
-// bit-identical to PairBucketed (the partial-sum order per bucket and
-// the bucket merge order match the stable counting sort exactly) while
-// skipping the sort's two extra passes over the samples.
+// block-scatter formulation. It is bit-identical to PairBucketed (the
+// partial-sum order per bucket and the bucket merge order match the
+// stable counting sort exactly) while skipping the sort's two extra
+// passes over the samples.
 func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 	e.prepareRowKeys(i, ws)
 	return e.pairBlocked(i, j, nil, ws)
@@ -92,7 +92,7 @@ func (e *Estimator) PairBlocked(i, j int, ws *Workspace) float64 {
 func (e *Estimator) PairBlockedCut(i, j int, cut float64, ws *Workspace) (v float64, below bool) {
 	e.prepareRowKeys(i, ws)
 	e.fillBlocked(i, j, nil, nil, nil, ws)
-	if c, ok := e.certCut(cut, ws.prec); ok && e.certSum(i, j, ws) < c {
+	if c, ok := e.certCut(cut); ok && e.certSum(i, j, ws) < c {
 		return 0, true
 	}
 	return e.miFromWorkspace(i, j, ws), false
@@ -126,14 +126,10 @@ func (e *Estimator) fillBlocked(i, j int, perm, poffs []int32, pw []float32, ws 
 	ws.mergeBlockAcc(e.wm.Basis.Order())
 }
 
-// mergeBlockAcc merges ws.blockAcc into the joint of the workspace's
-// precision and clears the blocks.
+// mergeBlockAcc merges ws.blockAcc into the joint and clears the
+// blocks.
 func (ws *Workspace) mergeBlockAcc(k int) {
-	if ws.prec == Float32 {
-		mergeBlocks(ws.blockAcc, ws.joint32, ws.bins, k)
-	} else {
-		mergeBlocks(ws.blockAcc, ws.joint, ws.bins, k)
-	}
+	mergeBlocks(ws.blockAcc, ws.joint, ws.bins, k)
 	// Only the bucket rows can hold sums; the border rows stay zero.
 	rowLen := (ws.bins + k - 1) * k * blockLanes(k)
 	clear(ws.blockAcc[(k-1)*rowLen : ws.bins*rowLen])
@@ -157,7 +153,7 @@ func blockLanes(k int) int { return (k + 3) &^ 3 }
 // before a cell's first real one keeps the sum at +0, and one after
 // its last leaves the sum unchanged (no entry is −0, as every block
 // accumulates nonnegative products onto +0).
-func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
+func mergeBlocks(acc []float32, joint []float64, bins, k int) {
 	stride := bins + k - 1
 	lanes := blockLanes(k)
 	size := k * lanes // floats per block
@@ -173,13 +169,13 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 			p := a*stride*12 + 10
 			for b := range row {
 				q, r := p+rowStep, p+2*rowStep
-				s := T(acc[p]) + T(acc[p+11]) + T(acc[p+22])
-				s += T(acc[q])
-				s += T(acc[q+11])
-				s += T(acc[q+22])
-				s += T(acc[r])
-				s += T(acc[r+11])
-				s += T(acc[r+22])
+				s := float64(acc[p]) + float64(acc[p+11]) + float64(acc[p+22])
+				s += float64(acc[q])
+				s += float64(acc[q+11])
+				s += float64(acc[q+22])
+				s += float64(acc[r])
+				s += float64(acc[r+11])
+				s += float64(acc[r+22])
 				row[b] = s
 				p += 12
 			}
@@ -189,11 +185,11 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 	for a := 0; a < bins; a++ {
 		row := joint[a*bins : (a+1)*bins]
 		for b := range row {
-			var s T
+			var s float64
 			p := (a*stride+b)*size + (k-1)*lanes + k - 1
 			for u := 0; u < k; u++ {
 				for v := 0; v < k; v++ {
-					s += T(acc[p+v*(size-1)])
+					s += float64(acc[p+v*(size-1)])
 				}
 				p += rowStep
 			}
@@ -204,9 +200,9 @@ func mergeBlocks[T float32 | float64](acc []float32, joint []T, bins, k int) {
 
 // scatterBlocked is the scatter pass of the block-scatter kernels:
 // every sample accumulates its k×k outer product into ws.blockAcc at
-// the block of its (offI, offJ) bucket. The accumulator is float32 at
-// both precisions, so the partial sums — and the float64 path's
-// bit-identity to PairBucketed — are unaffected by which merge follows.
+// the block of its (offI, offJ) bucket. The accumulator is float32, as
+// are PairBucketed's register blocks, so the partial sums match the
+// counting sort's bit for bit.
 // Order 3 without cached rows runs the architecture's vector kernel
 // when it has one (scatter_amd64.go); everything else runs the
 // portable scatterGo, which computes the same sums.
@@ -283,10 +279,9 @@ func (e *Estimator) scatterGo(i, j int, perm, poffs []int32, pw []float32, ws *W
 // rows from a PermCache (q rows of m and m·k respectively); otherwise
 // each evaluation gathers through perms[p] directly. Every permuted MI
 // it computes is bit-identical to the block-scatter kernel under
-// perms[p] (on a float64 workspace, to the counting-sort kernel); a
-// permutation the certificate proves below obs is decided without its
-// entropy pass (certificate.go), so the result equals the
-// per-permutation loop's.
+// perms[p], and so to the counting-sort kernel; a permutation the
+// certificate proves below obs is decided without its entropy pass
+// (certificate.go), so the result equals the per-permutation loop's.
 //
 // It returns the number of permutations evaluated and whether the pair
 // survived (obs strictly exceeded every permuted value).
@@ -318,7 +313,7 @@ func (e *Estimator) sweepBlocked(i, j int, obs float64, perms [][]int32, poffs [
 	k := e.wm.Basis.Order()
 	e.prepareRowKeys(i, ws)
 	cached := poffs != nil && pw != nil
-	cut, armed := e.certCut(obs, ws.prec)
+	cut, armed := e.certCut(obs)
 	armed = armed && out == nil // the null mode needs every value
 	for p := range perms {
 		evals++

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bspline"
+	"repro/internal/mat"
 	"repro/internal/perm"
 )
 
@@ -106,22 +108,17 @@ func TestSweepBadPermutationPanics(t *testing.T) {
 
 // requirePortableFill requires the joint fillBlocked just left in ws to
 // equal, bit for bit, the joint of the portable scatter (scatterGo) for
-// the same pair and permutation merged at the same precision. On amd64
-// this pins the SSE2 order-3 kernel.
+// the same pair and permutation. On amd64 this pins the SSE2 order-3
+// kernel.
 func requirePortableFill(t testing.TB, e *Estimator, i, j int, p []int32, ws *Workspace) {
 	t.Helper()
-	port := NewWorkspacePrec(e, ws.prec)
+	port := NewWorkspace(e)
 	e.prepareRowKeys(i, port)
 	e.scatterGo(i, j, p, nil, nil, port)
 	port.mergeBlockAcc(e.wm.Basis.Order())
 	for x := range ws.joint {
 		if math.Float64bits(ws.joint[x]) != math.Float64bits(port.joint[x]) {
 			t.Fatalf("pair (%d,%d): joint cell %d %v != portable %v", i, j, x, ws.joint[x], port.joint[x])
-		}
-	}
-	for x := range ws.joint32 {
-		if math.Float32bits(ws.joint32[x]) != math.Float32bits(port.joint32[x]) {
-			t.Fatalf("pair (%d,%d): float32 joint cell %d %v != portable %v", i, j, x, ws.joint32[x], port.joint32[x])
 		}
 	}
 }
@@ -232,6 +229,28 @@ func TestPermCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestPermCacheBytesFixed checks that the cache's arena is sized once,
+// at construction, and survives eviction cycles unchanged.
+func TestPermCacheBytesFixed(t *testing.T) {
+	e, _ := buildEstimator(t, randomGenes(rand.New(rand.NewSource(77)), 8, 64), 3, 10)
+	pool := perm.MustNewPool(2, 64, 4)
+	pc := NewPermCache(e, pool.Perms(), 3)
+	before := pc.Bytes()
+	if before == 0 {
+		t.Fatal("PermCache.Bytes() = 0, want fixed arena size")
+	}
+	for g := 0; g < 8; g++ { // force eviction cycles through the arena
+		pc.Gene(g)
+	}
+	if pc.Bytes() != before {
+		t.Fatalf("PermCache.Bytes() changed %d -> %d; arena should be fixed", before, pc.Bytes())
+	}
+	want := 3 * (4*64*4 + 4*64*3*4)
+	if before != want {
+		t.Fatalf("PermCache.Bytes() = %d, want %d", before, want)
+	}
+}
+
 // TestJointCleanInterleaving hammers the workspace-clean invariant:
 // alternating dirty kernels (vec/scalar) with the clean-maintaining
 // bucketed/blocked kernels must never leak residue between calls.
@@ -277,44 +296,31 @@ func TestNewEstimatorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestNullSweepsMatchPerPermutation pins the no-early-exit entry points
+// TestNullSweepsMatchPerPermutation pins the no-early-exit entry point
 // the pooled-null phase runs on: every value NullBucketed records is
-// bit-identical to the per-permutation kernel of the same precision, across orders, even when the workspace's cached row
-// keys belong to another gene.
+// bit-identical to the per-permutation counting-sort kernel, across
+// orders, even when the workspace's cached row keys belong to another
+// gene.
 func TestNullSweepsMatchPerPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := randomGenes(rng, 8, 151)
 	for _, order := range []int{1, 3, 4} {
-		e, ws64 := buildEstimator(t, rows, order, 10)
-		ws32 := NewWorkspacePrec(e, Float32)
+		e, ws := buildEstimator(t, rows, order, 10)
 		perms := perm.MustNewPool(3, 151, 9).Perms()
 		out := make([]float64, len(perms))
-		type kernel struct {
-			name string
-			null func(i, j int)
-			ref  func(i, j int, p []int32) float64
-		}
-		kernels := []kernel{
-			{"bucketed", func(i, j int) { e.NullBucketed(i, j, perms, out, ws64) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedBucketed(i, j, p, ws64) }},
-			{"bucketed32", func(i, j int) { e.NullBucketed(i, j, perms, out, ws32) },
-				func(i, j int, p []int32) float64 { return e.PairPermutedBlocked(i, j, p, ws32) }},
-		}
-		for _, k := range kernels {
-			// Visit pairs with i descending so consecutive sweeps change
-			// the row gene.
-			for i := 7; i >= 0; i-- {
-				for j := 0; j < 8; j++ {
-					if i == j {
-						continue
-					}
-					k.null(i, j)
-					got := append([]float64(nil), out...)
-					for p := range perms {
-						if want := k.ref(i, j, perms[p]); got[p] != want {
-							t.Fatalf("order %d %s (%d,%d) perm %d: null sweep %v != per-permutation %v",
-								order, k.name, i, j, p, got[p], want)
-						}
+		// Visit pairs with i descending so consecutive sweeps change the
+		// row gene.
+		for i := 7; i >= 0; i-- {
+			for j := 0; j < 8; j++ {
+				if i == j {
+					continue
+				}
+				e.NullBucketed(i, j, perms, out, ws)
+				got := append([]float64(nil), out...)
+				for p := range perms {
+					if want := e.PairPermutedBucketed(i, j, perms[p], ws); got[p] != want {
+						t.Fatalf("order %d (%d,%d) perm %d: null sweep %v != per-permutation %v",
+							order, i, j, p, got[p], want)
 					}
 				}
 			}
@@ -357,4 +363,35 @@ func BenchmarkFillBlocked(b *testing.B) {
 	benchFill(b, func(e *Estimator, i, j int, perm []int32, ws *Workspace) {
 		e.fillBlocked(i, j, perm, nil, nil, ws)
 	})
+}
+
+// BenchmarkSweepBucketed337 times full 30-permutation sweeps (the
+// observed value is never reached) over cached permuted rows at the
+// benchmark's m = 337.
+func BenchmarkSweepBucketed337(b *testing.B) {
+	const n, m, q = 16, 337, 30
+	rng := perm.NewRNG(9)
+	d := mat.NewDense(n, m)
+	for g := 0; g < n; g++ {
+		row := d.Row(g)
+		for s := range row {
+			row[s] = float32(rng.NormFloat64())
+		}
+	}
+	d.RankNormalize()
+	e := NewEstimator(bspline.Precompute(bspline.MustNew(3, 10), d))
+	ws := NewWorkspace(e)
+	pool := perm.MustNewPool(1, m, q)
+	perms := pool.Perms()
+	cache := NewPermCache(e, perms, n)
+	const obs = 1e9 // never exceeded: full q-permutation sweeps
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 1 + i%(n-1)
+		poffs, pw := cache.Gene(j)
+		if _, survived := e.SweepBucketed(0, j, obs, perms, poffs, pw, ws); !survived {
+			b.Fatal("unexpected early exit")
+		}
+	}
 }

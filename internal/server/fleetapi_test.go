@@ -210,10 +210,11 @@ func TestConfigParamsRoundTrip(t *testing.T) {
 }
 
 // TestJobKeyStable pins JobKey byte for byte against keys computed
-// while scans still had prescreen and kernel options, whose slots in
-// the key now hash their defaults: checkpoint files and cached fleet
-// results keyed before their removal still match. An old client's
-// ?prescreen=1 or ?kernel=vec is ignored and keyed like its absence.
+// while scans still had prescreen, kernel and precision options, whose
+// slots in the key now hash their defaults: checkpoint files and cached
+// fleet results keyed before their removal still match. An old
+// client's ?prescreen=1, ?kernel=vec or ?precision=float32 is ignored
+// and keyed like its absence.
 func TestJobKeyStable(t *testing.T) {
 	body := []byte("g1\t1\t2\t3\ng2\t4\t5\t6\n")
 	for _, c := range []struct {
@@ -221,12 +222,13 @@ func TestJobKeyStable(t *testing.T) {
 		key string
 	}{
 		{url.Values{}, "73cd0d6dbefad515"},
-		{url.Values{"precision": {"float32"}, "alpha": {"1e-4"}, "dpi": {"1"}, "seed": {"11"}}, "c2816b2d0c3bc5a5"},
+		{url.Values{"precision": {"float32"}, "alpha": {"1e-4"}, "dpi": {"1"}, "seed": {"11"}}, "068af08a910ffbb6"},
 		{url.Values{"engine": {"ooc"}, "kernel": {"scalar"}, "cmi": {"1"}, "cmiratio": {"0.7"}, "permutations": {"8"}}, "68b81914b400d644"},
 		{url.Values{"tilestart": {"3"}, "tilecount": {"5"}, "tile": {"8"}, "seed": {"99"}}, "6863ebb711b70d84"},
 		{url.Values{"bootstraps": {"4"}, "subsample": {"0.75"}, "eseed": {"3"}, "support": {"0.5"}, "engine": {"cluster"}}, "2768f4363c29eb73"},
 		{url.Values{"prescreen": {"1"}}, "73cd0d6dbefad515"},
 		{url.Values{"kernel": {"vec"}}, "73cd0d6dbefad515"},
+		{url.Values{"precision": {"float32"}}, "73cd0d6dbefad515"},
 	} {
 		cfg, err := ParseConfigValues(c.q)
 		if err != nil {

@@ -104,7 +104,7 @@ func TestSiblingChunksReuseThreshold(t *testing.T) {
 	}
 
 	for _, kv := range [][]string{
-		{"seed", "4"}, {"precision", "float32"}, {"alpha", "0.02"},
+		{"seed", "4"}, {"alpha", "0.02"},
 		{"permutations", "7"}, {"nullpairs", "120"},
 	} {
 		res := runJob(t, s, ts, body, chunk(10, kv...))
@@ -198,8 +198,9 @@ func FuzzJobKey(f *testing.F) {
 		if eseed != 0 {
 			q.Set("eseed", strconv.FormatUint(eseed, 10))
 		}
-		// kernel and prescreen name retired options: a server ignores
-		// both, and they stay here so the seed corpus still decodes.
+		// kernel, precision and prescreen name retired options: a server
+		// ignores them, and they stay here so the seed corpus still
+		// decodes.
 		q.Set("kernel", []string{"bucketed", "vec", "scalar"}[kernel%3])
 		q.Set("precision", []string{"float64", "float32"}[prec%2])
 		q.Set("engine", []string{"host", "phi", "cluster", "hybrid", "ooc"}[int(flags>>4)%5])
@@ -250,8 +251,7 @@ func FuzzJobKey(f *testing.F) {
 				}
 				c.Alpha = math.Nextafter(c.Alpha, toward)
 			},
-			"seed":      func(c *core.Config) { c.Seed++ },
-			"precision": func(c *core.Config) { c.Precision ^= 1 },
+			"seed": func(c *core.Config) { c.Seed++ },
 		} {
 			m := cfg
 			mutate(&m)

@@ -389,14 +389,6 @@ func ParseConfigValues(q url.Values) (core.Config, error) {
 	default:
 		return cfg, fmt.Errorf("unknown engine %q", v)
 	}
-	switch v := q.Get("precision"); v {
-	case "", "float64", "64":
-		cfg.Precision = core.Float64
-	case "float32", "32":
-		cfg.Precision = core.Float32
-	default:
-		return cfg, fmt.Errorf("unknown precision %q", v)
-	}
 	return cfg, nil
 }
 
@@ -428,9 +420,6 @@ func ConfigParams(cfg core.Config) url.Values {
 		q.Set("seed", strconv.FormatUint(cfg.Seed, 10))
 	}
 	q.Set("engine", cfg.Engine.String())
-	if cfg.Precision == core.Float32 {
-		q.Set("precision", "float32")
-	}
 	if cfg.DPI {
 		q.Set("dpi", "1")
 	}
@@ -469,14 +458,14 @@ func ConfigParams(cfg core.Config) url.Values {
 func JobKey(body []byte, cfg core.Config) string {
 	h := sha256.New()
 	h.Write(body)
-	// The literals "bucketed" and false fill the slots of the retired
-	// kernel option (at its default) and prescreen flag, so keys
-	// (checkpoint stems, cached fleet results) computed while they
-	// existed still match.
+	// The literals "bucketed", "float64" and false fill the slots of the
+	// retired kernel and precision options (at their defaults) and
+	// prescreen flag, so keys (checkpoint stems, cached fleet results)
+	// computed while they existed still match.
 	fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%v|%d|%v|%v|%v|%v|%v|%v|%v|%v",
 		cfg.Order, cfg.Bins, cfg.Permutations, cfg.NullSamplePairs,
 		cfg.TileSize, cfg.Alpha, cfg.Seed, cfg.Engine, cfg.DPI, "bucketed",
-		cfg.Precision, false, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
+		"float64", false, cfg.DPITolerance, cfg.CMIFilter, cfg.CMIRatio)
 	if cfg.ChunkTiles > 0 {
 		fmt.Fprintf(h, "|chunk %d+%d", cfg.ChunkStart, cfg.ChunkTiles)
 	}

@@ -1,16 +1,12 @@
-// Package simd provides the single-precision kernels that stand in for
-// the Intel Xeon Phi's 512-bit vector unit (16 float32 lanes):
+// Package simd provides the single-precision dot product that stands in
+// for the Intel Xeon Phi's 512-bit vector unit (16 float32 lanes): Dot
+// and FusedWeightedCount, the lane-blocked kernel of the dot-product MI
+// formulation (mi.PairVec).
 //
-//   - Dot and FusedWeightedCount, the lane-blocked dot product of the
-//     dot-product MI formulation (mi.PairVec);
-//   - Log2 and EntropyDot, the single-precision log and the batched
-//     entropy pass of the float32 compute path.
-//
-// Go has no portable intrinsics, so these are written as fixed-width
-// unrolled loops over contiguous lanes — the shape the paper's IMCI
-// code has — which modern Go compilers and CPUs execute with good
-// instruction-level parallelism. Each has a plain-loop reference in its
-// tests.
+// Go has no portable intrinsics, so Dot is written as a fixed-width
+// unrolled loop over contiguous lanes — the shape the paper's IMCI code
+// has — which modern Go compilers and CPUs execute with good
+// instruction-level parallelism. Its tests hold it to a plain loop.
 package simd
 
 import "fmt"

@@ -61,8 +61,6 @@ type (
 	CounterField = core.CounterField
 	// EngineKind selects Host, Phi, or Cluster execution.
 	EngineKind = core.EngineKind
-	// Precision selects the MI compute precision.
-	Precision = core.Precision
 	// EnsembleConfig turns a run into a bootstrap consensus workload:
 	// B seeded sample subsets, one network each, folded into per-edge
 	// support frequencies plus a consensus network at the cutoff.
@@ -274,17 +272,6 @@ func IngestExpressionTSV(r io.Reader, dir string, panelRows int, budget int64) (
 	}
 	return store, genes, nil
 }
-
-// Compute precisions.
-const (
-	// Float64 (default) accumulates histograms and entropies in double
-	// precision.
-	Float64 = core.Float64
-	// Float32 runs the single-precision kernels — the paper's
-	// native-float build: same edge set at default settings, half the
-	// joint-accumulator footprint.
-	Float32 = core.Float32
-)
 
 // Scheduling policies.
 const (
